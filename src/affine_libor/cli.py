@@ -133,6 +133,9 @@ def _strike_grid(spec: str) -> np.ndarray:
     except ValueError as exc:
         raise InvalidParameter(
             f"surface.strikes must be min:max:step, got {spec!r}") from exc
+    if not (step > 0.0 and lo <= hi and np.isfinite([lo, hi, step]).all()):
+        raise InvalidParameter(
+            f"surface.strikes needs min <= max and step > 0, got {spec!r}")
     n = int(round((hi - lo) / step)) + 1
     return lo + step * np.arange(n)
 

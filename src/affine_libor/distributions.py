@@ -19,7 +19,8 @@ Three layers:
 * positive linear combinations sum_j sigma_j Y_j of independent
   non-central chi-squares, evaluated by numerical inversion of the
   characteristic function (Imhof's integral) with a certified truncation
-  bound on the tail of the integrand modulus.
+  bound on the tail of the integrand modulus; all evaluation points of
+  one mixture share one vector-valued integral.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .quadrature import adaptive_gauss_kronrod
 
 _SERIES_TOL = 1e-13
 _MAX_SERIES_TERMS = 200_000
+# Cap on the one-period starting panels of Imhof's integral.
+_IMHOF_PANELS = 2048
 
 
 def _poisson_window(alpha_nc: float, tol: float):
@@ -206,23 +209,30 @@ class ChiSqMixSpec:
         return self.shift + float(np.sum(self.sigmas * (self.nus + self.alphas)))
 
 
-def _imhof_integrand(y: float, m: ChiSqMixSpec):
+def _imhof_integrand(ys: np.ndarray, m: ChiSqMixSpec):
+    """Imhof's integrand sin(theta_y(u)) / (u rho(u)), one column per y.
+
+    Only the phase term -y u / 2 depends on y, so the arctangent and
+    logarithm sums are evaluated once per node for every y.
+    """
     s, nus, al = m.sigmas, m.nus, m.alphas
-    slope0 = 0.5 * float(np.sum(nus * s) + np.sum(al * s) - y)
+    slope0 = 0.5 * (float(np.sum(nus * s) + np.sum(al * s)) - ys)
 
     def g(u):
         u = np.asarray(u, dtype=float)
-        out = np.full(u.shape, slope0)
-        nz = u != 0.0
-        if nz.any():
-            uu = u[nz][:, None]
-            s2u2 = (s[None, :] * uu) ** 2
-            theta = 0.5 * (np.sum(nus * np.arctan(s * uu), axis=1)
-                           + np.sum(al * s * uu / (1.0 + s2u2), axis=1)
-                           ) - 0.5 * y * u[nz]
-            log_rho = (0.25 * np.sum(nus * np.log1p(s2u2), axis=1)
-                       + 0.5 * np.sum(al * s2u2 / (1.0 + s2u2), axis=1))
-            out[nz] = np.sin(theta) * np.exp(-log_rho) / u[nz]
+        uu = u[:, None]
+        s2u2 = (s[None, :] * uu) ** 2
+        theta = 0.5 * (np.sum(nus * np.arctan(s * uu), axis=1)
+                       + np.sum(al * s * uu / (1.0 + s2u2), axis=1))
+        log_rho = (0.25 * np.sum(nus * np.log1p(s2u2), axis=1)
+                   + 0.5 * np.sum(al * s2u2 / (1.0 + s2u2), axis=1))
+        # one (nodes, points) buffer, updated in place
+        out = np.multiply.outer(u, -0.5 * ys)
+        out += theta[:, None]
+        np.sin(out, out=out)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out *= (np.exp(-log_rho) / u)[:, None]
+        out[u == 0.0] = slope0  # the limit of sin(theta) / u
         return out
 
     return g
@@ -256,18 +266,33 @@ def _imhof_truncation(m: ChiSqMixSpec, tol: float) -> float:
     return U
 
 
-def _imhof_integral(x, m: ChiSqMixSpec, tol: float):
-    y = float(x) - m.shift
+def _imhof_integral(xs: np.ndarray, m: ChiSqMixSpec, tol: float):
+    """Imhof's integral / pi for every x in ``xs`` (all above the shift),
+    as one vector-valued quadrature with absolute error <= tol each."""
+    ys = xs - m.shift
     U = _imhof_truncation(m, 0.5 * tol)
+    # A panel holding many periods of the phase samples the sinusoid at
+    # aliased points, where the 7- and 15-point rules can agree while both
+    # are wrong.  Panels therefore start one period of the fastest phase
+    # wide (|theta'| <= omega), at most _IMHOF_PANELS of them, plus
+    # geometric breakpoints 2^i / max(sigma) where the amplitude falls.
+    omega = 0.5 * (float(np.sum((m.nus + m.alphas) * m.sigmas))
+                   + float(np.max(ys)))
+    periods = min(math.ceil(U * omega / (2.0 * math.pi)), _IMHOF_PANELS)
+    scale = 1.0 / float(np.max(m.sigmas))
+    octaves = max(math.ceil(math.log2(U / scale)), 0)
+    breaks = np.concatenate([scale * 2.0 ** np.arange(octaves),
+                             np.linspace(0.0, U, periods + 1)[1:-1]])
     # The integrand oscillates with frequency ~ y/2, so far-tail arguments
     # over a heavy-tailed (small sum-of-dof) window need many panels; the
     # budget covers all moderate cases and the error check stays honest.
     integral, err = adaptive_gauss_kronrod(
-        _imhof_integrand(y, m), 0.0, U,
-        abs_tol=0.5 * tol * math.pi, max_panels=20_000)
-    if err / math.pi > tol:
+        _imhof_integrand(ys, m), 0.0, U, abs_tol=0.5 * tol * math.pi,
+        max_panels=20_000, breakpoints=breaks)
+    if np.max(err) / math.pi > tol:
         raise ConvergenceFailure(
-            f"Imhof quadrature error {err / math.pi:.2e} above tol {tol}")
+            f"Imhof quadrature error {np.max(err) / math.pi:.2e} above "
+            f"tol {tol}")
     return integral / math.pi
 
 
@@ -284,12 +309,11 @@ def chisq_mix_cdf(x, m: ChiSqMixSpec, tol: float = 1e-10):
                            float(m.alphas[0]))
         out = np.atleast_1d(lsnc_cdf(xs, p))
     else:
-        out = np.empty_like(xs)
-        for i, xi in enumerate(xs):
-            if xi <= m.shift:
-                out[i] = 0.0
-            else:
-                out[i] = min(max(0.5 - _imhof_integral(xi, m, tol), 0.0), 1.0)
+        out = np.zeros_like(xs)
+        above = xs > m.shift
+        if above.any():
+            out[above] = np.clip(0.5 - _imhof_integral(xs[above], m, tol),
+                                 0.0, 1.0)
     return float(out[0]) if scalar else out
 
 
@@ -302,10 +326,9 @@ def chisq_mix_sf(x, m: ChiSqMixSpec, tol: float = 1e-10):
                            float(m.alphas[0]))
         out = np.atleast_1d(lsnc_sf(xs, p))
     else:
-        out = np.empty_like(xs)
-        for i, xi in enumerate(xs):
-            if xi <= m.shift:
-                out[i] = 1.0
-            else:
-                out[i] = min(max(0.5 + _imhof_integral(xi, m, tol), 0.0), 1.0)
+        out = np.ones_like(xs)
+        above = xs > m.shift
+        if above.any():
+            out[above] = np.clip(0.5 + _imhof_integral(xs[above], m, tol),
+                                 0.0, 1.0)
     return float(out[0]) if scalar else out

@@ -8,7 +8,10 @@ bond-price quotient exp(A_k + <B_k, X_{T_k}>), priced as
 
 with K' = 1 + delta K, damping R > 1 inside the strip where the
 forward-price moment generating function is finite.  The same integrand
-with R < 0 prices the floorlet.  A payer swaption on [T_i, T_m] is a put
+with R < 0 prices the floorlet.  Only the factor K'^{-(R-iv)} depends on
+the strike, so the caplets of one expiry are one vector-valued integral
+with one damping (:func:`vol_surface`); a single caplet is the one-strike
+case.  A payer swaption on [T_i, T_m] is a put
 on a coupon bond; its payoff transform has a closed form in terms of the
 unique zero of the exercise function (:func:`swaption_root`).
 
@@ -60,8 +63,8 @@ class CapletSpec:
 
     def with_model(self, m: CalibratedModel) -> "CapletSpec":
         if not 1 <= self.period_index <= m.n_periods - 1:
-            raise IndexError(f"caplet index {self.period_index} outside "
-                             f"1..{m.n_periods - 1}")
+            raise InvalidParameter(f"caplet index {self.period_index} "
+                                   f"outside 1..{m.n_periods - 1}")
         bold = 1.0 + m.delta * self.strike
         if self.bold_strike is not None and \
                 abs(self.bold_strike - bold) > 1e-12:
@@ -95,7 +98,8 @@ class QuadratureSettings:
     """Contour and accuracy knobs for the Fourier pricers.
 
     damping = None picks the documented default inside the admissible
-    strip; truncation widens (or shrinks) the first integration panel.
+    strip, once per expiry row of a surface; truncation widens (or
+    shrinks) the first integration panel.
     """
 
     damping: float | None = None
@@ -132,32 +136,13 @@ def _damping_strip(psi_low: np.ndarray, psi_diff: np.ndarray,
     return lo, hi
 
 
-def _least_magnitude_damping(magnitude, candidates):
-    """Candidate with the smallest finite |integrand(0)|.
-
-    A contour whose dampened integrand is large at the origin only
-    recovers a small price through massive cancellation, so the damping
-    is picked to minimise that magnitude (the strip midpoint is always
-    among the candidates).
-    """
-    best, best_mag = None, math.inf
-    for r in candidates:
-        with np.errstate(over="ignore", invalid="ignore"):
-            mag = float(np.abs(magnitude(r)))
-        if math.isfinite(mag) and mag < best_mag:
-            best, best_mag = r, mag
-    if best is None:
-        raise DampingOutOfStrip("no usable damping candidate in the strip")
-    return best
-
-
 def _call_damping_candidates(hi: float):
     if not math.isfinite(hi):
         return [2.0, 5.0, 25.0, 125.0]
     span = hi - 1.0
     grid = [1.0 + span * g for g in
             (0.5, 0.25, 0.1, 0.04, 0.015, 0.006, 0.0025, 0.001)]
-    return [r for r in grid if 1.0 < r < hi]
+    return [r for r in grid if 1.0 < r < hi] + [0.5 * (1.0 + hi)]
 
 
 def _put_damping_candidates(lo: float):
@@ -166,95 +151,119 @@ def _put_damping_candidates(lo: float):
     return [g * lo for g in (0.5, 0.25, 0.1, 0.04, 0.015, 0.006)]
 
 
-def _caplet_context(m: CalibratedModel, c: CapletSpec):
-    c = c.with_model(m)
-    k = c.period_index
-    t_fix = m.tenor.date(k)
-    hrz = m.horizon - t_fix
-    pk = transform(m.process, hrz, m.u(k), horizon=m.horizon)
-    pk1 = transform(m.process, hrz, m.u(k + 1), horizon=m.horizon)
-    return c, k, t_fix, np.real(pk.phi - pk1.phi), np.real(pk.psi), \
-        np.real(pk1.psi), float(np.real(pk1.phi))
+def _choose_damping(q: QuadratureSettings, lo: float, hi: float,
+                    want_call: bool, magnitudes):
+    """The contour's damping: ``q.damping`` checked against the strip, or
+    the candidate whose worst |integrand(0)| over the strike row is
+    smallest.
 
-
-def _fourier_caplet_integral(m, c, q, want_call: bool):
-    c, k, t_fix, a_k, psi_k, psi_k1, phi_k1 = _caplet_context(m, c)
-    sup = np.atleast_1d(m.process.domain_sup(t_fix)) if t_fix > 0.0 else \
-        np.full(m.process.dim, np.inf)
-    lo, hi = _damping_strip(psi_k1, psi_k - psi_k1, sup)
-    process, x0 = m.process, m.x0
-    phi_k = a_k + phi_k1
-    log_bold = math.log(c.bold_strike)
-
-    # Re(z) is constant along the contour, so the strip bounds above decide
-    # admissibility once and for all nodes.
-    def make_integrand(damping):
-        def integrand(v):
-            z = damping - 1j * np.asarray(v, dtype=float)
-            blend = z[:, None] * psi_k[None, :] \
-                + (1.0 - z[:, None]) * psi_k1[None, :]
-            phi_in, psi_in = phi_psi_batch(process, t_fix, blend)
-            log_mgf = (z * phi_k + (1.0 - z) * phi_k1 + phi_in
-                       + psi_in @ x0.astype(complex))
-            return np.exp(log_mgf - z * log_bold) / (z * (z - 1.0))
-
-        return integrand
-
-    def magnitude_at_origin(r):
-        return make_integrand(r)(np.zeros(1))[0]
-
+    ``magnitudes`` maps candidates to |integrand(0)|, one row per
+    candidate and one column per strike.  A contour whose dampened
+    integrand is large at the origin only recovers a small price through
+    massive cancellation (Lord & Kahl 2007), so the damping minimises that
+    magnitude for the worst strike (the strip midpoint is always among
+    the call candidates).
+    """
     if want_call:
         if hi <= 1.0:
             raise DampingOutOfStrip(
                 f"strip upper end {hi} leaves no damping above 1")
-        if q.damping is not None:
-            damping = q.damping
-            if not 1.0 < damping < hi:
-                raise DampingOutOfStrip(
-                    f"damping {damping} outside ({1.0}, {hi})")
-        else:
-            candidates = _call_damping_candidates(hi)
-            if math.isfinite(hi):
-                candidates.append(0.5 * (1.0 + hi))
-            damping = _least_magnitude_damping(magnitude_at_origin,
-                                               candidates)
+        lo = 1.0
     else:
         if lo >= 0.0:
             raise DampingOutOfStrip("strip does not extend below 0")
-        if q.damping is not None:
-            damping = q.damping
-            if not lo < damping < 0.0:
-                raise DampingOutOfStrip(
-                    f"damping {damping} outside ({lo}, {0.0})")
-        else:
-            candidates = _put_damping_candidates(lo)
-            damping = _least_magnitude_damping(magnitude_at_origin,
-                                               candidates)
-    integrand = make_integrand(damping)
+        hi = 0.0
+    if q.damping is not None:
+        if not lo < q.damping < hi:
+            raise DampingOutOfStrip(
+                f"damping {q.damping} outside ({lo}, {hi})")
+        return q.damping
+    candidates = _call_damping_candidates(hi) if want_call \
+        else _put_damping_candidates(lo)
+    mags = magnitudes(np.array(candidates))
+    worst = np.where(np.isfinite(mags), mags, math.inf).max(axis=1)
+    if not np.isfinite(worst).any():
+        raise DampingOutOfStrip("no usable damping candidate in the strip")
+    return candidates[int(np.argmin(worst))]
 
+
+def _fourier_row(m: CalibratedModel, k: int, bold: np.ndarray,
+                 q: QuadratureSettings, want_call: bool):
+    """Caplets (or floorlets) at expiry T_k for the bold strikes ``bold``.
+
+    Only the factor K'^{-z} of the integrand depends on the strike, so the
+    whole row is one vector-valued integral: the transform is evaluated
+    once per node, and each strike is one component with its own error
+    budget.  Returns (prices, error estimates, damping).
+    """
+    t_fix = m.tenor.date(k)
+    hrz = m.horizon - t_fix
+    pk = transform(m.process, hrz, m.u(k), horizon=m.horizon)
+    pk1 = transform(m.process, hrz, m.u(k + 1), horizon=m.horizon)
+    psi_k, psi_k1 = np.real(pk.psi), np.real(pk1.psi)
+    phi_k1 = float(np.real(pk1.phi))
+    phi_k = np.real(pk.phi - pk1.phi) + phi_k1
+    sup = np.atleast_1d(m.process.domain_sup(t_fix)) if t_fix > 0.0 else \
+        np.full(m.process.dim, np.inf)
+    # Re(z) is constant along the contour, so the strip bounds decide
+    # admissibility once and for all nodes.
+    lo, hi = _damping_strip(psi_k1, psi_k - psi_k1, sup)
+    process, x0 = m.process, m.x0.astype(complex)
+    log_bold = np.log(bold)
+
+    def strike_integrands(z):
+        """Integrand at contour points z (rows) for every strike (columns)."""
+        blend = z[:, None] * psi_k[None, :] \
+            + (1.0 - z[:, None]) * psi_k1[None, :]
+        phi_in, psi_in = phi_psi_batch(process, t_fix, blend)
+        log_mgf = z * phi_k + (1.0 - z) * phi_k1 + phi_in + psi_in @ x0
+        # one (nodes, strikes) buffer, updated in place: a refinement
+        # round can evaluate thousands of nodes at once
+        out = z[:, None] * -log_bold[None, :]
+        out += log_mgf[:, None]
+        np.exp(out, out=out)
+        return np.divide(out, (z * (z - 1.0))[:, None], out=out)
+
+    def magnitudes(candidates):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.abs(strike_integrands(candidates + 0j))
+
+    damping = _choose_damping(q, lo, hi, want_call, magnitudes)
     width = q.truncation if q.truncation is not None else 64.0
     integral, err = semi_infinite_oscillatory(
-        integrand, initial_width=width, rel_tol=q.rel_tol)
-    pref = m.bond0(m.n_periods) * c.bold_strike / (2.0 * math.pi)
-    price = pref * 2.0 * float(np.real(integral))
-    err_abs = pref * 2.0 * float(abs(err))
-    if err_abs > 1e-3 * max(abs(price), 1e-6):
+        lambda v: strike_integrands(damping - 1j * v),
+        initial_width=width, rel_tol=q.rel_tol)
+    pref = m.bond0(m.n_periods) * bold / (2.0 * math.pi)
+    return pref * 2.0 * np.real(integral), pref * 2.0 * np.abs(err), damping
+
+
+def _checked(what: str, price: float, err: float, damping, root=None):
+    """PriceResult of a Fourier quote whose error estimate is in control."""
+    if not err <= 1e-3 * max(abs(price), 1e-6):
         raise QuadratureFailure(
-            f"caplet quadrature error {err_abs:.2e} out of control")
-    return PriceResult(max(price, 0.0), err_abs, damping)
+            f"{what} quadrature error {err:.2e} out of control")
+    return PriceResult(max(float(price), 0.0), float(err), damping, root=root)
+
+
+def _fourier_caplet(m, c, q, want_call: bool) -> PriceResult:
+    c = c.with_model(m)
+    prices, errs, damping = _fourier_row(
+        m, c.period_index, np.array([c.bold_strike]), q, want_call)
+    return _checked("caplet" if want_call else "floorlet", prices[0],
+                    errs[0], damping)
 
 
 def caplet_fourier(m: CalibratedModel, c: CapletSpec,
                    q: QuadratureSettings = DEFAULT_QUADRATURE) -> PriceResult:
     """Caplet price by Fourier inversion of the forward-price MGF."""
-    return _fourier_caplet_integral(m, c, q, want_call=True)
+    return _fourier_caplet(m, c, q, want_call=True)
 
 
 def floorlet_fourier(m: CalibratedModel, c: CapletSpec,
                      q: QuadratureSettings = DEFAULT_QUADRATURE
                      ) -> PriceResult:
     """Floorlet price: same transform kernel, damping below zero."""
-    return _fourier_caplet_integral(m, c, q, want_call=False)
+    return _fourier_caplet(m, c, q, want_call=False)
 
 
 def _require_cir(m: CalibratedModel) -> CirParams:
@@ -268,28 +277,28 @@ def _require_cir(m: CalibratedModel) -> CirParams:
     return p
 
 
-def caplet_cir_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
-    """Closed-form caplet for the one-factor square-root driver.
+def _cir_closed_row(m: CalibratedModel, k: int, bold: np.ndarray):
+    """Closed-form caplets at expiry T_k for the one-factor square-root
+    driver, one price per bold strike.
 
     The log-forward price is location-scale non-central chi-square under
     both adjacent forward measures, with scale and non-centrality divided
     by zeta_1 (measure T_k) respectively zeta_2 (measure T_{k+1}), where
-    zeta_m = 1 - 2 eta^2 b(T_k) psi_{T_N - T_k}(u_m).
+    zeta_m = 1 - 2 eta^2 b(T_k) psi_{T_N - T_k}(u_m).  None of these
+    depends on the strike, so each measure takes one series evaluation
+    over the whole strike row.
     """
     p = _require_cir(m)
-    c = c.with_model(m)
-    k = c.period_index
     t_fix = m.tenor.date(k)
     fe = forward_exponents(m, k, k + 1, t_fix)
     b_k = float(fe.B[0])
     if b_k == 0.0:  # flat period: deterministic forward price
-        intrinsic = m.bond0(k + 1) * max(math.exp(fe.A) - c.bold_strike, 0.0)
-        return PriceResult(intrinsic, 0.0, None)
+        return m.bond0(k + 1) * np.maximum(math.exp(fe.A) - bold, 0.0)
     nu = p.lam * p.theta / p.eta ** 2
     eb = p.eta ** 2 * p.b(t_fix)
     x = float(m.x0[0])
     hrz = m.horizon - t_fix
-    y = math.log(c.bold_strike) - fe.A
+    y = np.log(bold) - fe.A
     tails = []
     for idx in (k, k + 1):
         psi_u = float(np.real(
@@ -298,9 +307,20 @@ def caplet_cir_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
         sigma = b_k * eb / zeta
         alpha = x * p.a(t_fix) / (eb * zeta)
         tails.append(ncchi2_sf(y / sigma, nu, alpha))
-    price = m.bond0(k) * tails[0] \
-        - c.bold_strike * m.bond0(k + 1) * tails[1]
-    return PriceResult(max(price, 0.0), 0.0, None)
+    return np.maximum(m.bond0(k) * tails[0]
+                      - bold * m.bond0(k + 1) * tails[1], 0.0)
+
+
+def _closed_caplet(row, m: CalibratedModel, c: CapletSpec) -> PriceResult:
+    c = c.with_model(m)
+    price = row(m, c.period_index, np.array([c.bold_strike]))[0]
+    return PriceResult(float(price), 0.0, None)
+
+
+def caplet_cir_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
+    """Closed-form caplet for the one-factor square-root driver (see
+    :func:`_cir_closed_row`)."""
+    return _closed_caplet(_cir_closed_row, m, c)
 
 
 def floorlet_cir_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
@@ -312,8 +332,9 @@ def floorlet_cir_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
     return PriceResult(max(cap.price - parity, 0.0), cap.error_estimate, None)
 
 
-def caplet_cir2f_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
-    """Closed-form caplet for independent square-root factors.
+def _cir2f_closed_row(m: CalibratedModel, k: int, bold: np.ndarray):
+    """Closed-form caplets at expiry T_k for independent square-root
+    factors, one price per bold strike.
 
     The log-forward price is a shifted positive linear combination of
     independent non-central chi-squares; each factor contributes scale,
@@ -324,11 +345,9 @@ def caplet_cir2f_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
             and all(isinstance(f, CirParams) for f in m.process.factors)):
         raise ModelMismatch("2-factor closed form requires independent "
                             "square-root factors")
-    c = c.with_model(m)
-    k = c.period_index
     t_fix = m.tenor.date(k)
     fe = forward_exponents(m, k, k + 1, t_fix)
-    y = math.log(c.bold_strike) - fe.A
+    y = np.log(bold) - fe.A
     hrz = m.horizon - t_fix
     tails = []
     for idx in (k, k + 1):
@@ -350,19 +369,26 @@ def caplet_cir2f_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
             nus.append(f.lam * f.theta / f.eta ** 2)
             alphas.append(x_j * f.a(t_fix) / (eb * zeta))
         if not sigmas:
-            tails.append(1.0 if y < 0.0 else 0.0)
+            tails.append(np.where(y < 0.0, 1.0, 0.0))
         else:
             mix = ChiSqMixSpec(np.array(sigmas), np.array(nus),
                                np.array(alphas))
             tails.append(chisq_mix_sf(y, mix))
-    price = m.bond0(k) * tails[0] \
-        - c.bold_strike * m.bond0(k + 1) * tails[1]
-    return PriceResult(max(price, 0.0), 0.0, None)
+    return np.maximum(m.bond0(k) * tails[0]
+                      - bold * m.bond0(k + 1) * tails[1], 0.0)
+
+
+def caplet_cir2f_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
+    """Closed-form caplet for independent square-root factors (see
+    :func:`_cir2f_closed_row`)."""
+    return _closed_caplet(_cir2f_closed_row, m, c)
 
 
 def _swaption_pairs(m: CalibratedModel, s: SwaptionSpec):
     if not 1 <= s.start_index < s.end_index <= m.n_periods:
-        raise IndexError("swaption indices outside the tenor")
+        raise InvalidParameter(
+            f"swaption indices {s.start_index}..{s.end_index} outside "
+            f"1..{m.n_periods}")
     t_ex = m.tenor.date(s.start_index)
     pairs = [forward_exponents(m, k, s.start_index, t_ex)
              for k in range(s.start_index + 1, s.end_index + 1)]
@@ -477,12 +503,8 @@ def swaption_fourier(m: CalibratedModel, s: SwaptionSpec,
     integral, err = semi_infinite_oscillatory(
         integrand, initial_width=width, rel_tol=q.rel_tol)
     pref = m.bond0(i) / (2.0 * math.pi)
-    price = pref * 2.0 * float(np.real(integral))
-    err_abs = pref * 2.0 * float(abs(err))
-    if err_abs > 1e-3 * max(abs(price), 1e-6):
-        raise QuadratureFailure(
-            f"swaption quadrature error {err_abs:.2e} out of control")
-    return PriceResult(max(price, 0.0), err_abs, damping, root=root)
+    return _checked("swaption", pref * 2.0 * float(np.real(integral)),
+                    pref * 2.0 * float(abs(err)), damping, root=root)
 
 
 def swaption_cir_closed(m: CalibratedModel, s: SwaptionSpec) -> PriceResult:
@@ -587,23 +609,77 @@ def black76_implied_vol(price: float, forward_rate: float, strike: float,
 
 @dataclass(frozen=True)
 class SurfaceCell:
-    """One (expiry, strike) entry of a caplet vol surface."""
+    """One (expiry, strike) entry of a caplet vol surface.
+
+    ``error_estimate`` bounds the price's quadrature error (zero for the
+    closed forms); a failed cell has NaN entries and the error category.
+    """
 
     expiry: float
     strike: float
     price: float
     implied_vol: float
     error: str | None = None
+    error_estimate: float = 0.0
 
 
-def _closed_form_pricer(m: CalibratedModel):
+def _closed_form_row(m: CalibratedModel):
     if isinstance(m.process, CirParams):
-        return caplet_cir_closed
+        return _cir_closed_row
     if isinstance(m.process, ProductProcess) and \
             all(isinstance(f, CirParams) for f in m.process.factors):
-        return caplet_cir2f_closed
+        return _cir2f_closed_row
     raise ModelMismatch("no closed-form caplet for "
                         f"{type(m.process).__name__}")
+
+
+def _row_quotes(row, m: CalibratedModel, k: int, strikes) -> dict:
+    """Per strike of expiry T_k: its PriceResult, or the error that
+    stopped it.  Invalid strikes fail alone; a failure of the shared row
+    (transform, damping) fails every strike of the row."""
+    quotes, specs = {}, []
+    for strike in strikes:
+        try:
+            specs.append(CapletSpec(k, strike).with_model(m))
+        except AffineLiborError as exc:
+            quotes[strike] = exc
+    if not specs:
+        return quotes
+    try:
+        prices, errs, damping = row(k, np.array([c.bold_strike
+                                                 for c in specs]))
+    except AffineLiborError as exc:
+        quotes.update((c.strike, exc) for c in specs)
+        return quotes
+    for c, price, err in zip(specs, prices, errs):
+        try:
+            quotes[c.strike] = _checked("caplet", price, err, damping)
+        except QuadratureFailure as exc:
+            quotes[c.strike] = exc
+    return quotes
+
+
+def _surface_cell(expiry: float, strike: float, fwd: float, annuity: float,
+                  quote) -> SurfaceCell:
+    if isinstance(quote, PriceResult):
+        intrinsic = annuity * max(fwd - strike, 0.0)
+        try:
+            # Time value below the quadrature resolution is genuinely zero
+            # (drivers with rare jumps floor the rate, making low strikes
+            # intrinsic); inverting the noise would fabricate a vol, so
+            # such cells are snapped to zero instead.
+            if quote.price <= intrinsic + max(3.0 * quote.error_estimate,
+                                              1e-12):
+                vol = 0.0
+            else:
+                vol = black76_implied_vol(quote.price, fwd, strike, expiry,
+                                          annuity)
+            return SurfaceCell(expiry, strike, quote.price, vol,
+                               error_estimate=quote.error_estimate)
+        except AffineLiborError as exc:
+            quote = exc
+    return SurfaceCell(expiry, strike, math.nan, math.nan,
+                       error=type(quote).__name__, error_estimate=math.nan)
 
 
 def vol_surface(m: CalibratedModel, strikes, method: str = "fourier",
@@ -611,20 +687,24 @@ def vol_surface(m: CalibratedModel, strikes, method: str = "fourier",
     """Caplet prices and Black-76 implied vols over expiries x strikes.
 
     One row per caplet expiry T_k (k = 1 .. N-1, expiry-major) and strike
-    (ascending).  Cells where pricing or inversion fails are emitted with
-    NaN entries and the error category, never silently clamped; the cells
-    are mutually independent, so the loop is trivially parallel and its
-    output does not depend on evaluation order.
+    (ascending).  Each expiry row is priced at once: the Fourier route
+    evaluates one vector-valued integral whose damping is chosen once per
+    expiry (least worst-strike magnitude at the origin, or ``q.damping``),
+    so a row's prices depend on which strikes share it, within their
+    error estimates; the closed forms evaluate each forward measure's
+    series once over the strike row.  Rows are independent of each other.
+    Cells where pricing or inversion fails are emitted with NaN entries
+    and the error category, never silently clamped.
     """
     strikes = sorted(float(s) for s in np.atleast_1d(strikes))
     if method == "fourier":
-        def pricer(mm, spec):
-            return caplet_fourier(mm, spec, q)
+        def row(k, bold):
+            return _fourier_row(m, k, bold, q, want_call=True)
     elif method == "closed":
-        closed = _closed_form_pricer(m)
+        closed = _closed_form_row(m)
 
-        def pricer(mm, spec):
-            return closed(mm, spec)
+        def row(k, bold):
+            return closed(m, k, bold), np.zeros(bold.size), None
     else:
         raise InvalidParameter(f"unknown method {method!r}")
     cells = []
@@ -632,22 +712,7 @@ def vol_surface(m: CalibratedModel, strikes, method: str = "fourier",
         expiry = m.tenor.date(k)
         fwd = m.tenor.initial_libor(k)
         annuity = m.delta * m.bond0(k + 1)
-        for strike in strikes:
-            try:
-                res = pricer(m, CapletSpec(k, strike))
-                intrinsic = annuity * max(fwd - strike, 0.0)
-                # Time value below the quadrature resolution is genuinely
-                # zero (drivers with rare jumps floor the rate, making low
-                # strikes intrinsic); inverting the noise would fabricate a
-                # vol, so such cells are snapped to zero instead.
-                if res.price <= intrinsic + max(3.0 * res.error_estimate,
-                                                1e-12):
-                    vol = 0.0
-                else:
-                    vol = black76_implied_vol(res.price, fwd, strike, expiry,
-                                              annuity)
-                cells.append(SurfaceCell(expiry, strike, res.price, vol))
-            except AffineLiborError as exc:
-                cells.append(SurfaceCell(expiry, strike, math.nan, math.nan,
-                                         error=type(exc).__name__))
+        quotes = _row_quotes(row, m, k, strikes)
+        cells.extend(_surface_cell(expiry, strike, fwd, annuity,
+                                   quotes[strike]) for strike in strikes)
     return cells

@@ -200,6 +200,20 @@ class TestCommands:
                      "--out", str(tmp_path / "u.txt")]) == 1
         assert "MonotonicityError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, line", [
+        ("surface", "surface.strikes = 0.01:0.06:0"),
+        ("surface", "surface.strikes = 0.06:0.01:0.005"),
+        ("caplet", "caplet.index = 40"),
+        ("swaption", "swaption.end = 40"),
+    ])
+    def test_out_of_range_input_is_invalid_parameter(self, tmp_path, capsys,
+                                                     command, line):
+        cfg = write(tmp_path, "c.cfg",
+                    CIR_CFG_TEMPLATE.format(tenor=TABLE1) + line + "\n")
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: InvalidParameter")
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

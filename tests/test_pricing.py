@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_libor.errors import (DampingOutOfStrip, InvalidParameter,
                                  ModelMismatch, NoSignChange, OutOfBounds)
@@ -138,6 +140,18 @@ class TestCaplet2fClosed:
             closed = caplet_cir2f_closed(cir2f_model, CapletSpec(k, strike))
             four = caplet_fourier(cir2f_model, CapletSpec(k, strike))
             assert four.price == pytest.approx(closed.price, rel=1e-5)
+
+    @pytest.mark.parametrize("k, strike", [
+        (7, 0.060405),  # one panel [0, U]: error read 4.6e-11, was 3.4e-8
+        (1, 0.045196),  # panels of ~15 periods alias the 7- and 15-point
+        (2, 0.050196),  # rules alike: error read 3e-12, was 1.3e-9
+        (3, 0.060152),
+    ])
+    def test_imhof_cells_match_fourier(self, cir2f_model, k, strike):
+        spec = CapletSpec(k, strike)
+        closed = caplet_cir2f_closed(cir2f_model, spec)
+        four = caplet_fourier(cir2f_model, spec)
+        assert abs(closed.price - four.price) <= 1e-10
 
     def test_brackets_monte_carlo(self, cir2f_model):
         closed = caplet_cir2f_closed(cir2f_model, CapletSpec(3, 0.03))
@@ -376,6 +390,50 @@ class TestVolSurface:
                 gou_model.tenor.initial_libor(k) - c.strike, 0.0)
             if c.price > intrinsic + 1e-8:
                 assert c.implied_vol > 0.0
+
+    def test_closed_rows_match_single_strike(self, cir_model, cir2f_model):
+        strikes = (0.0, 0.01, 0.035, 0.06)
+        for model, single in ((cir_model, caplet_cir_closed),
+                              (cir2f_model, caplet_cir2f_closed)):
+            for cell in vol_surface(model, strikes, method="closed"):
+                k = round(cell.expiry / model.delta)
+                ref = single(model, CapletSpec(k, cell.strike)).price
+                # the price is a difference of two O(1) terms: a few ulps
+                assert abs(cell.price - ref) <= 1e-15
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(family=st.sampled_from(["cir", "gamma_ou"]),
+           picks=st.lists(st.integers(0, 10), min_size=1, max_size=4,
+                          unique=True))
+    def test_fourier_rows_match_single_strike(self, cir_model, gou_model,
+                                              family, picks):
+        # Strike subsets of the bundled grids (configs/*.cfg): sharing a
+        # row changes the damping and the panels, not the price beyond
+        # the error estimates.
+        model, lo, n = (cir_model, 0.01, 11) if family == "cir" \
+            else (gou_model, 0.025, 10)
+        strikes = sorted({lo + 0.005 * (i % n) for i in picks})
+        cells = vol_surface(model, strikes, method="fourier")
+        assert all(c.error is None for c in cells)
+        for row in range(model.n_periods - 1):
+            quotes = cells[row * len(strikes):(row + 1) * len(strikes)]
+            k = row + 1
+            tol = []
+            for c in quotes:
+                ref = caplet_fourier(model, CapletSpec(k, c.strike))
+                assert abs(c.price - ref.price) <= 1e-8 * ref.price \
+                    + 3.0 * (c.error_estimate + ref.error_estimate)
+                tol.append(3.0 * c.error_estimate + 1e-15)
+            prices, ks = [c.price for c in quotes], [c.strike for c in quotes]
+            for i in range(len(quotes) - 1):
+                assert prices[i + 1] <= prices[i] + tol[i] + tol[i + 1]
+            for i in range(len(quotes) - 2):
+                left = (prices[i + 1] - prices[i]) / (ks[i + 1] - ks[i])
+                right = (prices[i + 2] - prices[i + 1]) / (ks[i + 2]
+                                                           - ks[i + 1])
+                slack = 2.0 * (tol[i] + 2.0 * tol[i + 1] + tol[i + 2]) \
+                    / min(ks[i + 1] - ks[i], ks[i + 2] - ks[i + 1])
+                assert right >= left - slack
 
     def test_closed_method_requires_square_root_family(self, gou_model):
         with pytest.raises(ModelMismatch):
