@@ -15,17 +15,18 @@ from .distributions import (ChiSqMixSpec, LsncChi2Params, chisq_mix_cdf,
 from .errors import (AffineLiborError, BlowUp, ConvergenceFailure,
                      DampingOutOfStrip, DomainViolation, HorizonViolation,
                      InfeasibleCurve, InvalidGrid, InvalidParameter,
-                     ModelMismatch, MonotonicityError, NonMonotoneCurve,
-                     NoSignChange, OutOfBounds, ParseError, QuadratureFailure,
+                     ModelMismatch, NonMonotoneCurve, NoSignChange,
+                     OutOfBounds, ParseError, QuadratureFailure,
                      StepUnderflow)
 from .model import (CalibratedModel, ForwardExponents, TenorStructure,
                     estimate_gamma_x, fit_term_structure, forward_exponents,
                     forward_measure_exponents, forward_price_mgf, libor_rate,
                     libor_lower_bound, martingale_value)
-from .montecarlo import (MartingaleReport, PathBatch, RngStream,
-                         forward_measure_weights, martingale_check, mc_caplet,
-                         mc_floorlet, mc_price, mc_swaption, simulate_cir,
-                         simulate_gamma_ou, simulate_process)
+from .montecarlo import (MartingaleReport, PathBatch, RngStream, agrees,
+                         forward_measure_weights, martingale_check,
+                         martingale_checks, mc_caplet, mc_floorlet, mc_price,
+                         mc_swaption, simulate_cir, simulate_gamma_ou,
+                         simulate_process)
 from .pricing import (CapletSpec, PriceResult, QuadratureSettings,
                       SurfaceCell, SwaptionSpec, black76_implied_vol,
                       black76_price, caplet_cir2f_closed, caplet_cir_closed,

@@ -43,7 +43,7 @@ class InfeasibleCurve(AffineLiborError):
 
 
 class NonMonotoneCurve(AffineLiborError):
-    """Discount ratios increase in maturity (negative initial rates)."""
+    """Discounts increase in maturity (negative initial rates)."""
 
 
 class ModelMismatch(AffineLiborError):
@@ -69,6 +69,3 @@ class OutOfBounds(AffineLiborError):
 class ParseError(AffineLiborError):
     """Malformed input file; message carries the offending row."""
 
-
-class MonotonicityError(AffineLiborError):
-    """Input discount factors imply negative initial LIBOR rates."""

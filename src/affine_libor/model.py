@@ -11,9 +11,10 @@ one parameter vector u_k per tenor date, decreasing in k with u_N = 0:
 
 Because psi is order-preserving this produces non-negative simple forward
 rates, and under the terminal measure the driving process stays
-time-homogeneous.  Calibration reduces to a sequence of scalar
-root-finding problems along one direction in the transform domain
-(:func:`fit_term_structure`); the change to the T_k-forward measure is an
+time-homogeneous.  Calibration reduces to one increasing scalar equation
+per tenor date along a common direction in the transform domain; all of
+them share the horizon T_N, so one vector bisection solves them together
+(:func:`fit_term_structure`).  The change to the T_k-forward measure is an
 exponential tilt, so the model stays affine under every forward measure
 (:func:`forward_measure_exponents`, :func:`forward_price_mgf`).
 """
@@ -115,6 +116,11 @@ class CalibratedModel:
     x0: np.ndarray
     tenor: TenorStructure
     us: np.ndarray  # shape (N, d), row k-1 holds u_k; last row is zero
+    # Fit diagnostics per tenor date k = 1..N (index k-1): the residual
+    # |M_0^{u_k} - B(0,T_k)/B(0,T_N)| and the bisection steps spent on it.
+    # Dates fitted exactly by u_k = 0 record |1 - ratio| and zero steps.
+    residuals: np.ndarray | None = None
+    steps: np.ndarray | None = None
 
     def __post_init__(self):
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
@@ -251,14 +257,22 @@ def fit_term_structure(tenor: TenorStructure, process, x0=None,
 
     Picks one direction u_+ > 0 whose martingale value exceeds the largest
     ratio B(0,T_1)/B(0,T_N), then solves the strictly increasing scalar
-    equation M_0^{xi u_+} = B(0,T_k)/B(0,T_N) for each k by bisection.
-    u_N = 0 always; for a one-dimensional driver the result is the unique
-    fitting sequence.
+    equations M_0^{xi_k u_+} = B(0,T_k)/B(0,T_N) for xi_k in (0, 1).  The
+    equations share the horizon T_N, so one vector bisection runs them
+    all: each step evaluates the transform once, on the tenor dates that
+    have not converged yet.  A date stops when its residual is at most
+    tol / 2, or after 200 steps.  u_N = 0 always; for a one-dimensional
+    driver the result is the unique fitting sequence.
 
     Parameters
     ----------
     direction : optional positive weight vector
         Multi-factor tie-break; defaults to the diagonal (all ones).
+
+    Raises
+    ------
+    ConvergenceFailure
+        naming the first tenor date whose residual stays above tol.
     """
     x0 = process.initial_state() if x0 is None else np.atleast_1d(
         np.asarray(x0, dtype=float))
@@ -269,8 +283,11 @@ def fit_term_structure(tenor: TenorStructure, process, x0=None,
             "(non-negative initial forward rates)")
     n, d = tenor.n_periods, process.dim
     us = np.zeros((n, d))
-    if np.all(np.abs(ratios - 1.0) <= _RATIO_SLACK):
-        return CalibratedModel(process, x0, tenor, us)
+    residuals = np.abs(1.0 - ratios)
+    steps = np.zeros(n, dtype=int)
+    lanes = np.flatnonzero(residuals[:-1] > _RATIO_SLACK)
+    if lanes.size == 0:
+        return CalibratedModel(process, x0, tenor, us, residuals, steps)
 
     direction = np.full(d, 1.0) if direction is None else np.atleast_1d(
         np.asarray(direction, dtype=float))
@@ -280,28 +297,36 @@ def fit_term_structure(tenor: TenorStructure, process, x0=None,
     c_plus = _find_direction_scale(process, horizon, x0, direction,
                                    math.log(ratios[0]))
 
-    for k in range(1, n):
-        target = ratios[k - 1]
-        if abs(target - 1.0) <= _RATIO_SLACK:
-            continue
-        lo, hi = 0.0, 1.0
-        xi, value = 1.0, math.inf
-        for _ in range(200):
-            xi = 0.5 * (lo + hi)
-            value = math.exp(_exponent_at_scale(process, horizon, x0,
-                                                direction, xi * c_plus))
-            if abs(value - target) <= 0.5 * tol:
-                break
-            if value < target:
-                lo = xi
-            else:
-                hi = xi
-        if abs(value - target) > tol:
-            raise ConvergenceFailure(
-                f"calibration residual {abs(value - target):.3e} above "
-                f"tolerance at index {k}")
-        us[k - 1] = xi * c_plus * direction
-    return CalibratedModel(process, x0, tenor, us)
+    target = ratios[lanes]
+    lo, hi = np.zeros(lanes.size), np.ones(lanes.size)
+    xi, value, exponent = (np.empty(lanes.size) for _ in range(3))
+    live = np.arange(lanes.size)
+    for step in range(1, 201):
+        xi[live] = 0.5 * (lo[live] + hi[live])
+        phi, psi = phi_psi_batch(process, horizon,
+                                 (xi[live] * c_plus)[:, None] * direction)
+        # vecdot and math.exp repeat, lane by lane, the arithmetic of a
+        # scalar transform(...).exponent(x0) and its bisection.
+        exponent[live] = np.real(phi) + np.vecdot(np.real(psi), x0)
+        value[live] = [math.exp(g) for g in exponent[live]]
+        steps[lanes[live]] = step
+        live = live[np.abs(value[live] - target[live]) > 0.5 * tol]
+        if live.size == 0:
+            break
+        below = value[live] < target[live]
+        lo[live[below]] = xi[live[below]]
+        hi[live[~below]] = xi[live[~below]]
+    failed = np.flatnonzero(np.abs(value - target) > tol)
+    if failed.size:
+        j = failed[0]
+        raise ConvergenceFailure(
+            f"calibration residual {abs(value[j] - target[j]):.3e} above "
+            f"tolerance at index {lanes[j] + 1}")
+    us[lanes] = (xi * c_plus)[:, None] * direction
+    # Residuals use np.exp, as martingale_value does; math.exp, which the
+    # bisection keeps for bit-identical us, can differ in the last bit.
+    residuals[lanes] = np.abs(np.exp(exponent) - target)
+    return CalibratedModel(process, x0, tenor, us, residuals, steps)
 
 
 def forward_exponents(m: CalibratedModel, k: int, i: int,

@@ -179,14 +179,23 @@ def martingale_values(m: CalibratedModel, k: int, t: float,
                   + x @ np.real(pair.psi))
 
 
+def _initial_value(m: CalibratedModel, k: int) -> float:
+    """M_0^{u_k} at the model's initial state."""
+    return math.exp(float(np.real(
+        transform(m.process, m.horizon, m.u(k),
+                  horizon=m.horizon).exponent(m.x0))))
+
+
+def _require_paths(n_paths: int):
+    if n_paths < 2:
+        raise InvalidParameter(
+            f"need at least 2 paths for a standard error, got {n_paths}")
+
+
 def forward_measure_weights(m: CalibratedModel, k: int, t: float,
                             x: np.ndarray) -> np.ndarray:
     """Radon-Nikodym weights dP_{T_k}/dP_{T_N} on F_t: M_t^{u_k}/M_0^{u_k}."""
-    values = martingale_values(m, k, t, x)
-    m0 = math.exp(float(np.real(
-        transform(m.process, m.horizon, m.u(k),
-                  horizon=m.horizon).exponent(m.x0))))
-    return values / m0
+    return martingale_values(m, k, t, x) / _initial_value(m, k)
 
 
 def mc_price(m: CalibratedModel, payoff, horizon: float, measure_index: int,
@@ -198,6 +207,7 @@ def mc_price(m: CalibratedModel, payoff, horizon: float, measure_index: int,
     (B(0,T_k) * weighted mean, standard error).  ``payoff`` maps the
     (n_paths, d) state array at ``horizon`` to per-path values.
     """
+    _require_paths(n_paths)
     batch = simulate_process(m.process, [horizon], n_paths, rng)
     x = batch.at(horizon)
     w = forward_measure_weights(m, measure_index, horizon, x)
@@ -252,6 +262,20 @@ def mc_swaption(m: CalibratedModel, start: int, end: int, strike: float,
     return mc_price(m, payoff, t_ex, start, n_paths, rng)
 
 
+# Absolute floor of the agreement tests.  A gap below it is rounding or
+# quadrature noise; without the floor a degenerate driver (eta = 0, no
+# jumps), whose paths all coincide, divides that noise by a standard
+# error of zero.
+AGREEMENT_FLOOR = 1e-10
+
+
+def agrees(estimate: float, expected: float, std_error: float,
+           z_max: float = 3.0) -> bool:
+    """|estimate - expected| <= max(z_max * std_error, AGREEMENT_FLOOR)."""
+    return abs(estimate - expected) <= max(z_max * std_error,
+                                           AGREEMENT_FLOOR)
+
+
 @dataclass(frozen=True)
 class MartingaleReport:
     """Sample statistics of M_t^{u_k} against its time-zero value."""
@@ -266,21 +290,33 @@ class MartingaleReport:
     n_paths: int
 
     def passed(self, z_max: float = 3.0) -> bool:
-        return abs(self.z_score) <= z_max and self.min_value >= 1.0
+        return agrees(self.sample_mean, self.expected, self.std_error,
+                      z_max) and self.min_value >= 1.0
+
+
+def martingale_checks(m: CalibratedModel, ks, t: float, n_paths: int,
+                      rng: RngStream) -> list[MartingaleReport]:
+    """Weighted-mean tests of the martingale property of M^{u_k} at time t.
+
+    One simulation to time t serves every index k in ``ks``; the reports
+    come back in the order of ``ks``.
+    """
+    _require_paths(n_paths)
+    grid_t = t if t > 0.0 else 0.0
+    x = simulate_process(m.process, [grid_t], n_paths, rng).at(grid_t)
+    reports = []
+    for k in ks:
+        vals = martingale_values(m, k, t, x)
+        m0 = _initial_value(m, k)
+        mean = float(vals.mean())
+        stderr = float(vals.std(ddof=1) / math.sqrt(n_paths))
+        z = 0.0 if stderr == 0.0 else (mean - m0) / stderr
+        reports.append(MartingaleReport(k, t, m0, mean, stderr, z,
+                                        float(vals.min()), n_paths))
+    return reports
 
 
 def martingale_check(m: CalibratedModel, k: int, t: float, n_paths: int,
                      rng: RngStream) -> MartingaleReport:
     """Weighted-mean test of the martingale property of M^{u_k} at time t."""
-    batch = simulate_process(m.process, [t] if t > 0.0 else [0.0],
-                             n_paths, rng)
-    x = batch.at(t if t > 0.0 else 0.0)
-    vals = martingale_values(m, k, t, x)
-    m0 = math.exp(float(np.real(
-        transform(m.process, m.horizon, m.u(k),
-                  horizon=m.horizon).exponent(m.x0))))
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(n_paths))
-    z = 0.0 if stderr == 0.0 else (mean - m0) / stderr
-    return MartingaleReport(k, t, m0, mean, stderr, z,
-                            float(vals.min()), n_paths)
+    return martingale_checks(m, [k], t, n_paths, rng)[0]

@@ -7,7 +7,7 @@ import pytest
 
 from affine_libor.cli import (RunConfig, build_process, load_tenor_csv, main,
                               parse_config_text)
-from affine_libor.errors import (InvalidParameter, MonotonicityError,
+from affine_libor.errors import (InvalidParameter, NonMonotoneCurve,
                                  ParseError)
 
 REPO = Path(__file__).resolve().parents[1]
@@ -60,7 +60,7 @@ class TestLoadTenorCsv:
     def test_increasing_discounts_rejected(self, tmp_path):
         p = write(tmp_path, "bad.csv",
                   "maturity,discount\n0.5,0.95\n1.0,0.97\n")
-        with pytest.raises(MonotonicityError):
+        with pytest.raises(NonMonotoneCurve):
             load_tenor_csv(str(p))
 
     def test_bad_row_reports_line(self, tmp_path):
@@ -186,6 +186,23 @@ class TestCommands:
         assert "PASS calibration" in first
         assert "FAIL" not in first
 
+    def test_validate_needs_two_paths(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.cfg",
+                    CIR_CFG_TEMPLATE.format(tenor=TABLE1) + "mc.paths = 1\n")
+        assert main(["validate", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: InvalidParameter")
+        assert "PASS" not in captured.out
+
+    def test_validate_deterministic_driver(self, tmp_path, capsys):
+        # eta = 0 makes every path identical: the checks compare rounding
+        # noise against a zero standard error and must still pass.
+        text = CIR_CFG_TEMPLATE.format(tenor=TABLE1).replace(
+            "process.eta = 0.59", "process.eta = 0")
+        cfg = write(tmp_path, "c.cfg", text)
+        assert main(["validate", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.endswith("42/42 checks passed\n")
+
     def test_error_category_on_bad_config(self, tmp_path, capsys):
         cfg = write(tmp_path, "bad.cfg", "process.family = cir\n")
         assert main(["caplet", "--config", str(cfg)]) == 1
@@ -198,7 +215,7 @@ class TestCommands:
         cfg = write(tmp_path, "c.cfg", CIR_CFG_TEMPLATE.format(tenor=bad))
         assert main(["calibrate", "--config", str(cfg),
                      "--out", str(tmp_path / "u.txt")]) == 1
-        assert "MonotonicityError" in capsys.readouterr().err
+        assert "NonMonotoneCurve" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, line", [
         ("surface", "surface.strikes = 0.01:0.06:0"),

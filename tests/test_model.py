@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from affine_libor import model as model_module
 from affine_libor.affine_core import transform
-from affine_libor.errors import (DomainViolation, HorizonViolation,
-                                 InfeasibleCurve, InvalidParameter,
-                                 NonMonotoneCurve)
+from affine_libor.errors import (ConvergenceFailure, DomainViolation,
+                                 HorizonViolation, InfeasibleCurve,
+                                 InvalidParameter, NonMonotoneCurve)
 from affine_libor.model import (TenorStructure, estimate_gamma_x,
                                 fit_term_structure, forward_exponents,
                                 forward_measure_exponents, forward_price_mgf,
@@ -15,7 +18,9 @@ from affine_libor.model import (TenorStructure, estimate_gamma_x,
                                 martingale_value)
 from affine_libor.montecarlo import RngStream, forward_measure_weights, \
     simulate_process
-from affine_libor.processes import LevySubordinatorSpec
+from affine_libor.processes import (CirParams, GammaOuParams,
+                                    LevySubordinatorSpec, RiccatiProcess,
+                                    two_factor_cir)
 
 
 def bounded_subordinator(scale=1.0, sup=0.5):
@@ -168,6 +173,110 @@ class TestFitTermStructure:
             domain_sup_value=0.05)
         with pytest.raises(InfeasibleCurve):
             fit_term_structure(tenor, spec)
+
+
+def scalar_fit_us(tenor, process, x0=None, tol=1e-12, direction=None):
+    """Reference fit: one scalar bisection per tenor date, in date order."""
+    x0 = process.initial_state() if x0 is None else np.asarray(x0, float)
+    direction = np.ones(process.dim) if direction is None \
+        else np.asarray(direction, float)
+    ratios, n = tenor.ratios(), tenor.n_periods
+    horizon = tenor.date(n)
+    c_plus = model_module._find_direction_scale(
+        process, horizon, x0, direction, math.log(ratios[0]))
+    us = np.zeros((n, process.dim))
+    for k in range(1, n):
+        target = ratios[k - 1]
+        if abs(target - 1.0) <= 1e-13:
+            continue
+        lo, hi = 0.0, 1.0
+        for _ in range(200):
+            xi = 0.5 * (lo + hi)
+            pair = transform(process, horizon, xi * c_plus * direction,
+                             horizon=horizon)
+            value = math.exp(float(np.real(pair.exponent(x0))))
+            if abs(value - target) <= 0.5 * tol:
+                break
+            if value < target:
+                lo = xi
+            else:
+                hi = xi
+        us[k - 1] = xi * c_plus * direction
+    return us
+
+
+def riccati_copy(process):
+    """The same driver with every transform going through the ODE solver."""
+    return RiccatiProcess(process.riccati_rhs(), process.domain_sup,
+                          process.x0)
+
+
+class TestVectorFit:
+    @pytest.mark.parametrize("case", ["cir", "gamma_ou", "cir_2f",
+                                      "cir_2f_tilted", "riccati_cir"])
+    def test_equals_scalar_bisection_bit_for_bit(self, tenor, cir_process,
+                                                 gou_process, cir2f_model,
+                                                 case):
+        process, x0, direction = {
+            "cir": (cir_process, None, None),
+            "gamma_ou": (gou_process, None, None),
+            "cir_2f": (cir2f_model.process, None, None),
+            "cir_2f_tilted": (cir2f_model.process, [1.3, 0.7], [1.0, 2.5]),
+            "riccati_cir": (riccati_copy(cir_process), None, None),
+        }[case]
+        fitted = fit_term_structure(tenor, process, x0=x0,
+                                    direction=direction)
+        ref = scalar_fit_us(tenor, process, x0=x0, direction=direction)
+        assert np.array_equal(fitted.us, ref)
+
+    def test_diagnostics(self, cir_model, tenor):
+        ratios = tenor.ratios()
+        for k in range(1, 11):
+            direct = abs(martingale_value(cir_model, 0.0, cir_model.x0,
+                                          cir_model.u(k)) - ratios[k - 1])
+            assert cir_model.residuals[k - 1] == direct
+        assert np.all(cir_model.residuals <= 0.5e-12)
+        assert np.all((cir_model.steps[:-1] >= 1)
+                      & (cir_model.steps[:-1] <= 200))
+        assert cir_model.steps[-1] == 0
+
+    def test_dates_at_the_terminal_discount_are_skipped(self, cir_process):
+        tenor = TenorStructure.from_curve(
+            0.5 * np.arange(1, 6), [0.97, 0.96, 0.95, 0.95 * (1 + 5e-14),
+                                    0.95])
+        m = fit_term_structure(tenor, cir_process)
+        assert np.all(m.us[2:] == 0.0) and np.all(m.us[:2] > 0.0)
+        assert np.array_equal(m.residuals[2:],
+                              np.abs(1.0 - tenor.ratios()[2:]))
+        assert m.residuals[3] > 0.0
+        assert np.all(m.steps[2:] == 0) and np.all(m.steps[:2] > 0)
+
+    def test_unreachable_tolerance_names_first_date(self, tenor,
+                                                    cir2f_model):
+        # One-factor fits can land on the target exactly; the two-factor
+        # exponent cannot get closer than one rounding step at index 1.
+        with pytest.raises(ConvergenceFailure, match="at index 1$"):
+            fit_term_structure(tenor, cir2f_model.process, tol=1e-18)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(family=st.sampled_from(["cir", "gamma_ou", "cir_2f"]),
+           a=st.floats(0.001, 2.0), b=st.floats(0.05, 1.0),
+           c=st.floats(0.05, 1.0), x0=st.floats(0.2, 2.0),
+           second=st.tuples(st.floats(0.001, 2.0), st.floats(0.05, 1.0),
+                            st.floats(0.05, 1.0), st.floats(0.2, 2.0)))
+    def test_round_trip_over_admissible_parameters(self, tenor, family, a, b,
+                                                   c, x0, second):
+        if family == "cir":
+            process = CirParams(a, b, c, x0)
+        elif family == "gamma_ou":
+            # alpha in [0.7, 5], beta in [0.1, 2]
+            process = GammaOuParams(a, 0.5 + 4.5 * b, 2.0 * c, x0)
+        else:
+            process = two_factor_cir(a, b, c, *second[:3], x0, second[3])
+        m = fit_term_structure(tenor, process)
+        assert np.all(m.residuals <= 1e-12)
+        assert np.all(np.diff(m.us, axis=0) < 0.0)
+        assert np.all(m.us[-1] == 0.0)
 
 
 class TestForwardExponents:

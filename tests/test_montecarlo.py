@@ -5,10 +5,11 @@ import pytest
 
 from affine_libor.affine_core import transform
 from affine_libor.errors import InvalidGrid, InvalidParameter
-from affine_libor.model import libor_rate
+from affine_libor.model import fit_term_structure, libor_rate
 from affine_libor.montecarlo import (MartingaleReport, PathBatch, RngStream,
-                                     forward_measure_weights,
-                                     martingale_check, mc_caplet, mc_price,
+                                     agrees, forward_measure_weights,
+                                     martingale_check, martingale_checks,
+                                     mc_caplet, mc_price,
                                      mc_swaption, simulate_cir,
                                      simulate_gamma_ou, simulate_process)
 from affine_libor.processes import (CirParams, GammaOuParams,
@@ -170,6 +171,40 @@ class TestMartingaleCheck:
         assert rep.n_paths == 1000
         assert rep.expected == pytest.approx(
             cir_model.bond0(3) / cir_model.bond0(10), abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["cir_model", "gou_model",
+                                      "cir2f_model"])
+    def test_shared_simulation_matches_single_checks(self, request, name):
+        model = request.getfixturevalue(name)
+        for t in (model.tenor.date(1), 0.5 * model.horizon):
+            reports = martingale_checks(model, range(1, 11), t, 5000,
+                                        RngStream(53, 2))
+            assert [r.index for r in reports] == list(range(1, 11))
+            for k, rep in zip(range(1, 11), reports):
+                assert rep == martingale_check(model, k, t, 5000,
+                                               RngStream(53, 2))
+
+    def test_needs_two_paths(self, cir_model):
+        with pytest.raises(InvalidParameter):
+            martingale_checks(cir_model, [1], 1.0, 1, RngStream(0))
+        with pytest.raises(InvalidParameter):
+            mc_price(cir_model, lambda x: np.ones(len(x)), 1.0, 2, 1,
+                     RngStream(0))
+
+    def test_deterministic_driver_passes_within_rounding(self, tenor):
+        # eta = 0: every path is the same curve, so the standard error is
+        # (nearly) zero and the gap is rounding noise.
+        model = fit_term_structure(tenor, CirParams(0.001, 0.5, 0.0, 1.25))
+        for k in range(1, 11):
+            rep = martingale_check(model, k, 2.5, 1000, RngStream(59))
+            assert abs(rep.sample_mean - rep.expected) <= 1e-14
+            assert rep.passed()
+
+    def test_agreement_floor(self):
+        assert agrees(1.0 + 3e-3, 1.0, 1e-3)
+        assert not agrees(1.0 + 3.1e-3, 1.0, 1e-3)
+        assert agrees(1.0 + 1e-13, 1.0, 0.0)
+        assert not agrees(1.0 + 1e-9, 1.0, 0.0)
 
 
 class TestMcInstruments:
