@@ -137,11 +137,17 @@ def _damping_strip(psi_low: np.ndarray, psi_diff: np.ndarray,
 
 
 def _call_damping_candidates(hi: float):
+    # The fixed dampings are offered whatever the strip's width: a driver
+    # that barely moves has a strip reaching 1e6 or more, where the
+    # relative grid alone starts at dampings in the thousands and an
+    # in-the-money strike recovers its price only through massive
+    # cancellation.
+    fixed = [2.0, 5.0, 25.0, 125.0]
     if not math.isfinite(hi):
-        return [2.0, 5.0, 25.0, 125.0]
+        return fixed
     span = hi - 1.0
     grid = [1.0 + span * g for g in
-            (0.5, 0.25, 0.1, 0.04, 0.015, 0.006, 0.0025, 0.001)]
+            (0.5, 0.25, 0.1, 0.04, 0.015, 0.006, 0.0025, 0.001)] + fixed
     return [r for r in grid if 1.0 < r < hi] + [0.5 * (1.0 + hi)]
 
 

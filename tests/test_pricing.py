@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from affine_libor.errors import (DampingOutOfStrip, InvalidParameter,
                                  ModelMismatch, NoSignChange, OutOfBounds)
+from affine_libor.model import fit_term_structure, martingale_value
 from affine_libor.montecarlo import RngStream, mc_caplet, mc_swaption
 from affine_libor.pricing import (CapletSpec, QuadratureSettings,
                                   SwaptionSpec, black76_implied_vol,
@@ -15,6 +16,11 @@ from affine_libor.pricing import (CapletSpec, QuadratureSettings,
                                   floorlet_cir_closed, floorlet_fourier,
                                   swaption_cir_closed, swaption_fourier,
                                   swaption_root, vol_surface)
+from affine_libor.processes import CirParams
+
+# The bundled surface grids (configs/cir.cfg, configs/gamma_ou.cfg).
+CIR_GRID = 0.01 + 0.005 * np.arange(11)
+GOU_GRID = 0.025 + 0.005 * np.arange(10)
 
 
 def parity_gap(model, k, strike):
@@ -65,6 +71,22 @@ class TestCapletFourier:
     def test_invalid_strike(self):
         with pytest.raises(InvalidParameter):
             CapletSpec(2, -0.01)
+
+    @pytest.mark.parametrize("damping", [None, 989.3])
+    def test_strongly_damped_contour_stays_in_control(self, tenor, damping):
+        # An admissible driver whose strip reaches Re z = 1e6.  On the
+        # contour at Re z = 989.3 the integral's imaginary part is 2000x
+        # the real part the price needs, and its tail closes only past
+        # V = 2e5; a tail frequency measured with a 0.1 rad phase step
+        # left an error of 1e-2 there and raised QuadratureFailure.
+        m = fit_term_structure(tenor, CirParams(
+            1.9233527301339097, 0.738550443734857, 0.5641655127700625,
+            0.6984041672816674))
+        closed = caplet_cir_closed(m, CapletSpec(1, 0.01)).price
+        res = caplet_fourier(m, CapletSpec(1, 0.01),
+                             QuadratureSettings(damping=damping))
+        assert res.price == pytest.approx(closed, rel=1e-6)
+        assert res.error_estimate <= 1e-6 * res.price
 
     def test_riccati_only_driver_prices(self, tenor, gou_model):
         # a family defined purely through (F, R) must calibrate and price
@@ -435,6 +457,28 @@ class TestVolSurface:
                     / min(ks[i + 1] - ks[i], ks[i + 2] - ks[i + 1])
                 assert right >= left - slack
 
+    def test_fourier_error_estimates_meet_the_target(self, cir_model,
+                                                     gou_model):
+        # every strike of a row settles on its own budget, so no cell
+        # reports the error of a slower strike's tail
+        for model, grid in ((cir_model, CIR_GRID), (gou_model, GOU_GRID)):
+            cells = vol_surface(model, grid, method="fourier")
+            assert all(c.error is None for c in cells)
+            for c in cells:
+                assert c.error_estimate <= 1e-6 * c.price + 1e-14
+
+    def test_barely_moving_driver_prices_every_cell(self, tenor):
+        # eta = 0.055 stretches the damping strip to Re z = 2e6, where the
+        # relative candidate grid alone starts at 1999: the in-the-money
+        # cells of the first expiry then cancelled to their price from
+        # 1e7 and K = 0.01 raised QuadratureFailure
+        m = fit_term_structure(tenor, CirParams(1.0, 1.0, 0.0546875, 1.0))
+        fourier = vol_surface(m, CIR_GRID, method="fourier")
+        closed = vol_surface(m, CIR_GRID, method="closed")
+        for a, b in zip(fourier, closed):
+            assert a.error is None
+            assert abs(a.price - b.price) <= 1e-6 * b.price + 1e-13
+
     def test_closed_method_requires_square_root_family(self, gou_model):
         with pytest.raises(ModelMismatch):
             vol_surface(gou_model, (0.03,), method="closed")
@@ -442,3 +486,33 @@ class TestVolSurface:
     def test_unknown_method(self, cir_model):
         with pytest.raises(InvalidParameter):
             vol_surface(cir_model, (0.03,), method="midpoint")
+
+
+class TestAdmissibleCir:
+    """Fourier against closed forms over admissible square-root drivers
+    (the ranges of the calibration round trip in tests/test_model.py)."""
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(lam=st.floats(0.001, 2.0), theta=st.floats(0.05, 1.0),
+           eta=st.floats(0.05, 1.0), x0=st.floats(0.2, 2.0),
+           pick=st.integers(0, 10))
+    def test_fourier_matches_closed_and_parity(self, tenor, lam, theta, eta,
+                                               x0, pick):
+        m = fit_term_structure(tenor, CirParams(lam, theta, eta, x0))
+        fourier = vol_surface(m, CIR_GRID, method="fourier")
+        closed = vol_surface(m, CIR_GRID, method="closed")
+        assert all(c.error is None for c in fourier)
+        for a, b in zip(fourier, closed):
+            assert abs(a.price - b.price) <= 1e-6 * b.price + 1e-13
+        # parity against the model's own bond prices, which match the
+        # curve only to the fit residual (up to ~5e-13 here)
+        strike = float(CIR_GRID[pick])
+        bond = {k: m.bond0(m.n_periods) * martingale_value(m, 0.0, m.x0,
+                                                           m.u(k))
+                for k in range(1, m.n_periods + 1)}
+        for k in range(1, m.n_periods):
+            cap = caplet_fourier(m, CapletSpec(k, strike))
+            floor = floorlet_fourier(m, CapletSpec(k, strike))
+            forward = bond[k] - (1.0 + m.delta * strike) * bond[k + 1]
+            assert abs(cap.price - floor.price - forward) <= 3.0 * (
+                cap.error_estimate + floor.error_estimate) + 1e-13

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import exp1
 
 from affine_libor.quadrature import (adaptive_gauss_kronrod,
                                      semi_infinite_oscillatory)
@@ -88,3 +89,30 @@ class TestVectorSemiInfinite:
         value, err = semi_infinite_oscillatory(f, rel_tol=1e-11)
         exact = 1.0 / (1.0 - 1j * rates)
         assert np.all(np.abs(value - exact) <= err + 1e-15)
+
+
+# int_0^inf exp(i*w*v) / (1 + v)^2 dv in closed form: the amplitude decays
+# like a power, so the tail closure carries the whole far field.
+POWER_OMEGAS = np.array([0.01, 0.1, 1.0, 10.0])
+
+
+def power_law_exact(w):
+    return 1.0 + 1j * w * np.exp(-1j * w) * exp1(-1j * w)
+
+
+class TestPowerLawTail:
+    def test_vector_integrand(self):
+        def f(v):
+            return np.exp(1j * POWER_OMEGAS[None, :] * v[:, None]) \
+                / (1.0 + v[:, None]) ** 2
+
+        value, err = semi_infinite_oscillatory(f, rel_tol=1e-10)
+        true_err = np.abs(value - power_law_exact(POWER_OMEGAS))
+        assert np.all(true_err <= err)
+        assert np.all(err <= 1e-10 * np.abs(value))
+
+    @pytest.mark.parametrize("w", POWER_OMEGAS)
+    def test_scalar_integrand(self, w):
+        value, err = semi_infinite_oscillatory(
+            lambda v: np.exp(1j * w * v) / (1.0 + v) ** 2, rel_tol=1e-10)
+        assert abs(value - power_law_exact(w)) <= err <= 1e-10 * abs(value)
