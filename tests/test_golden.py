@@ -1,7 +1,8 @@
 """Byte-for-byte CLI output on the bundled configs.
 
 The recordings under ``tests/data/golden/`` are the stdout (and, for
-``calibrate``, the written u-sequence) of each command below.  A change
+``calibrate``, the written u-sequence; for ``surface``, the written CSV)
+of each command below.  A change
 that is meant to leave results alone must leave these bytes alone; a
 change that moves them on purpose re-records them and says why.
 
@@ -39,7 +40,17 @@ CASES = [
     ("cir_2f", "caplet", "closed"),
     ("cir_2f", "caplet", "fourier"),
     ("cir_2f", "validate", None),
+    ("cir", "surface", "closed"),
+    ("cir", "surface", "fourier"),
+    ("gamma_ou", "surface", "fourier"),
+    ("cir_2f", "surface", "closed"),
+    ("cir_2f", "surface", "fourier"),
 ]
+
+
+# Files written by the file-producing commands, and the suffix of their
+# recording.
+OUT_FILES = {"calibrate": "us.txt", "surface": "surface.csv"}
 
 
 def case_name(family, command, method):
@@ -54,8 +65,8 @@ def argv_for(tmp_path, family, command, method):
     argv = [command, "--config", str(cfg), "--seed", str(SEED)]
     if method:
         argv += ["--method", method]
-    if command == "calibrate":
-        argv += ["--out", "us.txt"]
+    if command in OUT_FILES:
+        argv += ["--out", OUT_FILES[command]]
     return argv
 
 
@@ -70,3 +81,6 @@ def test_cli_output_matches_recording(tmp_path, monkeypatch, capsys,
     if command == "calibrate":
         assert (tmp_path / "us.txt").read_bytes() == \
             (GOLDEN / f"{family}.us.txt").read_bytes()
+    if command == "surface":
+        assert (tmp_path / "surface.csv").read_bytes() == \
+            (GOLDEN / f"{name}.csv").read_bytes()
