@@ -20,22 +20,20 @@ from .errors import (AffineLiborError, BlowUp, ConvergenceFailure,
                      StepUnderflow)
 from .model import (CalibratedModel, ForwardExponents, TenorStructure,
                     estimate_gamma_x, fit_term_structure, forward_exponents,
-                    forward_measure_exponents, forward_price_mgf, libor_rate,
-                    libor_lower_bound, martingale_value)
+                    forward_measure_exponents, forward_price_mgf,
+                    libor_rate, libor_lower_bound, martingale_value,
+                    tilt_exponents)
 from .montecarlo import (MartingaleReport, PathBatch, RngStream, agrees,
                          forward_measure_weights, martingale_check,
-                         martingale_checks, mc_caplet, mc_floorlet, mc_price,
-                         mc_swaption, simulate_cir, simulate_gamma_ou,
-                         simulate_process)
+                         martingale_checks, mc_caplet, mc_price, mc_swaption,
+                         simulate_cir, simulate_gamma_ou, simulate_process)
 from .pricing import (CapletSpec, PriceResult, QuadratureSettings,
                       SurfaceCell, SwaptionSpec, black76_implied_vol,
                       black76_price, caplet_cir2f_closed, caplet_cir_closed,
-                      caplet_fourier, floorlet_cir_closed, floorlet_fourier,
-                      swaption_cir_closed, swaption_fourier, swaption_root,
-                      vol_surface)
+                      caplet_closed, caplet_fourier, floorlet_cir_closed,
+                      floorlet_fourier, swaption_cir_closed, swaption_fourier,
+                      swaption_root, vol_surface)
 from .processes import (CirParams, GammaOuParams, LevySubordinatorSpec,
-                        ProductProcess, RiccatiProcess, cir_transform,
-                        gamma_ou_transform, product_transform,
-                        subordinator_transform, two_factor_cir)
+                        ProductProcess, RiccatiProcess, two_factor_cir)
 
 __version__ = "0.1.0"

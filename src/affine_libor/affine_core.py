@@ -108,7 +108,8 @@ def transform(process, t: float, u, horizon: float | None = None,
     HorizonViolation
         if t < 0 or beyond ``horizon``.
     DomainViolation
-        if Re(u) is not strictly below the domain supremum at horizon t.
+        if Re(u) is not strictly below the domain supremum at horizon t;
+        the message names the first factor outside it.
     """
     if t < 0.0 or (horizon is not None and t > horizon + 1e-12):
         raise HorizonViolation(f"t={t} outside [0, {horizon}]")
@@ -117,9 +118,10 @@ def transform(process, t: float, u, horizon: float | None = None,
         return TransformPair(0.0 * u[0], u.copy())
     spec = domain_spec(process, t)
     if not spec.contains(u):
+        j = int(np.argmin(np.real(u) < spec.upper_bound))  # first outside
         raise DomainViolation(
-            f"Re(u)={np.real(u)} not inside domain sup {spec.upper_bound} "
-            f"for horizon {t}")
+            f"factor {j}: Re(u)={np.real(u[j])} not inside domain sup "
+            f"{spec.upper_bound[j]} for horizon {t}")
     if getattr(process, "has_closed_form", False):
         phi, psi = process.phi_psi(t, u[None, :])
         return TransformPair(phi[0], psi[0])

@@ -27,8 +27,8 @@ from .model import CalibratedModel, TenorStructure, fit_term_structure
 from .montecarlo import (RngStream, agrees, forward_measure_weights,
                          martingale_checks, mc_caplet, simulate_process)
 from .pricing import (CapletSpec, QuadratureSettings, SwaptionSpec,
-                      caplet_cir2f_closed, caplet_cir_closed, caplet_fourier,
-                      swaption_cir_closed, swaption_fourier, vol_surface)
+                      caplet_closed, caplet_fourier, swaption_cir_closed,
+                      swaption_fourier, vol_surface)
 from .processes import CirParams, GammaOuParams, ProductProcess
 
 _FMT = "{:.12g}"
@@ -98,29 +98,35 @@ def load_tenor_csv(path: str) -> TenorStructure:
                                      np.asarray(discounts), float(gaps[0]))
 
 
+def _setting(cfg: dict, key: str, kind=float, default=None):
+    """``kind`` applied to cfg[key], or to ``default`` when the key is
+    absent; a key without a default is required.  A missing key or an
+    unreadable value ends as ParseError naming the key."""
+    if key not in cfg and default is None:
+        raise ParseError(f"missing required config key {key}")
+    try:
+        return kind(cfg.get(key, default))
+    except ValueError as exc:
+        raise ParseError(f"config key {key}: {exc}") from exc
+
+
 def build_process(cfg: dict):
     family = cfg.get("process.family", "").lower().replace("_", "-")
+
+    def param(name, default=None):
+        return _setting(cfg, f"process.{name}", default=default)
+
     if family == "cir":
-        return CirParams(float(cfg["process.lambda"]),
-                         float(cfg["process.theta"]),
-                         float(cfg["process.eta"]),
-                         float(cfg.get("process.x0", "1.0")))
+        return CirParams(param("lambda"), param("theta"), param("eta"),
+                         param("x0", "1.0"))
     if family == "gamma-ou":
-        return GammaOuParams(float(cfg["process.lambda"]),
-                             float(cfg["process.alpha"]),
-                             float(cfg["process.beta"]),
-                             float(cfg.get("process.x0", "1.0")))
+        return GammaOuParams(param("lambda"), param("alpha"), param("beta"),
+                             param("x0", "1.0"))
     if family == "cir-2f":
         return ProductProcess([
-            CirParams(float(cfg["process.lambda1"]),
-                      float(cfg["process.theta1"]),
-                      float(cfg["process.eta1"]),
-                      float(cfg.get("process.x01", "1.0"))),
-            CirParams(float(cfg["process.lambda2"]),
-                      float(cfg["process.theta2"]),
-                      float(cfg["process.eta2"]),
-                      float(cfg.get("process.x02", "1.0"))),
-        ])
+            CirParams(param(f"lambda{j}"), param(f"theta{j}"),
+                      param(f"eta{j}"), param(f"x0{j}", "1.0"))
+            for j in (1, 2)])
     raise InvalidParameter(
         f"unknown process.family {cfg.get('process.family')!r} "
         "(use cir, gamma-ou or cir-2f)")
@@ -157,45 +163,44 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str, seed: int | None = None,
                   method: str | None = None) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = parse_config_text(fh.read())
-        tenor_path = cfg["tenor.path"]
-        if not os.path.isabs(tenor_path):  # resolve next to the config file
-            tenor_path = os.path.join(os.path.dirname(os.path.abspath(path)),
-                                      tenor_path)
-            if not os.path.exists(tenor_path):
-                tenor_path = cfg["tenor.path"]
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                cfg = parse_config_text(fh.read())
+        except OSError as exc:
+            raise ParseError(f"cannot read config file {path}: {exc}") \
+                from exc
+        # A relative tenor path is resolved next to the config file.
+        tenor_path = os.path.join(os.path.dirname(os.path.abspath(path)),
+                                  _setting(cfg, "tenor.path", str))
         x0 = None
         if "model.x0" in cfg:
-            x0 = np.array([float(v) for v in cfg["model.x0"].split(",")])
+            x0 = np.array(_setting(
+                cfg, "model.x0", lambda text: [float(v)
+                                               for v in text.split(",")]))
         quad = QuadratureSettings(
-            damping=(float(cfg["quadrature.damping"])
+            damping=(_setting(cfg, "quadrature.damping")
                      if "quadrature.damping" in cfg else None),
-            truncation=(float(cfg["quadrature.truncation"])
+            truncation=(_setting(cfg, "quadrature.truncation")
                         if "quadrature.truncation" in cfg else None),
-            rel_tol=float(cfg.get("quadrature.rel_tol", "1e-9")))
+            rel_tol=_setting(cfg, "quadrature.rel_tol", default="1e-9"))
         return cls(
             process=build_process(cfg),
             tenor=load_tenor_csv(tenor_path),
             x0=x0,
-            calibration_tol=float(cfg.get("calibration.tol", "1e-12")),
+            calibration_tol=_setting(cfg, "calibration.tol",
+                                     default="1e-12"),
             quadrature=quad,
             strikes=_strike_grid(cfg.get("surface.strikes",
                                          "0.01:0.06:0.005")),
             method=method or cfg.get("surface.method", "fourier"),
-            seed=seed if seed is not None else int(cfg.get("mc.seed", "1")),
-            mc_paths=int(cfg.get("mc.paths", "100000")),
+            seed=seed if seed is not None else _setting(cfg, "mc.seed", int,
+                                                        "1"),
+            mc_paths=_setting(cfg, "mc.paths", int, "100000"),
             raw=cfg)
 
     def calibrate(self) -> CalibratedModel:
         return fit_term_structure(self.tenor, self.process, x0=self.x0,
                                   tol=self.calibration_tol)
-
-
-def _closed_caplet(model: CalibratedModel):
-    if isinstance(model.process, CirParams):
-        return caplet_cir_closed
-    return caplet_cir2f_closed
 
 
 def _cmd_calibrate(cfg: RunConfig, out: str, write) -> int:
@@ -211,10 +216,10 @@ def _cmd_calibrate(cfg: RunConfig, out: str, write) -> int:
 
 def _cmd_caplet(cfg: RunConfig, write) -> int:
     model = cfg.calibrate()
-    spec = CapletSpec(int(cfg.raw.get("caplet.index", "1")),
-                      float(cfg.raw.get("caplet.strike", "0.03")))
+    spec = CapletSpec(_setting(cfg.raw, "caplet.index", int, "1"),
+                      _setting(cfg.raw, "caplet.strike", default="0.03"))
     if cfg.method == "closed":
-        res = _closed_caplet(model)(model, spec)
+        res = caplet_closed(model, spec)
     else:
         res = caplet_fourier(model, spec, cfg.quadrature)
     write(f"caplet k={spec.period_index} strike={_fmt(spec.strike)} "
@@ -228,9 +233,9 @@ def _cmd_caplet(cfg: RunConfig, write) -> int:
 
 def _cmd_swaption(cfg: RunConfig, write) -> int:
     model = cfg.calibrate()
-    spec = SwaptionSpec(int(cfg.raw.get("swaption.start", "1")),
-                        int(cfg.raw.get("swaption.end", "2")),
-                        float(cfg.raw.get("swaption.strike", "0.03")))
+    spec = SwaptionSpec(_setting(cfg.raw, "swaption.start", int, "1"),
+                        _setting(cfg.raw, "swaption.end", int, "2"),
+                        _setting(cfg.raw, "swaption.strike", default="0.03"))
     if cfg.method == "closed":
         res = swaption_cir_closed(model, spec)
     else:
@@ -290,11 +295,11 @@ def _cmd_validate(cfg: RunConfig, write) -> int:
         checks.append((agrees(mean, 1.0, se),
                        f"weight mean k={k} z={_fmt(z)}"))
 
-    k_test = int(cfg.raw.get("caplet.index", "2"))
-    strike = float(cfg.raw.get("caplet.strike", "0.03"))
+    k_test = _setting(cfg.raw, "caplet.index", int, "2")
+    strike = _setting(cfg.raw, "caplet.strike", default="0.03")
     spec = CapletSpec(k_test, strike)
     try:
-        analytic = _closed_caplet(model)(model, spec).price
+        analytic = caplet_closed(model, spec).price
         label = "closed"
     except AffineLiborError:
         analytic = caplet_fourier(model, spec, cfg.quadrature).price
@@ -355,7 +360,7 @@ def main(argv=None) -> int:
     except AffineLiborError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (OSError, KeyError, ValueError) as exc:
+    except OSError as exc:  # an output file that cannot be written
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

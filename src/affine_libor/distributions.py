@@ -4,8 +4,8 @@ Three layers:
 
 * non-central chi-square CDF/SF as a Poisson-weighted series of central
   chi-square (regularized incomplete gamma) terms, expanded outward from
-  the modal Poisson index until the residual Poisson mass certifies the
-  truncation error;
+  the modal Poisson index until a geometric bound on the remaining
+  Poisson weights certifies the truncation error;
 * the location-scale extension LSNC-chi2(mu, sigma, nu, alpha):
   (Y - mu) / sigma is non-central chi-square with nu degrees of freedom
   and non-centrality alpha.  Its cumulant generating function is
@@ -42,29 +42,39 @@ _IMHOF_PANELS = 2048
 
 def _poisson_window(alpha_nc: float, tol: float):
     """Poisson(alpha/2) indices and weights around the mode covering all
-    but at most tol of the mass."""
+    but at most tol of the mass.
+
+    Weights are summed relative to the modal one: the absolute modal
+    weight exp(-a + j0 log a - lgamma(j0 + 1)) carries a rounding error
+    that exceeds tol once alpha reaches the thousands.  Away from the
+    mode consecutive weights fall by ratios that keep falling, so each
+    side's remaining weight is bounded by a geometric series in its next
+    ratio.  The window stops once both bounds together are below tol
+    times the running sum, and the weights are then normalised.
+    """
     a2 = 0.5 * alpha_nc
-    j0 = int(a2)
-    w0 = math.exp(-a2 + j0 * math.log(a2) - math.lgamma(j0 + 1))
-    lo_w, hi_w = [], [w0]
-    mass = w0
-    j_lo = j_hi = j0
-    w_lo = w_hi = w0
+    j_lo = j_hi = int(a2)
+    lo_w, hi_w = [], [1.0]
+    w_lo = w_hi = total = 1.0
     for _ in range(_MAX_SERIES_TERMS):
-        if 1.0 - mass <= tol:
+        q_up = a2 / (j_hi + 1)  # below one: j_hi + 1 > a2
+        q_down = j_lo / a2
+        rest = w_hi * q_up / (1.0 - q_up) + (
+            w_lo * q_down / (1.0 - q_down) if q_down < 1.0 else math.inf)
+        if rest <= tol * total:
             js = np.arange(j_lo, j_hi + 1)
-            return js, np.array(lo_w[::-1] + hi_w)
-        w_up = w_hi * a2 / (j_hi + 1)
-        w_down = w_lo * j_lo / a2 if j_lo > 0 else -1.0
+            return js, np.array(lo_w[::-1] + hi_w) / total
+        w_up, w_down = w_hi * q_up, w_lo * q_down
         if w_up >= w_down:
             j_hi += 1
             w_hi = w_up
             hi_w.append(w_hi)
+            total += w_hi
         else:
             j_lo -= 1
             w_lo = w_down
             lo_w.append(w_lo)
-        mass += max(w_up if w_up >= w_down else w_down, 0.0)
+            total += w_lo
     raise ConvergenceFailure("Poisson window for the non-central chi-square "
                              f"did not converge (alpha={alpha_nc})")
 

@@ -15,8 +15,12 @@ time-homogeneous.  Calibration reduces to one increasing scalar equation
 per tenor date along a common direction in the transform domain; all of
 them share the horizon T_N, so one vector bisection solves them together
 (:func:`fit_term_structure`).  The change to the T_k-forward measure is an
-exponential tilt, so the model stays affine under every forward measure
-(:func:`forward_measure_exponents`, :func:`forward_price_mgf`).
+exponential tilt by psi_{T_N - t}(u_k), so the model stays affine under
+every forward measure.  One kernel, :func:`tilt_exponents`, evaluates
+these tilts for a set of tenor indices with one batched transform; the
+forward-price exponents, the forward-measure transforms, the
+forward-price MGF and every pricer and Monte Carlo weight take their
+tilts from it.
 """
 
 from __future__ import annotations
@@ -329,6 +333,29 @@ def fit_term_structure(tenor: TenorStructure, process, x0=None,
     return CalibratedModel(process, x0, tenor, us, residuals, steps)
 
 
+def tilt_exponents(m: CalibratedModel, t: float, ks):
+    """(phi, psi) of the martingale parameters u_k at horizon T_N - t.
+
+    These are the exponents of M_t^{u_k}, and psi is the exponential tilt
+    that moves the terminal measure to the T_k-forward measure.  One
+    ``phi_psi_batch`` call serves every index in ``ks``; the results are
+    real, with phi of shape (len(ks),) and psi of shape (len(ks), d).
+
+    Raises
+    ------
+    IndexError
+        for an index outside 1..N.
+    HorizonViolation
+        if t lies outside [0, T_N].
+    """
+    us = np.stack([m.u(k) for k in ks])  # validates the indices
+    hrz = m.horizon - t
+    if hrz < 0.0 or hrz > m.horizon + 1e-12:
+        raise HorizonViolation(f"t={t} outside [0, {m.horizon}]")
+    phi, psi = phi_psi_batch(m.process, hrz, us)
+    return np.real(phi), np.real(psi)
+
+
 def forward_exponents(m: CalibratedModel, k: int, i: int,
                       t: float) -> ForwardExponents:
     """Exponents of B-ratio quotients: M_t^{u_k} / M_t^{u_i} = exp(A + <B, x>).
@@ -336,15 +363,11 @@ def forward_exponents(m: CalibratedModel, k: int, i: int,
     With i = k + 1 this is the forward-price pair for period k; with
     i < k it is the swaption-payoff pair.
     """
-    u_k, u_i = m.u(k), m.u(i)  # validates the indices
+    phi, psi = tilt_exponents(m, t, (k, i))
     if t < 0.0 or t > min(m.tenor.date(k), m.tenor.date(i)) + 1e-12:
         raise HorizonViolation(
             f"t={t} beyond the quotient's horizon T_{min(i, k)}")
-    hrz = m.horizon - t
-    pk = transform(m.process, hrz, u_k, horizon=m.horizon)
-    pi = transform(m.process, hrz, u_i, horizon=m.horizon)
-    return ForwardExponents(float(np.real(pk.phi - pi.phi)),
-                            np.real(pk.psi - pi.psi))
+    return ForwardExponents(float(phi[0] - phi[1]), psi[0] - psi[1])
 
 
 def libor_rate(m: CalibratedModel, k: int, t: float, x) -> float:
@@ -377,11 +400,10 @@ def forward_measure_exponents(m: CalibratedModel, k: int, t: float,
     and the same difference for psi.  A DomainViolation here means v lies
     outside the tilted domain.
     """
-    u_k = m.u(k)
     if t < 0.0 or t > m.tenor.date(k) + 1e-12:
         raise HorizonViolation(f"t={t} outside [0, T_{k}]")
     v = np.atleast_1d(np.asarray(v))
-    w = transform(m.process, m.horizon - t, u_k, horizon=m.horizon).psi
+    w = tilt_exponents(m, t, (k,))[1][0]
     shifted = transform(m.process, t, w + v, horizon=m.horizon)
     base = transform(m.process, t, w, horizon=m.horizon)
     return TransformPair(shifted.phi - base.phi, shifted.psi - base.psi)
@@ -405,15 +427,23 @@ def forward_price_mgf(m: CalibratedModel, k: int, t: float, v):
         raise HorizonViolation(f"t={t} outside [0, T_{k}]")
     scalar = np.isscalar(v)
     v = np.atleast_1d(np.asarray(v))
-    hrz = m.horizon - t
-    pk = transform(m.process, hrz, m.u(k), horizon=m.horizon)
-    pk1 = transform(m.process, hrz, m.u(k + 1), horizon=m.horizon)
-    blend = v[:, None] * pk.psi[None, :] + (1.0 - v[:, None]) * pk1.psi[None, :]
-    phi_in, psi_in = phi_psi_batch(m.process, t, blend)
-    expo = (v * pk.phi + (1.0 - v) * pk1.phi + phi_in
-            + psi_in @ m.x0.astype(psi_in.dtype))
-    out = (m.bond0(m.n_periods) / m.bond0(k + 1)) * np.exp(expo)
+    phi, psi = tilt_exponents(m, t, (k, k + 1))
+    out = (m.bond0(m.n_periods) / m.bond0(k + 1)) \
+        * np.exp(forward_log_mgf(m, t, phi, psi, v))
     if scalar:
         out = out[0]
         return float(np.real(out)) if not np.iscomplexobj(v) else complex(out)
     return out
+
+
+def forward_log_mgf(m: CalibratedModel, t: float, phi, psi, v):
+    """Exponent of :func:`forward_price_mgf` at a 1-d array of v.
+
+    ``phi`` and ``psi`` hold the tilts of u_k and u_{k+1} at T_N - t (rows
+    0 and 1, as :func:`tilt_exponents` returns them).  The Fourier caplet
+    rows integrate exp of this against the payoff transform.
+    """
+    blend = v[:, None] * psi[0][None, :] + (1.0 - v[:, None]) * psi[1][None, :]
+    phi_in, psi_in = phi_psi_batch(m.process, t, blend)
+    return (v * phi[0] + (1.0 - v) * phi[1] + phi_in
+            + psi_in @ m.x0.astype(psi_in.dtype))

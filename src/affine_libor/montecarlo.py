@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine_core import transform
 from .errors import InvalidGrid, InvalidParameter
-from .model import CalibratedModel, forward_exponents
+from .model import CalibratedModel, forward_exponents, tilt_exponents
 from .processes import CirParams, GammaOuParams, ProductProcess
 
 
@@ -174,16 +173,14 @@ def simulate_process(process, times, n_paths: int,
 def martingale_values(m: CalibratedModel, k: int, t: float,
                       x: np.ndarray) -> np.ndarray:
     """M_t^{u_k} over an (n_paths, d) state array."""
-    pair = transform(m.process, m.horizon - t, m.u(k), horizon=m.horizon)
-    return np.exp(float(np.real(pair.phi))
-                  + x @ np.real(pair.psi))
+    phi, psi = tilt_exponents(m, t, (k,))
+    return np.exp(float(phi[0]) + x @ psi[0])
 
 
 def _initial_value(m: CalibratedModel, k: int) -> float:
     """M_0^{u_k} at the model's initial state."""
-    return math.exp(float(np.real(
-        transform(m.process, m.horizon, m.u(k),
-                  horizon=m.horizon).exponent(m.x0))))
+    phi, psi = tilt_exponents(m, 0.0, (k,))
+    return math.exp(float(phi[0] + np.dot(psi[0], m.x0)))
 
 
 def _require_paths(n_paths: int):
@@ -227,19 +224,6 @@ def mc_caplet(m: CalibratedModel, k: int, strike: float, n_paths: int,
 
     def payoff(x):
         return np.maximum(np.exp(fe.A + x @ fe.B) - bold, 0.0)
-
-    return mc_price(m, payoff, t_fix, k + 1, n_paths, rng)
-
-
-def mc_floorlet(m: CalibratedModel, k: int, strike: float, n_paths: int,
-                rng: RngStream):
-    """Floorlet counterpart of :func:`mc_caplet`."""
-    t_fix = m.tenor.date(k)
-    fe = forward_exponents(m, k, k + 1, t_fix)
-    bold = 1.0 + m.delta * strike
-
-    def payoff(x):
-        return np.maximum(bold - np.exp(fe.A + x @ fe.B), 0.0)
 
     return mc_price(m, payoff, t_fix, k + 1, n_paths, rng)
 

@@ -1,5 +1,8 @@
 """Caplet, floorlet and swaption valuation plus implied-vol surfaces.
 
+Every pricer takes its forward-measure tilts psi_{T_N - t}(u_k) from the
+model's one kernel, :func:`affine_libor.model.tilt_exponents`.
+
 Fourier route (any supported driver): a caplet is a call on the forward
 bond-price quotient exp(A_k + <B_k, X_{T_k}>), priced as
 
@@ -8,18 +11,22 @@ bond-price quotient exp(A_k + <B_k, X_{T_k}>), priced as
 
 with K' = 1 + delta K, damping R > 1 inside the strip where the
 forward-price moment generating function is finite.  The same integrand
-with R < 0 prices the floorlet.  Only the factor K'^{-(R-iv)} depends on
-the strike, so the caplets of one expiry are one vector-valued integral
-with one damping (:func:`vol_surface`); a single caplet is the one-strike
-case.  A payer swaption on [T_i, T_m] is a put
+with R < 0 prices the floorlet.  E[(e^Z)^z] is the model's forward-price
+MGF (:func:`affine_libor.model.forward_log_mgf`).  Only the factor
+K'^{-(R-iv)} depends on the strike, so the caplets of one expiry are one
+vector-valued integral with one damping (:func:`vol_surface`); a single
+caplet is the one-strike case.  A payer swaption on [T_i, T_m] is a put
 on a coupon bond; its payoff transform has a closed form in terms of the
 unique zero of the exercise function (:func:`swaption_root`).
 
-Chi-square route (square-root drivers only): log-forward prices follow a
-location-scale non-central chi-square law under each forward measure, so
-caplets and swaptions reduce to weighted complements of the non-central
-chi-square CDF; with two independent square-root factors the caplet needs
-the CDF of a positive linear combination of non-central chi-squares.
+Chi-square route (products of square-root factors, a lone factor being a
+product of one): each factor, tilted to a forward measure, follows a
+scaled non-central chi-square law, so one closed-form row
+(:func:`_closed_row`) prices the caplets of an expiry through the
+survival function of a positive linear combination of non-central
+chi-squares.  With one live factor that is the exact Poisson series;
+Imhof's integral runs only when two or more factors are live.  The
+one-factor swaption reuses the same tilted factor law.
 
 Implied volatilities invert Black's futures formula.
 """
@@ -31,12 +38,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import ChiSqMixSpec, chisq_mix_sf, ncchi2_sf
+from .distributions import (ChiSqMixSpec, LsncChi2Params, chisq_mix_sf,
+                            lsnc_sf)
 from .errors import (AffineLiborError, ConvergenceFailure, DampingOutOfStrip,
                      InvalidParameter, ModelMismatch, NoSignChange,
                      OutOfBounds, QuadratureFailure)
-from .model import (CalibratedModel, forward_exponents, phi_psi_batch,
-                    transform)
+from .model import (CalibratedModel, forward_log_mgf, phi_psi_batch,
+                    tilt_exponents)
 from .processes import CirParams, ProductProcess
 from .quadrature import semi_infinite_oscillatory
 
@@ -203,30 +211,24 @@ def _fourier_row(m: CalibratedModel, k: int, bold: np.ndarray,
     budget.  Returns (prices, error estimates, damping).
     """
     t_fix = m.tenor.date(k)
-    hrz = m.horizon - t_fix
-    pk = transform(m.process, hrz, m.u(k), horizon=m.horizon)
-    pk1 = transform(m.process, hrz, m.u(k + 1), horizon=m.horizon)
-    psi_k, psi_k1 = np.real(pk.psi), np.real(pk1.psi)
-    phi_k1 = float(np.real(pk1.phi))
-    phi_k = np.real(pk.phi - pk1.phi) + phi_k1
+    phi, psi = tilt_exponents(m, t_fix, (k, k + 1))
+    # phi of u_k is rebuilt as A_k + phi of u_{k+1}: the recorded Fourier
+    # prices depend on this order of operations.
+    phi_k1 = float(phi[1])
+    phi = (phi[0] - phi[1] + phi_k1, phi_k1)
     sup = np.atleast_1d(m.process.domain_sup(t_fix)) if t_fix > 0.0 else \
         np.full(m.process.dim, np.inf)
     # Re(z) is constant along the contour, so the strip bounds decide
     # admissibility once and for all nodes.
-    lo, hi = _damping_strip(psi_k1, psi_k - psi_k1, sup)
-    process, x0 = m.process, m.x0.astype(complex)
+    lo, hi = _damping_strip(psi[1], psi[0] - psi[1], sup)
     log_bold = np.log(bold)
 
     def strike_integrands(z):
         """Integrand at contour points z (rows) for every strike (columns)."""
-        blend = z[:, None] * psi_k[None, :] \
-            + (1.0 - z[:, None]) * psi_k1[None, :]
-        phi_in, psi_in = phi_psi_batch(process, t_fix, blend)
-        log_mgf = z * phi_k + (1.0 - z) * phi_k1 + phi_in + psi_in @ x0
         # one (nodes, strikes) buffer, updated in place: a refinement
         # round can evaluate thousands of nodes at once
         out = z[:, None] * -log_bold[None, :]
-        out += log_mgf[:, None]
+        out += forward_log_mgf(m, t_fix, phi, psi, z)[:, None]
         np.exp(out, out=out)
         return np.divide(out, (z * (z - 1.0))[:, None], out=out)
 
@@ -283,50 +285,87 @@ def _require_cir(m: CalibratedModel) -> CirParams:
     return p
 
 
-def _cir_closed_row(m: CalibratedModel, k: int, bold: np.ndarray):
-    """Closed-form caplets at expiry T_k for the one-factor square-root
-    driver, one price per bold strike.
+def _square_root_factors(process) -> tuple:
+    """The driver's square-root factors; a lone one is a product of one."""
+    if isinstance(process, CirParams):
+        return (process,)
+    if isinstance(process, ProductProcess) and \
+            all(isinstance(f, CirParams) for f in process.factors):
+        return process.factors
+    raise ModelMismatch("no closed-form caplet for "
+                        f"{type(process).__name__}")
 
-    The log-forward price is location-scale non-central chi-square under
-    both adjacent forward measures, with scale and non-centrality divided
-    by zeta_1 (measure T_k) respectively zeta_2 (measure T_{k+1}), where
-    zeta_m = 1 - 2 eta^2 b(T_k) psi_{T_N - T_k}(u_m).  None of these
-    depends on the strike, so each measure takes one series evaluation
-    over the whole strike row.
+
+def _factor_law(f: CirParams, x: float, t: float, scale: float,
+                theta: float) -> LsncChi2Params:
+    """Law of scale * X_t for the square-root factor X started at x,
+    under the measure that tilts X_t by theta.
+
+    Under the terminal measure X_t / (eta^2 b(t)) is non-central
+    chi-square with nu = lam theta / eta^2 degrees of freedom and
+    non-centrality x a(t) / (eta^2 b(t)).  The T_k-forward measure tilts
+    it by theta = psi_{T_N - t}(u_k), which divides scale and
+    non-centrality by zeta = 1 - 2 eta^2 b(t) theta (:func:`lsnc_tilt`).
+    The products are kept unsplit here: Imhof's integral turns a last-bit
+    change of a mixture scale into visible noise on tiny prices.
     """
-    p = _require_cir(m)
+    eb = f.eta ** 2 * f.b(t)
+    zeta = 1.0 - 2.0 * eb * theta
+    return LsncChi2Params(0.0, scale * eb / zeta, f.lam * f.theta / f.eta ** 2,
+                          x * f.a(t) / (eb * zeta))
+
+
+def _closed_row(m: CalibratedModel, k: int, bold: np.ndarray):
+    """Closed-form caplets at expiry T_k for a product of square-root
+    factors, one price per bold strike.
+
+    The log-forward price A_k + sum_j B_kj X_j is a shifted positive
+    linear combination of independent non-central chi-squares under both
+    adjacent forward measures; each live factor contributes its tilted
+    law (:func:`_factor_law`) scaled by B_kj.  A factor with B_kj = 0, or
+    one pinned at zero, is a point mass and drops out.  None of this
+    depends on the strike, so each measure takes one survival-function
+    evaluation over the whole strike row; with one live factor that is
+    the exact Poisson series.
+    """
+    factors = _square_root_factors(m.process)
     t_fix = m.tenor.date(k)
-    fe = forward_exponents(m, k, k + 1, t_fix)
-    b_k = float(fe.B[0])
-    if b_k == 0.0:  # flat period: deterministic forward price
-        return m.bond0(k + 1) * np.maximum(math.exp(fe.A) - bold, 0.0)
-    nu = p.lam * p.theta / p.eta ** 2
-    eb = p.eta ** 2 * p.b(t_fix)
-    x = float(m.x0[0])
-    hrz = m.horizon - t_fix
-    y = np.log(bold) - fe.A
+    phi, psi = tilt_exponents(m, t_fix, (k, k + 1))
+    b = psi[0] - psi[1]
+    y = np.log(bold) - float(phi[0] - phi[1])
+    live = [j for j, f in enumerate(factors)
+            if b[j] != 0.0 and (f.lam * f.theta > 0.0 or m.x0[j] > 0.0)]
+    for j in live:
+        f = factors[j]
+        if f.eta <= 0.0 or f.lam * f.theta <= 0.0:
+            raise ModelMismatch(
+                f"factor {j} needs eta > 0 and lam * theta > 0")
     tails = []
-    for idx in (k, k + 1):
-        psi_u = float(np.real(
-            transform(p, hrz, m.u(idx), horizon=m.horizon).psi[0]))
-        zeta = 1.0 - 2.0 * eb * psi_u
-        sigma = b_k * eb / zeta
-        alpha = x * p.a(t_fix) / (eb * zeta)
-        tails.append(ncchi2_sf(y / sigma, nu, alpha))
+    for tilt in psi:  # the T_k- and the T_{k+1}-forward measure
+        if not live:
+            tails.append(np.where(y < 0.0, 1.0, 0.0))
+            continue
+        laws = [_factor_law(factors[j], m.x0[j], t_fix, b[j], tilt[j])
+                for j in live]
+        tails.append(chisq_mix_sf(y, ChiSqMixSpec(
+            [law.sigma for law in laws], [law.nu for law in laws],
+            [law.alpha_nc for law in laws])))
     return np.maximum(m.bond0(k) * tails[0]
                       - bold * m.bond0(k + 1) * tails[1], 0.0)
 
 
-def _closed_caplet(row, m: CalibratedModel, c: CapletSpec) -> PriceResult:
+def caplet_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
+    """Closed-form caplet for any product of square-root factors (see
+    :func:`_closed_row`)."""
     c = c.with_model(m)
-    price = row(m, c.period_index, np.array([c.bold_strike]))[0]
+    price = _closed_row(m, c.period_index, np.array([c.bold_strike]))[0]
     return PriceResult(float(price), 0.0, None)
 
 
 def caplet_cir_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
-    """Closed-form caplet for the one-factor square-root driver (see
-    :func:`_cir_closed_row`)."""
-    return _closed_caplet(_cir_closed_row, m, c)
+    """Closed-form caplet for the one-factor square-root driver."""
+    _require_cir(m)
+    return caplet_closed(m, c)
 
 
 def floorlet_cir_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
@@ -338,69 +377,25 @@ def floorlet_cir_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
     return PriceResult(max(cap.price - parity, 0.0), cap.error_estimate, None)
 
 
-def _cir2f_closed_row(m: CalibratedModel, k: int, bold: np.ndarray):
-    """Closed-form caplets at expiry T_k for independent square-root
-    factors, one price per bold strike.
-
-    The log-forward price is a shifted positive linear combination of
-    independent non-central chi-squares; each factor contributes scale,
-    degrees of freedom and non-centrality exactly as in the one-factor
-    formula, with its own zeta per forward measure.
-    """
-    if not (isinstance(m.process, ProductProcess)
-            and all(isinstance(f, CirParams) for f in m.process.factors)):
+def caplet_cir2f_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
+    """Closed-form caplet for independent square-root factors."""
+    if not isinstance(m.process, ProductProcess):
         raise ModelMismatch("2-factor closed form requires independent "
                             "square-root factors")
-    t_fix = m.tenor.date(k)
-    fe = forward_exponents(m, k, k + 1, t_fix)
-    y = np.log(bold) - fe.A
-    hrz = m.horizon - t_fix
-    tails = []
-    for idx in (k, k + 1):
-        sigmas, nus, alphas = [], [], []
-        u = m.u(idx)
-        for j, f in enumerate(m.process.factors):
-            b_j = float(fe.B[j])
-            x_j = float(m.x0[j])
-            if b_j == 0.0 or (f.lam * f.theta == 0.0 and x_j == 0.0):
-                continue  # flat or degenerate factor: point mass at zero
-            if f.eta <= 0.0 or f.lam * f.theta <= 0.0:
-                raise ModelMismatch(
-                    f"factor {j} needs eta > 0 and lam * theta > 0")
-            eb = f.eta ** 2 * f.b(t_fix)
-            psi_u = float(np.real(
-                transform(f, hrz, u[j:j + 1], horizon=m.horizon).psi[0]))
-            zeta = 1.0 - 2.0 * eb * psi_u
-            sigmas.append(b_j * eb / zeta)
-            nus.append(f.lam * f.theta / f.eta ** 2)
-            alphas.append(x_j * f.a(t_fix) / (eb * zeta))
-        if not sigmas:
-            tails.append(np.where(y < 0.0, 1.0, 0.0))
-        else:
-            mix = ChiSqMixSpec(np.array(sigmas), np.array(nus),
-                               np.array(alphas))
-            tails.append(chisq_mix_sf(y, mix))
-    return np.maximum(m.bond0(k) * tails[0]
-                      - bold * m.bond0(k + 1) * tails[1], 0.0)
+    return caplet_closed(m, c)
 
 
-def caplet_cir2f_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
-    """Closed-form caplet for independent square-root factors (see
-    :func:`_cir2f_closed_row`)."""
-    return _closed_caplet(_cir2f_closed_row, m, c)
-
-
-def _swaption_pairs(m: CalibratedModel, s: SwaptionSpec):
+def _swaption_tilts(m: CalibratedModel, s: SwaptionSpec):
+    """Exercise date T_i and the tilts (phi, psi) of u_i, ..., u_m at
+    T_N - T_i, for a one-dimensional driver."""
     if not 1 <= s.start_index < s.end_index <= m.n_periods:
         raise InvalidParameter(
             f"swaption indices {s.start_index}..{s.end_index} outside "
             f"1..{m.n_periods}")
     t_ex = m.tenor.date(s.start_index)
-    pairs = [forward_exponents(m, k, s.start_index, t_ex)
-             for k in range(s.start_index + 1, s.end_index + 1)]
-    A = np.array([fe.A for fe in pairs])
-    B = np.array([float(fe.B[0]) for fe in pairs])
-    return t_ex, A, B
+    phi, psi = tilt_exponents(m, t_ex,
+                              range(s.start_index, s.end_index + 1))
+    return t_ex, phi, psi[:, 0]
 
 
 def swaption_root(m: CalibratedModel, s: SwaptionSpec) -> float:
@@ -414,7 +409,8 @@ def swaption_root(m: CalibratedModel, s: SwaptionSpec) -> float:
     if m.process.dim != 1:
         raise ModelMismatch("swaption exercise root needs a one-dimensional "
                             "driver")
-    t_ex, A, B = _swaption_pairs(m, s)
+    _, phi, psi = _swaption_tilts(m, s)
+    A, B = phi[1:] - phi[0], psi[1:] - psi[0]
     coup = s.coupons(m.delta)
     if np.all(B == 0.0):
         raise NoSignChange("degenerate swaption: exercise function is "
@@ -475,12 +471,10 @@ def swaption_fourier(m: CalibratedModel, s: SwaptionSpec,
         raise ModelMismatch("Fourier swaption pricing needs a "
                             "one-dimensional driver")
     root = swaption_root(m, s)
-    t_ex, A, B = _swaption_pairs(m, s)
+    t_ex, phi, psi = _swaption_tilts(m, s)
+    A, B, w = phi[1:] - phi[0], psi[1:] - psi[0], float(psi[0])
     coup = s.coupons(m.delta)
     i = s.start_index
-    hrz = m.horizon - t_ex
-    w = float(np.real(transform(m.process, hrz, m.u(i), horizon=m.horizon)
-                      .psi[0]))
     sup = float(m.process.domain_sup(t_ex)[0]) if t_ex > 0.0 else math.inf
     strip_hi = sup - w
     if strip_hi <= 0.0:
@@ -517,30 +511,20 @@ def swaption_cir_closed(m: CalibratedModel, s: SwaptionSpec) -> PriceResult:
     """Closed-form payer swaption for the one-factor square-root driver.
 
     Decomposes the payoff over the exercise region {X_{T_i} >= Y} and
-    evaluates each forward-measure probability through the non-central
-    chi-square survival function with per-maturity zeta
-     zeta_k = 1 - 2 eta^2 b(T_i) psi_{T_N - T_i}(u_k).
+    evaluates each probability P_{T_k}(X_{T_i} > Y) through the survival
+    function of the factor's law tilted to the T_k-forward measure
+    (:func:`_factor_law`).
     """
     p = _require_cir(m)
     root = swaption_root(m, s)
-    t_ex = m.tenor.date(s.start_index)
-    coup = s.coupons(m.delta)
-    nu = p.lam * p.theta / p.eta ** 2
-    eb = p.eta ** 2 * p.b(t_ex)
+    t_ex, _, psi = _swaption_tilts(m, s)
     x = float(m.x0[0])
-    hrz = m.horizon - t_ex
-
-    def tail(idx):
-        psi_u = float(np.real(
-            transform(p, hrz, m.u(idx), horizon=m.horizon).psi[0]))
-        zeta = 1.0 - 2.0 * eb * psi_u
-        sigma = eb / zeta
-        alpha = x * p.a(t_ex) / (eb * zeta)
-        return ncchi2_sf(root / sigma, nu, alpha)
-
-    price = m.bond0(s.start_index) * tail(s.start_index)
+    tails = [lsnc_sf(root, _factor_law(p, x, t_ex, 1.0, theta))
+             for theta in psi]
+    coup = s.coupons(m.delta)
+    price = m.bond0(s.start_index) * tails[0]
     for pos, k in enumerate(range(s.start_index + 1, s.end_index + 1)):
-        price -= coup[pos] * m.bond0(k) * tail(k)
+        price -= coup[pos] * m.bond0(k) * tails[pos + 1]
     return PriceResult(max(price, 0.0), 0.0, None, root=root)
 
 
@@ -629,16 +613,6 @@ class SurfaceCell:
     error_estimate: float = 0.0
 
 
-def _closed_form_row(m: CalibratedModel):
-    if isinstance(m.process, CirParams):
-        return _cir_closed_row
-    if isinstance(m.process, ProductProcess) and \
-            all(isinstance(f, CirParams) for f in m.process.factors):
-        return _cir2f_closed_row
-    raise ModelMismatch("no closed-form caplet for "
-                        f"{type(m.process).__name__}")
-
-
 def _row_quotes(row, m: CalibratedModel, k: int, strikes) -> dict:
     """Per strike of expiry T_k: its PriceResult, or the error that
     stopped it.  Invalid strikes fail alone; a failure of the shared row
@@ -707,10 +681,10 @@ def vol_surface(m: CalibratedModel, strikes, method: str = "fourier",
         def row(k, bold):
             return _fourier_row(m, k, bold, q, want_call=True)
     elif method == "closed":
-        closed = _closed_form_row(m)
+        _square_root_factors(m.process)
 
         def row(k, bold):
-            return closed(m, k, bold), np.zeros(bold.size), None
+            return _closed_row(m, k, bold), np.zeros(bold.size), None
     else:
         raise InvalidParameter(f"unknown method {method!r}")
     cells = []

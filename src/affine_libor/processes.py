@@ -31,8 +31,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .affine_core import RiccatiRhs, TransformPair, transform
-from .errors import AffineLiborError, InvalidParameter
+from .affine_core import RiccatiRhs
+from .errors import InvalidParameter
 
 
 @dataclass(frozen=True)
@@ -297,42 +297,3 @@ def two_factor_cir(lam1, theta1, eta1, lam2, theta2, eta2,
     """Two independent square-root factors as one 2-d affine process."""
     return ProductProcess([CirParams(lam1, theta1, eta1, x1),
                            CirParams(lam2, theta2, eta2, x2)])
-
-
-# Thin operation wrappers around affine_core.transform; they exist so the
-# closed forms can be exercised (and error-checked) family by family.
-
-def cir_transform(p: CirParams, t: float, u) -> TransformPair:
-    """Closed-form transform of the square-root diffusion."""
-    return transform(p, t, u)
-
-
-def gamma_ou_transform(p: GammaOuParams, t: float, u) -> TransformPair:
-    """Closed-form transform of the gamma-OU process."""
-    return transform(p, t, u)
-
-
-def subordinator_transform(s: LevySubordinatorSpec, t: float,
-                           u) -> TransformPair:
-    """(t * kappa(u), u) for a subordinator with cumulant kappa."""
-    return transform(s, t, u)
-
-
-def product_transform(p: ProductProcess, t: float, u) -> TransformPair:
-    """Componentwise transform of a product of independent factors.
-
-    Factor-level failures are re-raised with the factor index attached.
-    """
-    u = np.atleast_1d(np.asarray(u))
-    if u.shape != (p.dim,):
-        raise InvalidParameter(f"u has shape {u.shape}, expected ({p.dim},)")
-    phi = 0.0
-    psi = np.empty_like(u)
-    for j, f in enumerate(p.factors):
-        try:
-            pair = transform(f, t, u[j:j + 1])
-        except AffineLiborError as exc:
-            raise type(exc)(f"factor {j}: {exc}") from exc
-        phi = phi + pair.phi
-        psi[j] = pair.psi[0]
-    return TransformPair(phi, psi)

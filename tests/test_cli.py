@@ -232,6 +232,48 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("error: InvalidParameter")
 
 
+class TestConfigErrors:
+    """An unusable configuration ends as ParseError naming the path or the
+    key at fault."""
+
+    @staticmethod
+    def parse_error(capsys, cfg) -> str:
+        assert main(["caplet", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError: ")
+        return err
+
+    def test_tenor_path_is_relative_to_the_config(self, tmp_path,
+                                                  monkeypatch, capsys):
+        # the curve lies in the working directory, not next to the config
+        write(tmp_path, "curve.csv", TABLE1.read_text())
+        sub = tmp_path / "configs"
+        sub.mkdir()
+        cfg = write(sub, "c.cfg", CIR_CFG_TEMPLATE.format(tenor="curve.csv"))
+        monkeypatch.chdir(tmp_path)
+        assert str(sub / "curve.csv") in self.parse_error(capsys, cfg)
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere.cfg"
+        assert str(missing) in self.parse_error(capsys, missing)
+
+    def test_missing_required_key(self, tmp_path, capsys):
+        text = CIR_CFG_TEMPLATE.format(tenor=TABLE1).replace(
+            "process.eta = 0.59\n", "")
+        cfg = write(tmp_path, "c.cfg", text)
+        assert "process.eta" in self.parse_error(capsys, cfg)
+
+    @pytest.mark.parametrize("line, bad", [
+        ("process.lambda = 0.001", "process.lambda = fast"),
+        ("mc.seed = 7", "mc.seed = seven"),
+        ("caplet.index = 2", "caplet.index = 2.5"),
+    ])
+    def test_non_numeric_value(self, tmp_path, capsys, line, bad):
+        text = CIR_CFG_TEMPLATE.format(tenor=TABLE1).replace(line, bad)
+        cfg = write(tmp_path, "c.cfg", text)
+        assert bad.split(" =")[0] in self.parse_error(capsys, cfg)
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -61,6 +61,19 @@ class TestNcChi2:
         assert ncchi2_cdf(1100.0, 1.5, 1000.0) == pytest.approx(
             ncx2.cdf(1100.0, 1.5, 1000.0), abs=1e-11)
 
+    @pytest.mark.parametrize("alpha", [1500.3, 1599.99])
+    def test_poisson_window_closes_near_1600(self, alpha):
+        # The absolute modal Poisson weight is off by ~6e-13 relative
+        # here, so a window that waited for its mass to reach 1 - 1e-13
+        # never closed and raised ConvergenceFailure after 200k terms.
+        nu = 0.4
+        xs = alpha + nu + math.sqrt(2.0 * (nu + 2.0 * alpha)) \
+            * np.linspace(-4.0, 4.0, 9)
+        assert np.max(np.abs(ncchi2_sf(xs, nu, alpha)
+                             - ncx2.sf(xs, nu, alpha))) <= 2e-13
+        assert np.max(np.abs(ncchi2_cdf(xs, nu, alpha)
+                             - ncx2.cdf(xs, nu, alpha))) <= 2e-13
+
 
 class TestLsnc:
     def test_mass_starts_at_location(self):

@@ -15,12 +15,30 @@ from affine_libor.model import (TenorStructure, estimate_gamma_x,
                                 fit_term_structure, forward_exponents,
                                 forward_measure_exponents, forward_price_mgf,
                                 libor_lower_bound, libor_rate,
-                                martingale_value)
+                                martingale_value, tilt_exponents)
 from affine_libor.montecarlo import RngStream, forward_measure_weights, \
     simulate_process
 from affine_libor.processes import (CirParams, GammaOuParams,
                                     LevySubordinatorSpec, RiccatiProcess,
                                     two_factor_cir)
+
+
+# Admissible cir, gamma-OU and cir-2f drivers (admissible_driver).
+DRIVER_ARGS = dict(
+    family=st.sampled_from(["cir", "gamma_ou", "cir_2f"]),
+    a=st.floats(0.001, 2.0), b=st.floats(0.05, 1.0),
+    c=st.floats(0.05, 1.0), x0=st.floats(0.2, 2.0),
+    second=st.tuples(st.floats(0.001, 2.0), st.floats(0.05, 1.0),
+                     st.floats(0.05, 1.0), st.floats(0.2, 2.0)))
+
+
+def admissible_driver(family, a, b, c, x0, second):
+    if family == "cir":
+        return CirParams(a, b, c, x0)
+    if family == "gamma_ou":
+        # alpha in [0.7, 5], beta in [0.1, 2]
+        return GammaOuParams(a, 0.5 + 4.5 * b, 2.0 * c, x0)
+    return two_factor_cir(a, b, c, *second[:3], x0, second[3])
 
 
 def bounded_subordinator(scale=1.0, sup=0.5):
@@ -259,24 +277,42 @@ class TestVectorFit:
             fit_term_structure(tenor, cir2f_model.process, tol=1e-18)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(family=st.sampled_from(["cir", "gamma_ou", "cir_2f"]),
-           a=st.floats(0.001, 2.0), b=st.floats(0.05, 1.0),
-           c=st.floats(0.05, 1.0), x0=st.floats(0.2, 2.0),
-           second=st.tuples(st.floats(0.001, 2.0), st.floats(0.05, 1.0),
-                            st.floats(0.05, 1.0), st.floats(0.2, 2.0)))
+    @given(**DRIVER_ARGS)
     def test_round_trip_over_admissible_parameters(self, tenor, family, a, b,
                                                    c, x0, second):
-        if family == "cir":
-            process = CirParams(a, b, c, x0)
-        elif family == "gamma_ou":
-            # alpha in [0.7, 5], beta in [0.1, 2]
-            process = GammaOuParams(a, 0.5 + 4.5 * b, 2.0 * c, x0)
-        else:
-            process = two_factor_cir(a, b, c, *second[:3], x0, second[3])
-        m = fit_term_structure(tenor, process)
+        m = fit_term_structure(tenor, admissible_driver(family, a, b, c, x0,
+                                                        second))
         assert np.all(m.residuals <= 1e-12)
         assert np.all(np.diff(m.us, axis=0) < 0.0)
         assert np.all(m.us[-1] == 0.0)
+
+
+class TestTiltKernel:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(**DRIVER_ARGS, k=st.integers(1, 9), frac=st.floats(0.0, 1.0))
+    def test_matches_scalar_transforms(self, tenor, family, a, b, c, x0,
+                                       second, k, frac):
+        # t in [0, T_k]; the kernel is one batch of the scalar transforms
+        m = fit_term_structure(tenor, admissible_driver(family, a, b, c, x0,
+                                                        second))
+        t = frac * m.tenor.date(k)
+        ks = range(1, m.n_periods + 1)
+        phi, psi = tilt_exponents(m, t, ks)
+        for row, j in enumerate(ks):
+            pair = transform(m.process, m.horizon - t, m.u(j),
+                             horizon=m.horizon)
+            assert phi[row] == np.real(pair.phi)
+            assert np.array_equal(psi[row], np.real(pair.psi))
+        assert forward_price_mgf(m, k, t, 0.0) == pytest.approx(1.0,
+                                                                abs=1e-12)
+
+    def test_index_and_horizon_checks(self, cir_model):
+        with pytest.raises(IndexError):
+            tilt_exponents(cir_model, 0.0, (1, 11))
+        with pytest.raises(HorizonViolation):
+            tilt_exponents(cir_model, cir_model.horizon + 1e-9, (1,))
+        with pytest.raises(HorizonViolation):
+            tilt_exponents(cir_model, -1e-9, (1,))
 
 
 class TestForwardExponents:

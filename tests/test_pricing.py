@@ -492,6 +492,27 @@ class TestAdmissibleCir:
     """Fourier against closed forms over admissible square-root drivers
     (the ranges of the calibration round trip in tests/test_model.py)."""
 
+    def test_large_non_centrality_prices_every_closed_cell(self, tenor):
+        # eta = 0.05 puts the non-centralities of the early expiries near
+        # 1500-1600, where the Poisson window once failed to close: 22 of
+        # these 99 closed cells raised ConvergenceFailure.
+        m = fit_term_structure(tenor, CirParams(0.001, 1.0, 0.05, 2.0))
+        closed = vol_surface(m, CIR_GRID, method="closed")
+        fourier = vol_surface(m, CIR_GRID, method="fourier")
+        assert all(c.error is None for c in closed)
+        for a, b in zip(fourier, closed):
+            assert abs(a.price - b.price) <= 1e-6 * a.price + 1e-13
+
+    def test_tiny_closed_price_meets_its_absolute_floor(self, tenor):
+        # The modal Poisson weight, taken from the absolute pmf, once put
+        # this 2.7e-9 caplet 2.0e-13 below the Fourier price.
+        m = fit_term_structure(tenor, CirParams(0.001, 0.2861412845485337,
+                                                0.05, 1.220700473093712))
+        spec = CapletSpec(1, 0.05)
+        closed = caplet_cir_closed(m, spec).price
+        fourier = caplet_fourier(m, spec).price
+        assert abs(closed - fourier) <= 1e-6 * fourier + 1e-13
+
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(lam=st.floats(0.001, 2.0), theta=st.floats(0.05, 1.0),
            eta=st.floats(0.05, 1.0), x0=st.floats(0.2, 2.0),

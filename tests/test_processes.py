@@ -4,24 +4,22 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from affine_libor.affine_core import check_semiflow, riccati_solve
+from affine_libor.affine_core import check_semiflow, riccati_solve, transform
 from affine_libor.errors import DomainViolation, InvalidParameter
 from affine_libor.processes import (CirParams, GammaOuParams,
                                     LevySubordinatorSpec, ProductProcess,
-                                    cir_transform, gamma_ou_transform,
-                                    product_transform, subordinator_transform,
                                     two_factor_cir)
 
 
 class TestCir:
     def test_zero_argument(self, cir_process):
-        pair = cir_transform(cir_process, 2.0, 0.0)
+        pair = transform(cir_process, 2.0, 0.0)
         assert pair.phi == 0.0 and pair.psi[0] == 0.0
 
     def test_lambda_zero_branch(self):
         p = CirParams(0.0, 0.5, 0.59)
         assert p.b(2.0) == 2.0
-        pair = cir_transform(p, 2.0, 0.1)
+        pair = transform(p, 2.0, 0.1)
         assert pair.psi[0] == pytest.approx(
             0.1 / (1.0 - 2.0 * 0.59 ** 2 * 2.0 * 0.1), rel=1e-14)
         assert pair.phi == 0.0  # lam * theta = 0 kills the log term
@@ -34,7 +32,7 @@ class TestCir:
         assert p.b(t) == pytest.approx(series, rel=1e-13)
 
     def test_matches_riccati(self, cir_process):
-        closed = cir_transform(cir_process, 1.0, 0.2)
+        closed = transform(cir_process, 1.0, 0.2)
         ode = riccati_solve(cir_process.riccati_rhs(), 1.0, 0.2, tol=1e-12)
         assert abs(closed.phi - ode.phi) < 1e-8
         assert abs(closed.psi[0] - ode.psi[0]) < 1e-8
@@ -42,7 +40,7 @@ class TestCir:
     def test_domain_violation(self, cir_process):
         sup = cir_process.domain_sup(3.0)[0]
         with pytest.raises(DomainViolation):
-            cir_transform(cir_process, 3.0, sup)
+            transform(cir_process, 3.0, sup)
 
     def test_rhs_is_the_square_root_form(self):
         # F(u) = lam theta u and R(u) = 2 eta^2 u^2 - lam u; with lam = 0,
@@ -58,7 +56,7 @@ class TestCir:
 
     def test_eta_zero_is_deterministic_exponent(self):
         p = CirParams(0.5, 0.4, 0.0)
-        pair = cir_transform(p, 2.0, 0.3)
+        pair = transform(p, 2.0, 0.3)
         assert pair.phi == pytest.approx(0.5 * 0.4 * p.b(2.0) * 0.3)
         assert pair.psi[0] == pytest.approx(p.a(2.0) * 0.3)
 
@@ -69,24 +67,24 @@ class TestCir:
 
 class TestGammaOu:
     def test_trivial_points(self, gou_process):
-        assert gamma_ou_transform(gou_process, 3.0, 0.0).phi == 0.0
-        pair = gamma_ou_transform(gou_process, 0.0, 0.7)
+        assert transform(gou_process, 3.0, 0.0).phi == 0.0
+        pair = transform(gou_process, 0.0, 0.7)
         assert pair.phi == 0.0 and pair.psi[0] == 0.7
 
     def test_matches_riccati(self, gou_process):
-        closed = gamma_ou_transform(gou_process, 1.0, 0.5)
+        closed = transform(gou_process, 1.0, 0.5)
         ode = riccati_solve(gou_process.riccati_rhs(), 1.0, 0.5, tol=1e-12)
         assert abs(closed.phi - ode.phi) < 1e-8
         assert abs(closed.psi[0] - ode.psi[0]) < 1e-8
 
     def test_domain_violation_at_alpha(self, gou_process):
         with pytest.raises(DomainViolation):
-            gamma_ou_transform(gou_process, 1.0, gou_process.alpha)
+            transform(gou_process, 1.0, gou_process.alpha)
 
     def test_long_horizon_reaches_stationary_cumulant(self, gou_process):
         t = 1e4 / gou_process.lam
         u = 0.5
-        pair = gamma_ou_transform(gou_process, t, u)
+        pair = transform(gou_process, t, u)
         assert abs(pair.phi - gou_process.stationary_cumulant(u)) <= 1e-10
         assert abs(pair.psi[0]) <= 1e-10
 
@@ -102,7 +100,7 @@ class TestSubordinator:
     def test_compound_poisson_point(self):
         # kappa(u) = lam beta u / (alpha - u) with lam = beta = 1, alpha = 2
         spec = LevySubordinatorSpec.compound_poisson_exponential(1.0, 2.0)
-        pair = subordinator_transform(spec, 1.0, 1.0)
+        pair = transform(spec, 1.0, 1.0)
         assert pair.phi == pytest.approx(1.0, rel=1e-14)
         assert pair.psi[0] == 1.0
 
@@ -118,9 +116,9 @@ class TestSubordinator:
 
     def test_trivial_points(self):
         spec = LevySubordinatorSpec.compound_poisson_exponential(1.0, 2.0)
-        pair = subordinator_transform(spec, 3.0, 0.0)
+        pair = transform(spec, 3.0, 0.0)
         assert pair.phi == 0.0 and pair.psi[0] == 0.0
-        pair = subordinator_transform(spec, 0.0, 0.8)
+        pair = transform(spec, 0.0, 0.8)
         assert pair.phi == 0.0 and pair.psi[0] == 0.8
 
     def test_nonvanishing_cumulant_rejected(self):
@@ -131,28 +129,28 @@ class TestSubordinator:
 class TestProduct:
     def test_zero_vector(self, cir_process):
         p = ProductProcess([cir_process, cir_process])
-        pair = product_transform(p, 1.0, np.zeros(2))
+        pair = transform(p, 1.0, np.zeros(2))
         assert pair.phi == 0.0 and np.all(pair.psi == 0.0)
 
     def test_identical_factors_double_phi(self, cir_process):
         p = ProductProcess([cir_process, cir_process])
         v = 0.15
-        pair = product_transform(p, 2.0, np.array([v, v]))
-        single = cir_transform(cir_process, 2.0, v)
+        pair = transform(p, 2.0, np.array([v, v]))
+        single = transform(cir_process, 2.0, v)
         assert pair.phi == pytest.approx(2.0 * single.phi, rel=1e-14)
         assert pair.psi[0] == pair.psi[1] == single.psi[0]
 
     def test_single_factor_is_identity(self, gou_process):
         p = ProductProcess([gou_process])
-        pair = product_transform(p, 1.3, np.array([0.4]))
-        single = gamma_ou_transform(gou_process, 1.3, 0.4)
+        pair = transform(p, 1.3, np.array([0.4]))
+        single = transform(gou_process, 1.3, 0.4)
         assert pair.phi == single.phi and pair.psi[0] == single.psi[0]
 
     def test_mixed_factors_match_stacked_riccati(self, cir_process,
                                                  gou_process):
         p = ProductProcess([cir_process, gou_process])
         u = np.array([0.1, 0.3])
-        closed = product_transform(p, 1.0, u)
+        closed = transform(p, 1.0, u)
         ode = riccati_solve(p.riccati_rhs(), 1.0, u, tol=1e-12,
                             domain_sup=p.domain_sup)
         assert abs(closed.phi - ode.phi) < 1e-8
@@ -161,7 +159,7 @@ class TestProduct:
     def test_factor_error_carries_index(self, cir_process, gou_process):
         p = ProductProcess([cir_process, gou_process])
         with pytest.raises(DomainViolation, match="factor 1"):
-            product_transform(p, 1.0, np.array([0.1, 5.0]))
+            transform(p, 1.0, np.array([0.1, 5.0]))
 
     def test_two_factor_cir_constructor(self):
         p = two_factor_cir(0.5, 0.6, 0.25, 1.2, 0.4, 0.3)
