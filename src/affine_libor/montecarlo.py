@@ -282,16 +282,22 @@ def martingale_checks(m: CalibratedModel, ks, t: float, n_paths: int,
                       rng: RngStream) -> list[MartingaleReport]:
     """Weighted-mean tests of the martingale property of M^{u_k} at time t.
 
-    One simulation to time t serves every index k in ``ks``; the reports
-    come back in the order of ``ks``.
+    One simulation to time t serves every index k in ``ks``, and two
+    ``tilt_exponents`` calls (at t and at 0) serve every index; the
+    reports come back in the order of ``ks``.
     """
     _require_paths(n_paths)
+    ks = list(ks)
     grid_t = t if t > 0.0 else 0.0
     x = simulate_process(m.process, [grid_t], n_paths, rng).at(grid_t)
+    if not ks:
+        return []
+    phi_t, psi_t = tilt_exponents(m, t, ks)
+    phi_0, psi_0 = tilt_exponents(m, 0.0, ks)
     reports = []
-    for k in ks:
-        vals = martingale_values(m, k, t, x)
-        m0 = _initial_value(m, k)
+    for k, a_t, b_t, a_0, b_0 in zip(ks, phi_t, psi_t, phi_0, psi_0):
+        vals = np.exp(float(a_t) + x @ b_t)
+        m0 = math.exp(float(a_0 + np.dot(b_0, m.x0)))
         mean = float(vals.mean())
         stderr = float(vals.std(ddof=1) / math.sqrt(n_paths))
         z = 0.0 if stderr == 0.0 else (mean - m0) / stderr

@@ -1,10 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc
 from scipy.stats import ncx2
 
+from affine_libor import distributions
 from affine_libor.distributions import (ChiSqMixSpec, LsncChi2Params,
                                         chisq_mix_cdf, chisq_mix_sf, lsnc_cdf,
                                         lsnc_cgf, lsnc_sf, lsnc_tilt,
@@ -22,6 +27,103 @@ QUADRATURE_ORACLE = [
     (5.0, 20.0, 25.0, 0.5407136081145838),
     (7.0, 2.2, 9.2, 0.5669560582312693),
 ]
+
+
+def _mp_gamma_ratio(a, x, upper):
+    """Regularised incomplete gamma ratio by mpmath at 30 digits."""
+    with mpmath.workdps(30):
+        a, x = mpmath.mpf(float(a)), mpmath.mpf(float(x))
+        if upper:
+            return float(mpmath.gammainc(a, x, mpmath.inf, regularized=True))
+        return float(mpmath.gammainc(a, 0, x, regularized=True))
+
+
+class TestGammaRatios:
+    """``distributions.gammainc``/``gammaincc`` against independent oracles."""
+
+    @pytest.fixture(scope="class", params=["log-uniform", "transition"])
+    def grid(self, request):
+        # log-uniform shapes 1e-3..1e3 with log-uniform arguments
+        # 1e-4..1e4, or with arguments within 5 sqrt(a) of a, where P and
+        # Q are both far from 0 and 1 and every term of the sums counts
+        rng = np.random.default_rng(20261018)
+        if request.param == "log-uniform":
+            a = 10.0 ** rng.uniform(-3.0, 3.0, 400)
+            x = 10.0 ** rng.uniform(-4.0, 4.0, 400)
+        else:
+            # half the shapes in 1..20, where Gamma(a + 1) evaluated
+            # directly would cost several ulps
+            a = np.concatenate([10.0 ** rng.uniform(-3.0, 3.0, 200),
+                                10.0 ** rng.uniform(0.0, math.log10(20.0),
+                                                    200)])
+            x = np.maximum(a + np.sqrt(a) * rng.uniform(-5.0, 5.0, 400),
+                           1e-4)
+        refs = {upper: np.array([_mp_gamma_ratio(ai, xi, upper)
+                                 for ai, xi in zip(a, x)])
+                for upper in (False, True)}
+        return a, x, refs
+
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_against_mpmath(self, grid, upper):
+        a, x, refs = grid
+        ref = refs[upper]
+        ratio = distributions.gammaincc if upper else distributions.gammainc
+        # one call over all points, and one call per point (one shape)
+        for got in (ratio(a, x),
+                    np.array([ratio(ai, np.array([xi]))[0]
+                              for ai, xi in zip(a, x)])):
+            assert np.max(np.abs(got - ref)) <= 2e-15
+            tiny = ref < 1e-290
+            assert np.max(np.abs(got[~tiny] - ref[~tiny])
+                          / ref[~tiny]) <= 1e-11
+
+    def test_broadcasting_and_edges_like_scipy(self):
+        a = np.array([[0.5], [2.0], [30.0]])
+        x = np.array([0.0, 0.3, 4.0, 40.0, np.inf])
+        for ours, theirs in ((distributions.gammainc, scipy.special.gammainc),
+                             (distributions.gammaincc,
+                              scipy.special.gammaincc)):
+            got = ours(a, x)
+            assert got.shape == (3, 5)
+            np.testing.assert_allclose(got, theirs(a, x), rtol=1e-13,
+                                       atol=1e-15)
+            assert isinstance(ours(2.5, 1.0), float)
+            assert np.isnan(ours(-1.0, 1.0)) and np.isnan(ours(1.0, -1.0))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(nu_steps=st.integers(1, 50 * 1024),
+           alpha=st.floats(1e-3, 3000.0),
+           zs=st.lists(st.floats(-10.0, 12.0), min_size=1, max_size=5),
+           upper=st.booleans())
+    def test_window_recurrence_matches_per_shape(self, nu_steps, alpha, zs,
+                                                 upper):
+        # nu on a 1/1024 grid makes every shape nu/2 + j exact, so the
+        # recurrence and the per-shape sum see the same shapes
+        nu = nu_steps / 1024.0
+        sd = math.sqrt(2.0 * (nu + 2.0 * alpha))
+        x = np.maximum(nu + alpha + sd * np.array(zs), 1e-3)
+        j0, ws = distributions._poisson_window(alpha, 1e-13)
+        shapes = 0.5 * nu + j0 + np.arange(ws.size)
+        ratio = distributions.gammaincc if upper else distributions.gammainc
+        per_shape = ws @ ratio(shapes[:, None], 0.5 * x[None, :])
+        by_recurrence = distributions._poisson_gamma_series(
+            x, nu, alpha, upper, 1e-13)
+        assert np.max(np.abs(by_recurrence - per_shape)) <= 2e-15
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(nu=st.floats(1e-3, 50.0), alpha=st.floats(0.0, 3000.0),
+           zs=st.lists(st.floats(-12.0, 14.0), min_size=1, max_size=4),
+           left=st.floats(0.0, 8.0))
+    def test_ncchi2_against_scipy_ncx2(self, nu, alpha, zs, left):
+        # bulk and right tail by standard deviations, left tail by decades
+        mean = nu + alpha
+        sd = math.sqrt(2.0 * (nu + 2.0 * alpha))
+        x = np.append(np.maximum(mean + sd * np.array(zs), 1e-300),
+                      mean * 10.0 ** -left)
+        assert np.max(np.abs(ncchi2_sf(x, nu, alpha)
+                             - ncx2.sf(x, nu, alpha))) <= 1e-13
+        assert np.max(np.abs(ncchi2_cdf(x, nu, alpha)
+                             - ncx2.cdf(x, nu, alpha))) <= 1e-13
 
 
 class TestNcChi2:
@@ -56,6 +158,14 @@ class TestNcChi2:
             ncchi2_cdf(1.0, 0.0, 1.0)
         with pytest.raises(InvalidParameter):
             ncchi2_cdf(1.0, 2.0, -0.5)
+
+    def test_long_window_off_the_shape_grid(self):
+        # 600-term window starting at the non-dyadic shape 1276.19...: a
+        # shape ladder stepping by a rounded 1 instead of exact integers
+        # drifted by 2.8e-13 here
+        nu, alpha, x = 6.387779663826532, 2552.1118815943655, 2831.075476355937
+        assert abs(ncchi2_cdf(x, nu, alpha) - ncx2.cdf(x, nu, alpha)) <= 1e-13
+        assert abs(ncchi2_sf(x, nu, alpha) - ncx2.sf(x, nu, alpha)) <= 1e-13
 
     def test_large_noncentrality(self):
         assert ncchi2_cdf(1100.0, 1.5, 1000.0) == pytest.approx(

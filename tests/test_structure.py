@@ -3,10 +3,14 @@
 The change to a forward measure is one exponential tilt, evaluated by one
 kernel (``model.tilt_exponents``); only the transform layers
 (``affine_core``, ``processes``, ``model``) call ``transform``.  Helpers
-that existed only for tests stay deleted.
+that existed only for tests stay deleted.  The library runs on numpy
+alone: scipy is a test tool, never imported by ``affine_libor``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +41,40 @@ def test_test_only_helpers_are_gone(name):
     assert not hasattr(affine_libor, name)
     assert not hasattr(processes, name)
     assert not hasattr(montecarlo, name)
+
+
+def test_no_module_imports_scipy():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}: {name}" for name in names
+                          if name.split(".")[0] == "scipy"]
+    assert offenders == []
+
+
+def test_closed_caplet_runs_without_scipy():
+    """A fresh interpreter prices a closed caplet and never loads scipy."""
+    config = SRC.parents[1] / "configs" / "cir.cfg"
+    script = (
+        "import sys\n"
+        "import affine_libor\n"
+        "from affine_libor import cli\n"
+        f"status = cli.main(['caplet', '--config', {str(config)!r}, "
+        "'--method', 'closed'])\n"
+        "loaded = sorted(m for m in sys.modules\n"
+        "                if m.split('.')[0] == 'scipy')\n"
+        "print('SCIPY', loaded, status)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert "price = " in run.stdout
+    assert run.stdout.strip().splitlines()[-1] == "SCIPY [] 0"
