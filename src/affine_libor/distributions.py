@@ -167,7 +167,7 @@ def _gamma_prefactor(a, x, x_max=None):
     """
     if isinstance(a, float):
         if x_max is None:
-            x_max = x.max()
+            x_max = np.maximum.reduce(x)
         if a < _DIRECT_SHAPE and x_max < _EXP_ARG_MAX:
             return np.power(x, a) * np.exp(-x) / math.gamma(a + 1.0)
         a = np.full(x.shape, a)
@@ -243,8 +243,9 @@ def _prefactor_ladder(a, x, count: int, first):
                                      np.tile(x, starts.size)).reshape(
                                          shapes.shape)
         tail = d[head:].reshape(-1, step, x.size)
-        np.cumprod(tail, axis=1, out=tail)
-    np.cumprod(d[:head], axis=0, out=d[:head])
+        np.multiply.accumulate(tail, axis=1, out=tail)
+    chain = d[:head]
+    np.multiply.accumulate(chain, axis=0, out=chain)
     return d[:count]
 
 
@@ -322,8 +323,8 @@ def _gamma_ratio(a, x, upper: bool):
         a = float(a)
         # one shape over a vector of ordinary points: no masks needed
         if 0.0 < a < math.inf and x.ndim == 1 and x.size:
-            x_max = float(x.max())
-            if x.min() > 0.0 and x_max < math.inf:
+            x_max = float(np.maximum.reduce(x))
+            if np.minimum.reduce(x) > 0.0 and x_max < math.inf:
                 return _live_ratio(a, x, upper, x_max)
     a, x = np.broadcast_arrays(np.asarray(a, dtype=float), x)
     shape = x.shape
@@ -416,11 +417,12 @@ def _poisson_gamma_series(x, nu: float, alpha_nc: float, upper: bool,
     # several ulps.
     if upper:
         end = gammaincc(a0, half_x)
-        cum = np.cumsum(ws[::-1], dtype=np.longdouble)[::-1].astype(float)
+        cum = np.add.accumulate(ws[::-1], dtype=np.longdouble)[::-1].astype(
+            float)
         total, partial = cum[0], cum[1:]  # weight above each i
     else:
         end = gammainc(a0 + (ws.size - 1), half_x)
-        cum = np.cumsum(ws, dtype=np.longdouble).astype(float)
+        cum = np.add.accumulate(ws, dtype=np.longdouble).astype(float)
         total, partial = cum[-1], cum[:-1]  # weight at or below each i
     if ws.size == 1:
         return total * end
