@@ -166,9 +166,12 @@ def _gamma_prefactor(a, x, x_max=None):
     is exp(-a rlog(x / a) - theta(a)) / sqrt(2 pi a).
     """
     if isinstance(a, float):
+        if a >= _DIRECT_SHAPE:
+            return (np.exp(-a * _rlog(x, a) - _stirling_remainder(a))
+                    / math.sqrt(2.0 * math.pi * a))
         if x_max is None:
             x_max = np.maximum.reduce(x)
-        if a < _DIRECT_SHAPE and x_max < _EXP_ARG_MAX:
+        if x_max < _EXP_ARG_MAX:
             return np.power(x, a) * np.exp(-x) / math.gamma(a + 1.0)
         a = np.full(x.shape, a)
     d = np.empty_like(x)
@@ -184,7 +187,9 @@ def _gamma_prefactor(a, x, x_max=None):
     big = ~direct
     if np.count_nonzero(big):
         ab = a[big]
-        d[big] = (np.exp(-ab * _rlog(x[big], ab) - _stirling_remainder(ab))
+        shapes, inverse = np.unique(ab, return_inverse=True)
+        theta = _stirling_remainder(shapes)[inverse]
+        d[big] = (np.exp(-ab * _rlog(x[big], ab) - theta)
                   / np.sqrt(2.0 * math.pi * ab))
     return d
 
