@@ -160,7 +160,7 @@ class TestNcChi2:
             ncchi2_cdf(1.0, 2.0, -0.5)
 
     def test_long_window_off_the_shape_grid(self):
-        # 600-term window starting at the non-dyadic shape 1276.19...: a
+        # 532-term window from the non-dyadic shape 1022.19...: a
         # shape ladder stepping by a rounded 1 instead of exact integers
         # drifted by 2.8e-13 here
         nu, alpha, x = 6.387779663826532, 2552.1118815943655, 2831.075476355937
