@@ -13,8 +13,8 @@ Because psi is order-preserving this produces non-negative simple forward
 rates, and under the terminal measure the driving process stays
 time-homogeneous.  Calibration reduces to one increasing scalar equation
 per tenor date along a common direction in the transform domain; all of
-them share the horizon T_N, so one vector bisection solves them together
-(:func:`fit_term_structure`).  The change to the T_k-forward measure is an
+them share the horizon T_N, so one vectorised, bracketed secant solves
+them together (:func:`fit_term_structure`).  The change to the T_k-forward measure is an
 exponential tilt by psi_{T_N - t}(u_k), so the model stays affine under
 every forward measure.  One kernel, :func:`tilt_exponents`, evaluates
 these tilts for a set of tenor indices with one batched transform; the
@@ -121,7 +121,8 @@ class CalibratedModel:
     tenor: TenorStructure
     us: np.ndarray  # shape (N, d), row k-1 holds u_k; last row is zero
     # Fit diagnostics per tenor date k = 1..N (index k-1): the residual
-    # |M_0^{u_k} - B(0,T_k)/B(0,T_N)| and the bisection steps spent on it.
+    # |M_0^{u_k} - B(0,T_k)/B(0,T_N)| and the root-finding steps (batched
+    # transform evaluations) spent on it.
     # Dates fitted exactly by u_k = 0 record |1 - ratio| and zero steps.
     residuals: np.ndarray | None = None
     steps: np.ndarray | None = None
@@ -232,8 +233,9 @@ def _exponent_at_scale(process, horizon, x0, direction, c: float) -> float:
 
 
 def _find_direction_scale(process, horizon, x0, direction,
-                          log_target: float) -> float:
-    """Scale c with martingale exponent at c*direction above log_target.
+                          log_target: float):
+    """Scale c with martingale exponent at c*direction above log_target,
+    and that exponent.
 
     Approaches a finite domain boundary by halving the gap, doubles
     outward when the domain is unbounded.
@@ -243,11 +245,11 @@ def _find_direction_scale(process, horizon, x0, direction,
     for i in range(1, 61):
         c = cap * (1.0 - 2.0 ** -i) if math.isfinite(cap) else float(2 ** i)
         try:
-            if _exponent_at_scale(process, horizon, x0, direction, c) \
-                    > log_target + 1e-9:
-                return c
+            g = _exponent_at_scale(process, horizon, x0, direction, c)
         except AffineLiborError:
             break
+        if g > log_target + 1e-9:
+            return c, g
         if i >= 40 and not math.isfinite(cap):
             break
     raise InfeasibleCurve(
@@ -261,12 +263,18 @@ def fit_term_structure(tenor: TenorStructure, process, x0=None,
 
     Picks one direction u_+ > 0 whose martingale value exceeds the largest
     ratio B(0,T_1)/B(0,T_N), then solves the strictly increasing scalar
-    equations M_0^{xi_k u_+} = B(0,T_k)/B(0,T_N) for xi_k in (0, 1).  The
-    equations share the horizon T_N, so one vector bisection runs them
-    all: each step evaluates the transform once, on the tenor dates that
-    have not converged yet.  A date stops when its residual is at most
-    tol / 2, or after 200 steps.  u_N = 0 always; for a one-dimensional
-    driver the result is the unique fitting sequence.
+    equations M_0^{xi_k u_+} = B(0,T_k)/B(0,T_N) for xi_k in (0, 1), in
+    log form.  The equations share the horizon T_N, so one vectorised
+    secant runs them all: each step evaluates the transform once, on the
+    tenor dates that have not converged yet.  Each date keeps a bracket
+    and takes the Anderson-Bjorck (modified regula falsi) point inside it
+    (Anderson & Bjorck 1973, BIT 13), or the midpoint when that point
+    leaves the bracket or when two steps have halved neither the bracket
+    nor the residual, so no date is slower than bisection by more than a
+    constant factor.  A date stops when its residual is at most tol / 2,
+    when its bracket holds two adjacent floats, or after 200 steps.
+    u_N = 0 always; for a one-dimensional driver the result is the unique
+    fitting sequence.
 
     Parameters
     ----------
@@ -298,38 +306,73 @@ def fit_term_structure(tenor: TenorStructure, process, x0=None,
     if direction.shape != (d,) or np.any(direction <= 0.0):
         raise InvalidParameter("direction must be strictly positive, length d")
     horizon = tenor.date(n)
-    c_plus = _find_direction_scale(process, horizon, x0, direction,
-                                   math.log(ratios[0]))
+    c_plus, g_plus = _find_direction_scale(process, horizon, x0, direction,
+                                           math.log(ratios[0]))
 
+    # One lane per date solves f(xi) = exponent(xi c_+ u_+) - log target,
+    # increasing in xi, negative at xi = 0 (exponent 0) and positive at
+    # xi = 1 (the probe above): [lo, hi] = [0, 1] brackets every root.
     target = ratios[lanes]
-    lo, hi = np.zeros(lanes.size), np.ones(lanes.size)
-    xi, value, exponent = (np.empty(lanes.size) for _ in range(3))
-    live = np.arange(lanes.size)
+    log_target = np.log(target)
+    m = lanes.size
+    lo, hi = np.zeros(m), np.ones(m)
+    f_lo, f_hi = -log_target, g_plus - log_target
+    last = np.zeros(m, dtype=int)  # bracket side the previous step replaced
+    bisect = np.zeros(m, dtype=bool)
+    # bracket width and |f| at the iterate, one and two steps back
+    width_1, width_2 = np.ones(m), np.full(m, np.inf)
+    fabs_1, fabs_2 = np.full(m, np.inf), np.full(m, np.inf)
+    xi, resid = np.zeros(m), np.full(m, np.inf)  # best point so far
+    live = np.arange(m)
     for step in range(1, 201):
-        xi[live] = 0.5 * (lo[live] + hi[live])
-        phi, psi = phi_psi_batch(process, horizon,
-                                 (xi[live] * c_plus)[:, None] * direction)
-        # vecdot and math.exp repeat, lane by lane, the arithmetic of a
-        # scalar transform(...).exponent(x0) and its bisection.
-        exponent[live] = np.real(phi) + np.vecdot(np.real(psi), x0)
-        value[live] = [math.exp(g) for g in exponent[live]]
-        steps[lanes[live]] = step
-        live = live[np.abs(value[live] - target[live]) > 0.5 * tol]
+        a, b, fa, fb = lo[live], hi[live], f_lo[live], f_hi[live]
+        x = a - fa * (b - a) / (fb - fa)
+        x = np.where(bisect[live] | ~((a < x) & (x < b)), 0.5 * (a + b), x)
+        # a lane whose bracket holds two adjacent floats stops here
+        inside = (a < x) & (x < b)
+        live, x, a, b, fa, fb = (v[inside] for v in (live, x, a, b, fa, fb))
         if live.size == 0:
             break
-        below = value[live] < target[live]
-        lo[live[below]] = xi[live[below]]
-        hi[live[~below]] = xi[live[~below]]
-    failed = np.flatnonzero(np.abs(value - target) > tol)
+        phi, psi = phi_psi_batch(process, horizon,
+                                 (x * c_plus)[:, None] * direction)
+        g = np.real(phi) + np.vecdot(np.real(psi), x0)
+        r = np.abs(np.exp(g) - target[live])
+        better = r < resid[live]
+        xi[live[better]], resid[live[better]] = x[better], r[better]
+        steps[lanes[live]] = step
+        # Anderson-Bjorck: a step that replaces the same side as the step
+        # before scales down the value kept at the other end, so that the
+        # next secant point moves towards it.
+        fx = g - log_target[live]
+        below = fx < 0.0
+        side = np.where(below, -1, 1)
+        scale = 1.0 - fx / np.where(below, fa, fb)
+        scale = np.where(last[live] != side, 1.0,
+                         np.where(scale > 0.0, scale, 0.5))
+        lo[live], f_lo[live] = np.where(below, x, a), \
+            np.where(below, fx, fa * scale)
+        hi[live], f_hi[live] = np.where(below, b, x), \
+            np.where(below, fb * scale, fx)
+        last[live] = side
+        # Bisect next when two steps have halved neither the bracket nor
+        # |f|.  A secant converging from one side leaves the far end of the
+        # bracket in place, so the bracket alone would misjudge it.
+        width, fabs = hi[live] - lo[live], np.abs(fx)
+        bisect[live] = (width > 0.5 * width_2[live]) \
+            & (fabs > 0.5 * fabs_2[live])
+        width_2[live], width_1[live] = width_1[live], width
+        fabs_2[live], fabs_1[live] = fabs_1[live], fabs
+        live = live[r > 0.5 * tol]
+        if live.size == 0:
+            break
+    failed = np.flatnonzero(resid > tol)
     if failed.size:
         j = failed[0]
         raise ConvergenceFailure(
-            f"calibration residual {abs(value[j] - target[j]):.3e} above "
+            f"calibration residual {resid[j]:.3e} above "
             f"tolerance at index {lanes[j] + 1}")
     us[lanes] = (xi * c_plus)[:, None] * direction
-    # Residuals use np.exp, as martingale_value does; math.exp, which the
-    # bisection keeps for bit-identical us, can differ in the last bit.
-    residuals[lanes] = np.abs(np.exp(exponent) - target)
+    residuals[lanes] = resid
     return CalibratedModel(process, x0, tenor, us, residuals, steps)
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import (ChiSqMixSpec, LsncChi2Params, chisq_mix_sf,
-                            lsnc_sf)
+                            lsnc_sf, lsnc_tilt)
 from .errors import (AffineLiborError, ConvergenceFailure, DampingOutOfStrip,
                      InvalidParameter, ModelMismatch, NoSignChange,
                      OutOfBounds, QuadratureFailure)
@@ -304,15 +304,12 @@ def _factor_law(f: CirParams, x: float, t: float, scale: float,
     Under the terminal measure X_t / (eta^2 b(t)) is non-central
     chi-square with nu = lam theta / eta^2 degrees of freedom and
     non-centrality x a(t) / (eta^2 b(t)).  The T_k-forward measure tilts
-    it by theta = psi_{T_N - t}(u_k), which divides scale and
-    non-centrality by zeta = 1 - 2 eta^2 b(t) theta (:func:`lsnc_tilt`).
-    The products are kept unsplit here: Imhof's integral turns a last-bit
-    change of a mixture scale into visible noise on tiny prices.
+    it by theta = psi_{T_N - t}(u_k) (:func:`lsnc_tilt`).
     """
     eb = f.eta ** 2 * f.b(t)
-    zeta = 1.0 - 2.0 * eb * theta
-    return LsncChi2Params(0.0, scale * eb / zeta, f.lam * f.theta / f.eta ** 2,
-                          x * f.a(t) / (eb * zeta))
+    law = lsnc_tilt(LsncChi2Params(0.0, eb, f.lam * f.theta / f.eta ** 2,
+                                   x * f.a(t) / eb), theta)
+    return replace(law, sigma=scale * law.sigma)
 
 
 def _closed_row(m: CalibratedModel, k: int, bold: np.ndarray):
@@ -551,10 +548,15 @@ def black76_price(forward: float, strike: float, expiry: float, vol: float,
 def black76_implied_vol(price: float, forward_rate: float, strike: float,
                         expiry: float, annuity: float,
                         tol: float = 1e-10) -> float:
-    """Volatility reproducing ``price`` in Black's formula within ``tol``.
+    """Volatility reproducing ``price`` in Black's formula.
 
-    Newton iteration safeguarded by a maintained bracket; prices outside
-    the static bounds [intrinsic, annuity * forward] raise OutOfBounds.
+    Newton iteration safeguarded by a maintained bracket.  It stops when a
+    Newton step moves the vol by at most 1e-12 relative, when the price
+    residual is within a few ulps of the price, or when the bracket has
+    shrunk to 1e-12 relative; so the vol is resolved however small the
+    vega.  ``tol`` is the slack of the static bounds: prices outside
+    [intrinsic, annuity * forward] by more than ``tol`` raise OutOfBounds,
+    and a time value below ``tol / 100`` gives vol zero.
     """
     if annuity <= 0.0 or forward_rate <= 0.0 or strike <= 0.0:
         raise OutOfBounds("need positive annuity, forward and strike")
@@ -582,7 +584,7 @@ def black76_implied_vol(price: float, forward_rate: float, strike: float,
     sqrt_t = math.sqrt(expiry)
     for _ in range(100):
         diff = value(vol) - price
-        if abs(diff) <= tol:
+        if abs(diff) <= 4.0 * math.ulp(price):
             return vol
         if diff > 0.0:
             hi = vol
@@ -593,8 +595,15 @@ def black76_implied_vol(price: float, forward_rate: float, strike: float,
         vega = annuity * forward_rate * sqrt_t * \
             math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
         step = vol - diff / vega if vega > 1e-300 else math.nan
-        vol = step if lo < step < hi else 0.5 * (lo + hi)
-    raise ConvergenceFailure(f"implied vol did not reach |diff| <= {tol}")
+        if lo < step < hi:
+            if abs(step - vol) <= 1e-12 * vol:
+                return step
+            vol = step
+        else:
+            vol = 0.5 * (lo + hi)
+        if hi - lo <= 1e-12 * hi:
+            return vol
+    raise ConvergenceFailure("implied vol iteration did not settle")
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ aliased 7- and 15-point rules can agree while both are wrong.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -156,23 +157,59 @@ def adaptive_gauss_kronrod(f, a: float, b: float, abs_tol=0.0,
 _PHASE_STEP = 2e-3
 
 
-def _tail_by_parts(f, v: float):
+def _probe_step(v: float, omega) -> float:
+    """Difference step for the tail probe at v: 1e-3 max(v, 1), or, where
+    that would turn the fastest phase in ``omega`` (measured at the last
+    probe) by more than ``_PHASE_STEP``, the step turning it by half of
+    that; a steady phase then needs no re-probe."""
+    step = 1e-3 * max(v, 1.0)
+    fastest = float(np.max(omega, initial=0.0))
+    if fastest * step > _PHASE_STEP:
+        step = 0.5 * _PHASE_STEP / fastest
+    return step
+
+
+def _with_probe(f, v: float, step: float):
+    """``f`` with the tail probe at v riding along its first call.
+
+    Returns the integrand and a list that receives f at v - step, v and
+    v + step, evaluated in the same call as the first abscissae asked for.
+    """
+    points = np.array([v - step, v, v + step])
+    probed = []
+
+    # wraps keeps attributes the caller set on f (the benchmark's tracer
+    # marks integrands it has already wrapped)
+    @functools.wraps(f)
+    def integrand(x):
+        if probed:
+            return f(x)
+        raw = f(np.concatenate([x, points]))
+        probed.append(raw[x.size:])
+        return raw[:x.size]
+
+    return integrand, probed
+
+
+def _tail_by_parts(f, v: float, step: float, probed=()):
     """Two-term integration-by-parts estimate of ``int_v^inf f`` and the
     frequency |omega_j| of each component at v, both as arrays.
 
     Writes each component f_j = exp(i*omega_j*u) * h_j(u) with the
     instantaneous frequency omega_j = Im(f_j'/f_j) measured at u = v, which
-    makes h_j locally non-oscillatory; the difference step is shrunk until
-    it turns the fastest phase by at most ``_PHASE_STEP``, since the error
-    of omega enters the tail relative.  Integration by parts is only
-    trustworthy when the phase turns much faster than the amplitude decays
-    (1/omega^2 blows up otherwise); slow-phase tails fall back to the
-    power-law closure int_v^inf A u^-p du = f(v) v / (p - 1), which is
-    exact for a pure power integrand.
+    makes h_j locally non-oscillatory.  The central difference starts from
+    ``step`` (on the values ``probed`` at v - step, v, v + step, if given)
+    and is shrunk until it turns the fastest phase by at most
+    ``_PHASE_STEP``, since the error of omega enters the tail relative.
+    Integration by parts is only trustworthy when the phase turns much
+    faster than the amplitude decays (1/omega^2 blows up otherwise);
+    slow-phase tails fall back to the power-law closure
+    int_v^inf A u^-p du = f(v) v / (p - 1), which is exact for a pure
+    power integrand.
     """
-    step = 1e-3 * max(v, 1.0)
     for _ in range(8):
-        raw = f(np.array([v - step, v, v + step]))
+        raw = probed[0] if probed else f(np.array([v - step, v, v + step]))
+        probed = ()
         c_m, c_0, c_p = _components(raw, 3).astype(complex)
         live = np.abs(c_0) >= 1e-300
         c_0 = np.where(live, c_0, 1.0)
@@ -204,16 +241,22 @@ def semi_infinite_oscillatory(f, initial_width: float = 64.0,
     drives refinement; doubling stops when every component has settled.
     Segment [V, 2V] starts from panels one period wide at the fastest
     unsettled frequency measured at V (at most ``max_panels // 2``), so
-    that no starting panel aliases the oscillation.  The reported error
-    is quadrature error plus the consistency gap at settling, so a caller
-    can always judge whether the target was met.
+    that no starting panel aliases the oscillation.  The tail probe at
+    the end of each segment rides along the segment's first integrand
+    call, with its difference step taken from the frequency measured at
+    the segment's start, so a steady phase costs no probe-only call after
+    the head.  The reported error is quadrature error plus the
+    consistency gap at settling, so a caller can always judge whether the
+    target was met.
     """
     v = float(initial_width)
-    head, head_err = adaptive_gauss_kronrod(f, 0.0, v, rel_tol=rel_tol * 0.1,
+    step = _probe_step(v, ())
+    g, probed = _with_probe(f, v, step)
+    head, head_err = adaptive_gauss_kronrod(g, 0.0, v, rel_tol=rel_tol * 0.1,
                                             abs_tol=abs_tol * 0.1,
                                             max_panels=max_panels)
     total, qerr = np.atleast_1d(head), np.atleast_1d(head_err)
-    tail, omega = _tail_by_parts(f, v)
+    tail, omega = _tail_by_parts(f, v, step, probed)
     value, err = total + tail, np.full(total.shape, np.inf)
     gap = err
     unsettled = np.ones(total.shape, dtype=bool)
@@ -222,14 +265,16 @@ def semi_infinite_oscillatory(f, initial_width: float = 64.0,
         fastest = np.max(omega, where=unsettled, initial=0.0)
         n = max(1, int(np.ceil(np.fmin(fastest * v / (2.0 * np.pi),
                                        max_panels // 2))))
+        step = _probe_step(2.0 * v, omega)
+        g, probed = _with_probe(f, 2.0 * v, step)
         # a component can take a dozen doublings to settle, so each
         # segment may spend a twentieth of its budget
         seg, serr = adaptive_gauss_kronrod(
-            f, v, 2.0 * v, rel_tol=rel_tol * 0.1,
+            g, v, 2.0 * v, rel_tol=rel_tol * 0.1,
             abs_tol=np.where(unsettled, budget * 0.05, np.inf),
             max_panels=max_panels,
             breakpoints=np.linspace(v, 2.0 * v, n + 1)[1:-1])
-        tail_next, omega = _tail_by_parts(f, 2.0 * v)
+        tail_next, omega = _tail_by_parts(f, 2.0 * v, step, probed)
         gap = np.abs(tail - (seg + tail_next))
         total = total + seg
         qerr = qerr + serr

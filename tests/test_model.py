@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from affine_libor import model as model_module
 from affine_libor.affine_core import transform
 from affine_libor.errors import (ConvergenceFailure, DomainViolation,
                                  HorizonViolation, InfeasibleCurve,
@@ -193,36 +192,6 @@ class TestFitTermStructure:
             fit_term_structure(tenor, spec)
 
 
-def scalar_fit_us(tenor, process, x0=None, tol=1e-12, direction=None):
-    """Reference fit: one scalar bisection per tenor date, in date order."""
-    x0 = process.initial_state() if x0 is None else np.asarray(x0, float)
-    direction = np.ones(process.dim) if direction is None \
-        else np.asarray(direction, float)
-    ratios, n = tenor.ratios(), tenor.n_periods
-    horizon = tenor.date(n)
-    c_plus = model_module._find_direction_scale(
-        process, horizon, x0, direction, math.log(ratios[0]))
-    us = np.zeros((n, process.dim))
-    for k in range(1, n):
-        target = ratios[k - 1]
-        if abs(target - 1.0) <= 1e-13:
-            continue
-        lo, hi = 0.0, 1.0
-        for _ in range(200):
-            xi = 0.5 * (lo + hi)
-            pair = transform(process, horizon, xi * c_plus * direction,
-                             horizon=horizon)
-            value = math.exp(float(np.real(pair.exponent(x0))))
-            if abs(value - target) <= 0.5 * tol:
-                break
-            if value < target:
-                lo = xi
-            else:
-                hi = xi
-        us[k - 1] = xi * c_plus * direction
-    return us
-
-
 def riccati_copy(process):
     """The same driver with every transform going through the ODE solver."""
     return RiccatiProcess(process.riccati_rhs(), process.domain_sup,
@@ -232,9 +201,8 @@ def riccati_copy(process):
 class TestVectorFit:
     @pytest.mark.parametrize("case", ["cir", "gamma_ou", "cir_2f",
                                       "cir_2f_tilted", "riccati_cir"])
-    def test_equals_scalar_bisection_bit_for_bit(self, tenor, cir_process,
-                                                 gou_process, cir2f_model,
-                                                 case):
+    def test_matches_brentq_oracle(self, tenor, cir_process, gou_process,
+                                   cir2f_model, case):
         process, x0, direction = {
             "cir": (cir_process, None, None),
             "gamma_ou": (gou_process, None, None),
@@ -244,8 +212,29 @@ class TestVectorFit:
         }[case]
         fitted = fit_term_structure(tenor, process, x0=x0,
                                     direction=direction)
-        ref = scalar_fit_us(tenor, process, x0=x0, direction=direction)
-        assert np.array_equal(fitted.us, ref)
+        x0 = process.initial_state() if x0 is None else np.asarray(x0)
+        direction = np.ones(process.dim) if direction is None \
+            else np.asarray(direction)
+        horizon = tenor.date(10)
+
+        def m0(s):
+            pair = transform(process, horizon, s * direction, horizon=horizon)
+            return math.exp(float(np.real(pair.exponent(x0))))
+
+        # the fit moves along u = s * direction; the oracle solves for s
+        scales = fitted.us[:, 0] / direction[0]
+        assert np.allclose(fitted.us, scales[:, None] * direction,
+                           rtol=1e-15, atol=0.0)
+        for k in range(1, 10):
+            target = tenor.ratios()[k - 1]
+            oracle = brentq(lambda s: m0(s) - target, 0.0, 1.01 * scales[0],
+                            xtol=1e-15)
+            assert scales[k - 1] == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+    def test_bundled_drivers_take_few_steps(self, cir_model, gou_model,
+                                            cir2f_model):
+        for m in (cir_model, gou_model, cir2f_model):
+            assert np.all((m.steps[:-1] >= 1) & (m.steps[:-1] <= 10))
 
     def test_diagnostics(self, cir_model, tenor):
         ratios = tenor.ratios()
@@ -282,7 +271,8 @@ class TestVectorFit:
                                                    c, x0, second):
         m = fit_term_structure(tenor, admissible_driver(family, a, b, c, x0,
                                                         second))
-        assert np.all(m.residuals <= 1e-12)
+        assert np.all(m.residuals <= 0.5e-12)
+        assert np.all(m.steps <= 16)
         assert np.all(np.diff(m.us, axis=0) < 0.0)
         assert np.all(m.us[-1] == 0.0)
 

@@ -340,6 +340,29 @@ class TestBlack76:
             back = black76_price(fwd, strike, expiry, implied, annuity)
             assert abs(back - price) <= 1e-10
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(fwd=st.floats(0.001, 0.1), strike=st.floats(0.001, 0.1),
+           expiry=st.floats(0.05, 10.0), vol=st.floats(0.01, 3.0),
+           annuity=st.floats(0.1, 1.0))
+    def test_price_vol_price_round_trip(self, fwd, strike, expiry, vol,
+                                        annuity):
+        # The vol is resolved to about 1e-12 relative whatever the vega,
+        # so the price comes back to within the rounding of Black's
+        # formula, not to within the bound-check slack of 1e-10.
+        price = black76_price(fwd, strike, expiry, vol, annuity)
+        implied = black76_implied_vol(price, fwd, strike, expiry, annuity)
+        back = black76_price(fwd, strike, expiry, implied, annuity)
+        total = vol * math.sqrt(expiry)
+        d1 = (math.log(fwd / strike) + 0.5 * total * total) / total
+        vega = annuity * fwd * math.sqrt(expiry) \
+            * math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+        rounding = 8.0 * math.ulp(price) + 2e-15 * annuity * fwd
+        if implied == 0.0:  # time value below the snap to zero
+            rounding += 1e-12
+        assert abs(back - price) <= rounding + 1e-11 * vega * vol
+        if vega * vol > 1e-6 * annuity * fwd:  # well above the rounding
+            assert implied == pytest.approx(vol, rel=1e-9)
+
     def test_out_of_bounds(self):
         with pytest.raises(OutOfBounds):
             black76_implied_vol(0.5, 0.04, 0.03, 2.0, 0.48)

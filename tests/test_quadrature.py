@@ -116,3 +116,41 @@ class TestPowerLawTail:
         value, err = semi_infinite_oscillatory(
             lambda v: np.exp(1j * w * v) / (1.0 + v) ** 2, rel_tol=1e-10)
         assert abs(value - power_law_exact(w)) <= err <= 1e-10 * abs(value)
+
+
+class TestTailProbes:
+    """A steady phase needs no probe-only integrand call after the head:
+    each tail probe rides along its segment's first call."""
+
+    @staticmethod
+    def calls_after_head(f, **kwargs):
+        sizes, reach = [], []
+
+        def counted(v):
+            sizes.append(v.size)
+            reach.append(v.max())
+            return f(v)
+
+        value, err = semi_infinite_oscillatory(counted, **kwargs)
+        width = kwargs.get("initial_width", 64.0)
+        first = next(i for i, r in enumerate(reach) if r > 1.5 * width)
+        return value, err, sizes[first:]
+
+    def test_vector_integrand(self):
+        def f(v):
+            return np.exp(1j * POWER_OMEGAS[None, :] * v[:, None]) \
+                / (1.0 + v[:, None]) ** 2
+
+        value, err, later = self.calls_after_head(f, rel_tol=1e-10)
+        # several doublings, each probing its tail in its first call
+        assert sum(size % 15 == 3 for size in later) >= 3
+        assert 3 not in later
+        assert np.all(np.abs(value - power_law_exact(POWER_OMEGAS)) <= err)
+
+    @pytest.mark.parametrize("w", [1.0, 10.0])
+    def test_scalar_integrand(self, w):
+        value, err, later = self.calls_after_head(
+            lambda v: np.exp(1j * w * v) / (1.0 + v) ** 2, rel_tol=1e-10)
+        assert sum(size % 15 == 3 for size in later) >= 3
+        assert 3 not in later
+        assert abs(value - power_law_exact(w)) <= err
