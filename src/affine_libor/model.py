@@ -14,13 +14,13 @@ rates, and under the terminal measure the driving process stays
 time-homogeneous.  Calibration reduces to one increasing scalar equation
 per tenor date along a common direction in the transform domain; all of
 them share the horizon T_N, so one vectorised, bracketed secant solves
-them together (:func:`fit_term_structure`).  The change to the T_k-forward measure is an
-exponential tilt by psi_{T_N - t}(u_k), so the model stays affine under
-every forward measure.  One kernel, :func:`tilt_exponents`, evaluates
-these tilts for a set of tenor indices with one batched transform; the
-forward-price exponents, the forward-measure transforms, the
-forward-price MGF and every pricer and Monte Carlo weight take their
-tilts from it.
+them together (:func:`fit_term_structure`).  The change to the
+T_k-forward measure is an exponential tilt by psi_{T_N - t}(u_k), so the
+model stays affine under every forward measure.  One kernel,
+:func:`tilt_exponents`, evaluates these tilts for a set of tenor indices
+with one batched transform; the forward-price exponents, the
+forward-measure transforms, the forward-price MGF and every pricer and
+Monte Carlo weight take their tilts from it.
 """
 
 from __future__ import annotations

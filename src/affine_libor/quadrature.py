@@ -191,15 +191,15 @@ def _with_probe(f, v: float, step: float):
     return integrand, probed
 
 
-def _tail_by_parts(f, v: float, step: float, probed=()):
+def _tail_by_parts(f, v: float, step: float, probed):
     """Two-term integration-by-parts estimate of ``int_v^inf f`` and the
     frequency |omega_j| of each component at v, both as arrays.
 
     Writes each component f_j = exp(i*omega_j*u) * h_j(u) with the
     instantaneous frequency omega_j = Im(f_j'/f_j) measured at u = v, which
     makes h_j locally non-oscillatory.  The central difference starts from
-    ``step`` (on the values ``probed`` at v - step, v, v + step, if given)
-    and is shrunk until it turns the fastest phase by at most
+    ``step``, on the values at v - step, v, v + step that ``probed`` holds
+    (evaluated here if it is empty), and is shrunk until it turns the fastest phase by at most
     ``_PHASE_STEP``, since the error of omega enters the tail relative.
     Integration by parts is only trustworthy when the phase turns much
     faster than the amplitude decays (1/omega^2 blows up otherwise);

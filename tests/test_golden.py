@@ -4,7 +4,9 @@ The recordings under ``tests/data/golden/`` are the stdout (and, for
 ``calibrate``, the written u-sequence; for ``surface``, the written CSV)
 of each command below.  A change
 that is meant to leave results alone must leave these bytes alone; a
-change that moves them on purpose re-records them and says why.
+change that moves them on purpose re-records them with
+``tests/record_golden.py``, which prints how far each file moved, and
+says why.
 
 Each config runs with its tenor file made absolute and ``mc.paths``
 lowered so that ``validate`` stays fast; the seed is fixed on the
