@@ -7,8 +7,8 @@ inversion and by non-central chi-square closed forms, and an exact-
 transition Monte Carlo oracle for validation.
 """
 
-from .affine_core import (DomainSpec, RiccatiRhs, TransformPair,
-                          check_semiflow, riccati_solve, transform)
+from .affine_core import (RiccatiRhs, TransformPair, check_semiflow,
+                          riccati_solve, transform)
 from .distributions import (ChiSqMixSpec, LsncChi2Params, chisq_mix_cdf,
                             chisq_mix_sf, lsnc_cdf, lsnc_cgf, lsnc_sf,
                             lsnc_tilt, ncchi2_cdf, ncchi2_sf)
@@ -20,9 +20,8 @@ from .errors import (AffineLiborError, BlowUp, ConvergenceFailure,
                      StepUnderflow)
 from .model import (CalibratedModel, ForwardExponents, TenorStructure,
                     estimate_gamma_x, fit_term_structure, forward_exponents,
-                    forward_measure_exponents, forward_price_mgf,
-                    libor_rate, libor_lower_bound, martingale_value,
-                    tilt_exponents)
+                    forward_price_mgf, libor_rate, libor_lower_bound,
+                    martingale_value, tilt_exponents)
 from .montecarlo import (MartingaleReport, PathBatch, RngStream, agrees,
                          forward_measure_weights, martingale_check,
                          martingale_checks, mc_caplet, mc_price, mc_swaption,

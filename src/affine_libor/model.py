@@ -19,8 +19,10 @@ T_k-forward measure is an exponential tilt by psi_{T_N - t}(u_k), so the
 model stays affine under every forward measure.  One kernel,
 :func:`tilt_exponents`, evaluates these tilts for a set of tenor indices
 with one batched transform; the forward-price exponents, the
-forward-measure transforms, the forward-price MGF and every pricer and
-Monte Carlo weight take their tilts from it.
+forward-price MGF and every pricer and Monte Carlo weight take their
+tilts from it.  Every batched transform is one call of
+:func:`~affine_libor.affine_core.phi_psi_batch`: the closed form, or one
+batched Riccati solve for drivers without one.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine_core import TransformPair, transform
+from .affine_core import phi_psi_batch, transform
 from .errors import (AffineLiborError, ConvergenceFailure, DomainViolation,
                      HorizonViolation, InfeasibleCurve, InvalidParameter,
                      NonMonotoneCurve)
@@ -160,28 +162,6 @@ class CalibratedModel:
 
     def bond0(self, k: int) -> float:
         return self.tenor.bond(k)
-
-
-def phi_psi_batch(process, t: float, u_batch: np.ndarray):
-    """(phi, psi) over a batch of arguments, shape (..., d); domain-checked.
-
-    The Fourier pricers drive this with complex batches; processes without
-    a closed form fall back to one Riccati solve per point.
-    """
-    sup = process.domain_sup(t)
-    if np.any(np.real(u_batch) >= sup):
-        raise DomainViolation(
-            f"batch leaves the transform domain at horizon {t}")
-    if getattr(process, "has_closed_form", False):
-        return process.phi_psi(t, u_batch)
-    flat = u_batch.reshape(-1, process.dim)
-    phi = np.empty(flat.shape[0], dtype=complex)
-    psi = np.empty(flat.shape, dtype=complex)
-    for i, u in enumerate(flat):
-        pair = transform(process, t, u)
-        phi[i], psi[i] = pair.phi, pair.psi
-    return (phi.reshape(u_batch.shape[:-1]),
-            psi.reshape(u_batch.shape))
 
 
 def martingale_value(m: CalibratedModel, t: float, x, u) -> float:
@@ -429,27 +409,6 @@ def libor_lower_bound(m: CalibratedModel, k: int, t: float) -> float:
     """
     fe = forward_exponents(m, k, k + 1, t)
     return (math.exp(fe.A) - 1.0) / m.delta
-
-
-def forward_measure_exponents(m: CalibratedModel, k: int, t: float,
-                              v) -> TransformPair:
-    """Transform pair of X_t under the T_k-forward measure.
-
-    The measure change from the terminal measure is an exponential tilt
-    by psi_{T_N - t}(u_k):
-
-        phi^k_t(v) = phi_t(psi_{T_N - t}(u_k) + v) - phi_t(psi_{T_N - t}(u_k))
-
-    and the same difference for psi.  A DomainViolation here means v lies
-    outside the tilted domain.
-    """
-    if t < 0.0 or t > m.tenor.date(k) + 1e-12:
-        raise HorizonViolation(f"t={t} outside [0, T_{k}]")
-    v = np.atleast_1d(np.asarray(v))
-    w = tilt_exponents(m, t, (k,))[1][0]
-    shifted = transform(m.process, t, w + v, horizon=m.horizon)
-    base = transform(m.process, t, w, horizon=m.horizon)
-    return TransformPair(shifted.phi - base.phi, shifted.psi - base.psi)
 
 
 def forward_price_mgf(m: CalibratedModel, k: int, t: float, v):

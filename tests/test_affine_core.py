@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from affine_libor.affine_core import (DomainSpec, RiccatiRhs, TransformPair,
-                                      check_semiflow, riccati_solve,
-                                      transform)
+from affine_libor.affine_core import (RiccatiRhs, TransformPair,
+                                      check_semiflow, phi_psi_batch,
+                                      riccati_solve, transform)
 from affine_libor.errors import (BlowUp, DomainViolation, HorizonViolation,
                                  InvalidParameter)
+from affine_libor.processes import RiccatiProcess, two_factor_cir
+from test_model import DRIVER_ARGS, admissible_driver
 
 
 def scipy_riccati_oracle(rhs, t, u, dim=1):
@@ -60,6 +64,10 @@ class TestTransform:
             pair.phi + 2.0 * pair.psi[0])
 
 
+# dpsi/dt = psi^2: psi_t(u) = u / (1 - u t) explodes at t = 1/u
+SQUARE = RiccatiRhs(lambda u: 0.0 * u[..., 0], lambda u: u * u, dim=1)
+
+
 class TestRiccatiSolve:
     def test_cir_matches_closed_form(self, cir_process):
         closed = transform(cir_process, 1.0, 0.1)
@@ -106,14 +114,81 @@ class TestRiccatiSolve:
                           domain_sup=cir_process.domain_sup)
 
     def test_blow_up_without_bound_via_growth_guard(self):
-        rhs = RiccatiRhs(lambda u: 0.0 * u[..., 0],
-                         lambda u: u * u, dim=1)
         with pytest.raises(BlowUp):
-            riccati_solve(rhs, 3.0, 1.0)  # dpsi/dt = psi^2 explodes at t=1
+            riccati_solve(SQUARE, 3.0, 1.0)  # dpsi/dt = psi^2 explodes at t=1
 
     def test_invalid_tol(self, cir_process):
         with pytest.raises(InvalidParameter):
             riccati_solve(cir_process.riccati_rhs(), 1.0, 0.1, tol=0.0)
+
+
+class TestBatch:
+    """``riccati_solve`` over many lanes; the checks of ``phi_psi_batch``."""
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(**DRIVER_ARGS, t=st.floats(0.05, 5.0),
+           lanes=st.lists(st.tuples(st.floats(-1.0, 0.8),
+                                    st.floats(-30.0, 30.0)),
+                          min_size=1, max_size=4))
+    def test_lanes_match_closed_form_and_own_solve(self, family, a, b, c,
+                                                   x0, second, t, lanes):
+        proc = admissible_driver(family, a, b, c, x0, second)
+        sup = proc.domain_sup(t)
+        # lane i takes Re u = frac * sup in every factor, Im u rolled
+        re = np.array([frac for frac, _ in lanes])[:, None] * sup
+        im = np.array([[lanes[(i + j) % len(lanes)][1]
+                        for j in range(proc.dim)]
+                       for i in range(len(lanes))])
+        u = re + 1j * im
+        rhs = proc.riccati_rhs()
+        phi, psi = riccati_solve(rhs, t, u, domain_sup=proc.domain_sup)
+        assert phi.shape == (len(lanes),) and psi.shape == u.shape
+        ref_phi, ref_psi = proc.phi_psi(t, u)
+        for i in range(len(lanes)):
+            # each lane keeps its own step: the batch changes no bit
+            alone = riccati_solve(rhs, t, u[i], domain_sup=proc.domain_sup)
+            assert phi[i] == alone.phi and np.array_equal(psi[i], alone.psi)
+            for got, want in ((phi[i], ref_phi[i]), (psi[i], ref_psi[i])):
+                assert np.max(np.abs(got - want)) <= \
+                    1e-10 * (1.0 + np.max(np.abs(want)))
+
+    def test_single_lane_is_a_transform_pair(self, cir_process):
+        rhs = cir_process.riccati_rhs()
+        pair = riccati_solve(rhs, 1.2, np.array([0.1 + 2.0j]))
+        phi, psi = riccati_solve(rhs, 1.2, np.array([[0.1 + 2.0j]]))
+        assert isinstance(pair, TransformPair)
+        assert pair.phi == phi[0] and np.array_equal(pair.psi, psi[0])
+
+    def test_blow_up_names_the_lane(self):
+        with pytest.raises(BlowUp, match="^lane 1: "):
+            riccati_solve(SQUARE, 3.0, np.array([[0.1], [1.0]]))
+        phi, psi = riccati_solve(SQUARE, 3.0, np.array([[0.1], [0.2]]))
+        assert psi[:, 0] == pytest.approx([0.1 / 0.7, 0.2 / 0.4], rel=1e-10)
+
+    def test_negative_horizon(self, cir_process):
+        with pytest.raises(HorizonViolation):
+            phi_psi_batch(cir_process, -0.5, np.array([[0.1], [0.2]]))
+
+    def test_domain_violation_names_lane_and_factor(self):
+        proc = two_factor_cir(0.5, 0.6, 0.25, 1.2, 0.4, 0.3)
+        u = np.array([[0.1, 0.1], [0.1, 0.1], [0.1, 50.0]])
+        with pytest.raises(DomainViolation, match="^lane 2, factor 1: "):
+            phi_psi_batch(proc, 1.0, u)
+
+    def test_one_riccati_solve_per_batch(self, cir_process, monkeypatch):
+        from affine_libor import affine_core
+        calls = []
+        solve = affine_core.riccati_solve
+        monkeypatch.setattr(affine_core, "riccati_solve",
+                            lambda *a, **k: calls.append(1) or solve(*a, **k))
+        proc = RiccatiProcess(cir_process.riccati_rhs(),
+                              cir_process.domain_sup)
+        u = np.array([[0.1], [-0.3 + 4.0j], [0.05 - 1.0j]])
+        phi, psi = phi_psi_batch(proc, 2.0, u)
+        assert len(calls) == 1
+        ref_phi, ref_psi = cir_process.phi_psi(2.0, u)
+        assert np.max(np.abs(psi - ref_psi)) < 1e-11
+        assert np.max(np.abs(phi - ref_phi)) < 1e-11
 
 
 class TestSemiflow:
@@ -167,11 +242,18 @@ class TestTypes:
             RiccatiRhs(lambda u: u[..., 0] + 1.0, lambda u: u, dim=1)
 
     def test_domain_spec_needs_interior_zero(self):
+        # a domain bound of 0 leaves no neighbourhood of u = 0
+        decay = RiccatiRhs(lambda u: 0.0 * u[..., 0], lambda u: -u, dim=1)
+        flat = RiccatiProcess(decay, lambda t: np.array([0.0]))
         with pytest.raises(InvalidParameter):
-            DomainSpec(np.array([0.0]), 1.0)
-        spec = DomainSpec(np.array([0.5]), 1.0)
-        assert spec.contains(np.array([0.4]))
-        assert not spec.contains(np.array([0.5]))
+            transform(flat, 1.0, -0.1)
+        with pytest.raises(InvalidParameter):
+            phi_psi_batch(flat, 1.0, np.array([[-0.1], [-0.2]]))
+        half = RiccatiProcess(decay, lambda t: np.array([0.5]))
+        assert transform(half, 1.0, 0.4).psi[0] == \
+            pytest.approx(0.4 * np.exp(-1.0), rel=1e-10)
+        with pytest.raises(DomainViolation):
+            transform(half, 1.0, 0.5)
 
     def test_transform_pair_is_frozen(self):
         pair = TransformPair(0.0, np.zeros(1))

@@ -12,9 +12,8 @@ from affine_libor.errors import (ConvergenceFailure, DomainViolation,
                                  InvalidParameter, NonMonotoneCurve)
 from affine_libor.model import (TenorStructure, estimate_gamma_x,
                                 fit_term_structure, forward_exponents,
-                                forward_measure_exponents, forward_price_mgf,
-                                libor_lower_bound, libor_rate,
-                                martingale_value, tilt_exponents)
+                                forward_price_mgf, libor_lower_bound,
+                                libor_rate, martingale_value, tilt_exponents)
 from affine_libor.montecarlo import RngStream, forward_measure_weights, \
     simulate_process
 from affine_libor.processes import (CirParams, GammaOuParams,
@@ -369,36 +368,6 @@ class TestLiborRate:
             assert bound >= 0.0
             assert libor_rate(cir_model, k, 0.3, [0.0]) == \
                 pytest.approx(bound, rel=1e-12)
-
-
-class TestForwardMeasure:
-    def test_zero_argument_normalisation(self, cir_model):
-        pair = forward_measure_exponents(cir_model, 4, 1.0, [0.0])
-        assert pair.phi == pytest.approx(0.0, abs=1e-15)
-        assert pair.psi[0] == pytest.approx(0.0, abs=1e-15)
-
-    def test_terminal_index_reduces_to_plain_transform(self, cir_model):
-        v = 0.04
-        pair = forward_measure_exponents(cir_model, 10, 1.5, [v])
-        plain = transform(cir_model.process, 1.5, [v])
-        assert pair.phi == pytest.approx(plain.phi, rel=1e-13)
-        assert pair.psi[0] == pytest.approx(plain.psi[0], rel=1e-13)
-
-    def test_against_weighted_monte_carlo(self, cir_model):
-        k, t, v = 5, 1.0, 0.05
-        pair = forward_measure_exponents(cir_model, k, t, [v])
-        exact = math.exp(pair.phi + pair.psi[0] * float(cir_model.x0[0]))
-        batch = simulate_process(cir_model.process, [t], 400_000,
-                                 RngStream(2024, 3))
-        x = batch.at(t)
-        w = forward_measure_weights(cir_model, k, t, x)
-        samples = w * np.exp(v * x[:, 0])
-        se = samples.std(ddof=1) / math.sqrt(samples.size)
-        assert abs(samples.mean() - exact) <= 3.0 * se
-
-    def test_domain_violation(self, cir_model):
-        with pytest.raises(DomainViolation):
-            forward_measure_exponents(cir_model, 2, 1.0, [3.0])
 
 
 class TestForwardPriceMgf:

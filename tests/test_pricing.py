@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affine_libor.cli import RunConfig
 from affine_libor.errors import (DampingOutOfStrip, InvalidParameter,
                                  ModelMismatch, NoSignChange, OutOfBounds)
 from affine_libor.model import fit_term_structure, martingale_value
@@ -12,11 +14,14 @@ from affine_libor.montecarlo import RngStream, mc_caplet, mc_swaption
 from affine_libor.pricing import (CapletSpec, QuadratureSettings,
                                   SwaptionSpec, black76_implied_vol,
                                   black76_price, caplet_cir2f_closed,
-                                  caplet_cir_closed, caplet_fourier,
+                                  caplet_cir_closed, caplet_closed,
+                                  caplet_fourier,
                                   floorlet_cir_closed, floorlet_fourier,
                                   swaption_cir_closed, swaption_fourier,
                                   swaption_root, vol_surface)
-from affine_libor.processes import CirParams
+from affine_libor.processes import CirParams, RiccatiProcess
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # The bundled surface grids (configs/cir.cfg, configs/gamma_ou.cfg).
 CIR_GRID = 0.01 + 0.005 * np.arange(11)
@@ -102,6 +107,19 @@ class TestCapletFourier:
                              QuadratureSettings(rel_tol=1e-6))
         ref = caplet_fourier(gou_model, CapletSpec(2, 0.05))
         assert ode.price == pytest.approx(ref.price, rel=1e-4)
+
+    def test_riccati_only_bundled_cir_at_default_tolerance(self):
+        # Every transform of the copy is a batched Riccati solve; the
+        # closed form prices the original within the reported error.
+        cfg = RunConfig.from_file(str(CONFIGS / "cir.cfg"))
+        twin = cfg.process
+        proc = RiccatiProcess(twin.riccati_rhs(), twin.domain_sup, twin.x0)
+        model = fit_term_structure(cfg.tenor, proc, x0=cfg.x0,
+                                   tol=cfg.calibration_tol)
+        spec = CapletSpec(2, 0.03)
+        ode = caplet_fourier(model, spec)
+        closed = caplet_closed(cfg.calibrate(), spec)
+        assert abs(ode.price - closed.price) <= ode.error_estimate + 1e-13
 
 
 class TestFloorlet:

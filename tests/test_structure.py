@@ -2,8 +2,10 @@
 
 The change to a forward measure is one exponential tilt, evaluated by one
 kernel (``model.tilt_exponents``); only the transform layers
-(``affine_core``, ``processes``, ``model``) call ``transform``.  Helpers
-that existed only for tests stay deleted.  The library runs on numpy
+(``affine_core``, ``processes``, ``model``) call ``transform``, which is a
+batch of one for the single transform evaluator,
+``affine_core.phi_psi_batch``.  Helpers that existed only for tests stay
+deleted.  The library runs on numpy
 alone: scipy is a test tool, never imported by ``affine_libor``.
 """
 
@@ -16,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import affine_libor
-from affine_libor import montecarlo, processes
+from affine_libor import affine_core, model, montecarlo, processes
 
 SRC = Path(affine_libor.__file__).resolve().parent
 
@@ -41,6 +43,17 @@ def test_test_only_helpers_are_gone(name):
     assert not hasattr(affine_libor, name)
     assert not hasattr(processes, name)
     assert not hasattr(montecarlo, name)
+
+
+@pytest.mark.parametrize("name", ["DomainSpec", "domain_spec",
+                                  "forward_measure_exponents"])
+def test_second_transform_path_is_gone(name):
+    for module in (affine_libor, affine_core, model):
+        assert not hasattr(module, name)
+
+
+def test_one_transform_kernel():
+    assert model.phi_psi_batch is affine_core.phi_psi_batch
 
 
 def test_no_module_imports_scipy():
