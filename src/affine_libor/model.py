@@ -263,9 +263,14 @@ def fit_term_structure(tenor: TenorStructure, process, x0=None,
 
     Raises
     ------
+    InvalidParameter
+        if tol is not a finite positive number.
     ConvergenceFailure
         naming the first tenor date whose residual stays above tol.
     """
+    if not 0.0 < tol < math.inf:
+        raise InvalidParameter(
+            f"calibration tol must be finite and positive, got {tol}")
     x0 = process.initial_state() if x0 is None else np.atleast_1d(
         np.asarray(x0, dtype=float))
     ratios = tenor.ratios()

@@ -51,6 +51,12 @@ from .quadrature import semi_infinite_oscillatory
 _SQRT2 = math.sqrt(2.0)
 
 
+def _check_strike(strike: float):
+    if not 0.0 <= strike < math.inf:
+        raise InvalidParameter(
+            f"strike rate must be finite and non-negative, got {strike}")
+
+
 @dataclass(frozen=True)
 class CapletSpec:
     """Call (or, for floorlets, put) on the period-k simple rate.
@@ -64,10 +70,11 @@ class CapletSpec:
     bold_strike: float | None = None
 
     def __post_init__(self):
-        if self.strike < 0.0:
-            raise InvalidParameter("strike rate must be non-negative")
-        if self.bold_strike is not None and self.bold_strike < 1.0:
-            raise InvalidParameter("bold strike must be at least one")
+        _check_strike(self.strike)
+        if self.bold_strike is not None and \
+                not 1.0 <= self.bold_strike < math.inf:
+            raise InvalidParameter("bold strike must be finite and at least "
+                                   f"one, got {self.bold_strike}")
 
     def with_model(self, m: CalibratedModel) -> "CapletSpec":
         if not 1 <= self.period_index <= m.n_periods - 1:
@@ -91,8 +98,7 @@ class SwaptionSpec:
     def __post_init__(self):
         if self.start_index >= self.end_index:
             raise InvalidParameter("need start_index < end_index")
-        if self.strike < 0.0:
-            raise InvalidParameter("strike rate must be non-negative")
+        _check_strike(self.strike)
 
     def coupons(self, delta: float) -> np.ndarray:
         """c_k = delta K for k < m, plus the unit redemption at k = m."""
@@ -107,12 +113,25 @@ class QuadratureSettings:
 
     damping = None picks the documented default inside the admissible
     strip, once per expiry row of a surface; truncation widens (or
-    shrinks) the first integration panel.
+    shrinks) the first integration panel.  A damping must be finite,
+    truncation and rel_tol finite and positive.
     """
 
     damping: float | None = None
     truncation: float | None = None
     rel_tol: float = 1e-9
+
+    def __post_init__(self):
+        if self.damping is not None and not math.isfinite(self.damping):
+            raise InvalidParameter(
+                f"quadrature damping must be finite, got {self.damping}")
+        if self.truncation is not None and \
+                not 0.0 < self.truncation < math.inf:
+            raise InvalidParameter("quadrature truncation must be finite and "
+                                   f"positive, got {self.truncation}")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise InvalidParameter("quadrature rel_tol must be finite and "
+                                   f"positive, got {self.rel_tol}")
 
 
 DEFAULT_QUADRATURE = QuadratureSettings()
@@ -395,13 +414,41 @@ def _swaption_tilts(m: CalibratedModel, s: SwaptionSpec):
     return t_ex, phi, psi[:, 0]
 
 
+def _rising_concave_root(f_slope):
+    """Zero of an increasing concave function, given as x -> (f(x), f'(x)).
+
+    Doubles x from -1 until f(x) < 0, then takes Newton steps.  By
+    concavity every tangent lies above f, so each step lands left of the
+    root again and the iterates rise monotonically to it; they stop on
+    f >= 0, on a step of at most four ulps, or after 100 steps.  Returns
+    the last iterate and f there.
+    """
+    x = -1.0
+    for _ in range(200):
+        fx, slope = f_slope(x)
+        if fx < 0.0:
+            break
+        x *= 2.0
+    else:
+        raise NoSignChange("no sign change: f stays positive")
+    for _ in range(100):
+        step = -fx / slope
+        x += step
+        fx, slope = f_slope(x)
+        if not (fx < 0.0 and abs(step) > 4.0 * math.ulp(x)):
+            break
+    return x, fx
+
+
 def swaption_root(m: CalibratedModel, s: SwaptionSpec) -> float:
     """Unique zero of the exercise function f(x) = 1 - sum c_k e^{A_k + B_k x}.
 
     The coefficients B_k are non-positive (one strictly, whenever some
-    initial rate is positive), so f is strictly increasing; the root is
-    bracketed by doubling and polished by bisection plus Newton steps to
-    |f| <= 1e-13.
+    initial rate is positive), so f is strictly increasing and concave,
+    and it has a zero exactly when it is positive far to the right, where
+    only the terms with B_k = 0 are left.  Newton steps from a point
+    where f < 0 rise monotonically to the zero
+    (:func:`_rising_concave_root`); the result has |f| <= 1e-13.
     """
     if m.process.dim != 1:
         raise ModelMismatch("swaption exercise root needs a one-dimensional "
@@ -409,44 +456,21 @@ def swaption_root(m: CalibratedModel, s: SwaptionSpec) -> float:
     _, phi, psi = _swaption_tilts(m, s)
     A, B = phi[1:] - phi[0], psi[1:] - psi[0]
     coup = s.coupons(m.delta)
-    if np.all(B == 0.0):
+    flat = B == 0.0
+    if flat.all():
         raise NoSignChange("degenerate swaption: exercise function is "
                            "constant in the state")
-
-    def f(x):
-        return 1.0 - float(coup @ np.exp(A + B * x))
-
-    def fprime(x):
-        return -float(coup @ (B * np.exp(A + B * x)))
-
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        if f(lo) < 0.0:
-            break
-        lo *= 2.0
-    else:
-        raise NoSignChange("no sign change: f stays positive")
-    for _ in range(200):
-        if f(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
+    if 1.0 - float(coup[flat] @ np.exp(A[flat])) <= 0.0:
         raise NoSignChange("no sign change: f stays negative")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    for _ in range(8):
-        fx = f(root)
-        if abs(fx) <= 1e-15:
-            break
-        root -= fx / fprime(root)
-    if abs(f(root)) > 1e-13:
+
+    def f_slope(x):
+        terms = coup * np.exp(A + B * x)
+        return 1.0 - float(terms.sum()), -float(B @ terms)
+
+    root, fx = _rising_concave_root(f_slope)
+    if not abs(fx) <= 1e-13:
         raise ConvergenceFailure(
-            f"swaption root residual {abs(f(root)):.2e} above 1e-13")
+            f"swaption root residual {abs(fx):.2e} above 1e-13")
     return float(root)
 
 

@@ -222,6 +222,10 @@ class TestCommands:
         ("surface", "surface.strikes = 0.06:0.01:0.005"),
         ("caplet", "caplet.index = 40"),
         ("swaption", "swaption.end = 40"),
+        ("caplet", "caplet.strike = nan"),
+        ("swaption", "swaption.strike = nan"),
+        ("caplet", "calibration.tol = nan"),
+        ("caplet", "calibration.tol = -1"),
     ])
     def test_out_of_range_input_is_invalid_parameter(self, tmp_path, capsys,
                                                      command, line):
@@ -230,6 +234,24 @@ class TestCommands:
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "out.csv")]) == 1
         assert capsys.readouterr().err.startswith("error: InvalidParameter")
+
+
+    # A truncation or tolerance that is zero, negative or not finite used
+    # to price 0 with a zero error, or to end in a traceback.
+    @pytest.mark.parametrize("line", [
+        "quadrature.truncation = 0", "quadrature.truncation = -5",
+        "quadrature.truncation = nan", "quadrature.truncation = inf",
+        "quadrature.rel_tol = nan", "quadrature.rel_tol = 0",
+        "quadrature.rel_tol = -1", "quadrature.damping = nan"])
+    def test_bad_quadrature_setting_is_invalid_parameter(self, tmp_path,
+                                                         capsys, line):
+        cfg = write(tmp_path, "c.cfg",
+                    CIR_CFG_TEMPLATE.format(tenor=TABLE1) + line + "\n")
+        assert main(["caplet", "--config", str(cfg),
+                     "--method", "fourier"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: InvalidParameter")
+        assert "price" not in captured.out
 
 
 class TestConfigErrors:

@@ -182,6 +182,12 @@ class TestFitTermStructure:
         with pytest.raises(NonMonotoneCurve):
             fit_term_structure(bad, cir_process)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, tenor, cir_process,
+                                                   tol):
+        with pytest.raises(InvalidParameter):
+            fit_term_structure(tenor, cir_process, tol=tol)
+
     def test_infeasible_curve(self, tenor):
         # gamma_X = exp(T * 0.01 + 0.05) ~ 1.105 < B(0,T_1)/B(0,T_N) ~ 1.24
         spec = LevySubordinatorSpec(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affine_libor import pricing
 from affine_libor.cli import RunConfig
 from affine_libor.errors import (DampingOutOfStrip, InvalidParameter,
                                  ModelMismatch, NoSignChange, OutOfBounds)
@@ -76,6 +77,51 @@ class TestCapletFourier:
     def test_invalid_strike(self):
         with pytest.raises(InvalidParameter):
             CapletSpec(2, -0.01)
+
+    @pytest.mark.parametrize("strike", [math.nan, math.inf])
+    def test_non_finite_strike(self, strike):
+        with pytest.raises(InvalidParameter):
+            CapletSpec(2, strike)
+        with pytest.raises(InvalidParameter):
+            SwaptionSpec(2, 6, strike)
+
+    @pytest.mark.parametrize("bold", [0.5, math.nan, math.inf])
+    def test_invalid_bold_strike(self, bold):
+        with pytest.raises(InvalidParameter):
+            CapletSpec(2, 0.03, bold)
+
+    @pytest.mark.parametrize("setting", [
+        dict(truncation=0.0), dict(truncation=-5.0),
+        dict(truncation=math.nan), dict(truncation=math.inf),
+        dict(rel_tol=0.0), dict(rel_tol=-1.0), dict(rel_tol=math.nan),
+        dict(rel_tol=math.inf), dict(damping=math.nan),
+        dict(damping=-math.inf)])
+    def test_invalid_quadrature_settings(self, setting):
+        with pytest.raises(InvalidParameter):
+            QuadratureSettings(**setting)
+
+    # Integrand calls of the bundled caplet of each config
+    # (configs/*.cfg): one fused call per step plus the head's refinement
+    # rounds and probe-only calls.
+    @pytest.mark.parametrize("family, most", [("cir", 11), ("gamma_ou", 14),
+                                              ("cir_2f", 10)])
+    def test_bundled_caplet_integrand_calls(self, monkeypatch, family,
+                                            most):
+        calls = []
+        inner = pricing.semi_infinite_oscillatory
+
+        def counted(f, **kwargs):
+            def g(v):
+                calls.append(v.size)
+                return f(v)
+            return inner(g, **kwargs)
+
+        monkeypatch.setattr(pricing, "semi_infinite_oscillatory", counted)
+        cfg = RunConfig.from_file(str(CONFIGS / f"{family}.cfg"))
+        spec = CapletSpec(int(cfg.raw["caplet.index"]),
+                          float(cfg.raw["caplet.strike"]))
+        caplet_fourier(cfg.calibrate(), spec, cfg.quadrature)
+        assert 0 < len(calls) <= most
 
     @pytest.mark.parametrize("damping", [None, 989.3])
     def test_strongly_damped_contour_stays_in_control(self, tenor, damping):
@@ -257,6 +303,48 @@ class TestSwaptionRoot:
     def test_degenerate_flat_model(self, flat_model):
         with pytest.raises(NoSignChange):
             swaption_root(flat_model, SwaptionSpec(2, 5, 0.02))
+
+    # (start, end) pairs of the benchmark's cli-commands swaptions, each
+    # over a strike range of its config.
+    DESIGN = ((1, 2), (1, 4), (2, 6), (3, 10), (4, 6), (5, 8), (6, 10),
+              (7, 9), (8, 10), (2, 4), (4, 10), (1, 10))
+
+    @pytest.mark.parametrize("family, lo, hi", [("cir", 0.02, 0.05),
+                                                ("gamma_ou", 0.03, 0.06)])
+    def test_newton_root_matches_brentq(self, monkeypatch, family, lo, hi):
+        from scipy.optimize import brentq
+        evals = []
+        inner = pricing._rising_concave_root
+
+        def counted(f_slope):
+            def g(x):
+                evals[-1] += 1
+                return f_slope(x)
+            return inner(g)
+
+        monkeypatch.setattr(pricing, "_rising_concave_root", counted)
+        m = RunConfig.from_file(str(CONFIGS / f"{family}.cfg")).calibrate()
+        for start, end in self.DESIGN:
+            for strike in np.linspace(lo, hi, 7):
+                s = SwaptionSpec(start, end, float(strike))
+                evals.append(0)
+                root = swaption_root(m, s)
+                _, phi, psi = pricing._swaption_tilts(m, s)
+                a, b, coup = phi[1:] - phi[0], psi[1:] - psi[0], \
+                    s.coupons(m.delta)
+
+                def f(x):
+                    return 1.0 - math.fsum(coup * np.exp(a + b * x))
+
+                left, right = -1.0, 1.0
+                while f(left) >= 0.0:
+                    left *= 2.0
+                while f(right) <= 0.0:
+                    right *= 2.0
+                oracle = brentq(f, left, right, xtol=1e-300, rtol=8.9e-16,
+                                maxiter=500)
+                assert abs(root - oracle) <= 4e-14 * abs(oracle)
+        assert 0 < max(evals) <= 10
 
     def test_requires_one_factor(self, cir2f_model):
         with pytest.raises(ModelMismatch):

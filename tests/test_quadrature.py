@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
+from affine_libor.errors import InvalidParameter
 from affine_libor.quadrature import (adaptive_gauss_kronrod,
                                      semi_infinite_oscillatory)
 
@@ -52,6 +53,20 @@ class TestVectorGaussKronrod:
         assert calls[0] == 4 * 15  # only breakpoints inside (a, b) count
         assert value == pytest.approx(1.0 - math.exp(-8.0), abs=err + 1e-15)
 
+    def test_one_call_when_the_first_evaluation_meets_every_budget(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.stack([np.exp(-x), np.cos(x)], axis=1)
+
+        value, err = adaptive_gauss_kronrod(f, 0.0, 1.0, rel_tol=1e-12,
+                                            breakpoints=[0.5])
+        assert calls == [2 * 15]
+        assert np.all(err <= 1e-12 * np.abs(value))
+        assert np.all(np.abs(value - [1.0 - math.exp(-1.0), math.sin(1.0)])
+                      <= err + 1e-15)
+
     def test_panel_cap_reports_honest_error(self):
         def f(x):
             return np.stack([np.cos(200.0 * x), np.exp(-x)], axis=1)
@@ -90,6 +105,12 @@ class TestVectorSemiInfinite:
         exact = 1.0 / (1.0 - 1j * rates)
         assert np.all(np.abs(value - exact) <= err + 1e-15)
 
+    @pytest.mark.parametrize("width", [0.0, -5.0, math.nan, math.inf])
+    def test_initial_width_must_be_finite_and_positive(self, width):
+        with pytest.raises(InvalidParameter):
+            semi_infinite_oscillatory(lambda v: np.exp(-v),
+                                      initial_width=width)
+
 
 # int_0^inf exp(i*w*v) / (1 + v)^2 dv in closed form: the amplitude decays
 # like a power, so the tail closure carries the whole far field.
@@ -123,7 +144,9 @@ class TestTailProbes:
     each tail probe rides along its segment's first call."""
 
     @staticmethod
-    def calls_after_head(f, **kwargs):
+    def calls(f, **kwargs):
+        """Value, error, and the sizes of the integrand calls before and
+        after the first one that reaches past the head."""
         sizes, reach = [], []
 
         def counted(v):
@@ -134,7 +157,23 @@ class TestTailProbes:
         value, err = semi_infinite_oscillatory(counted, **kwargs)
         width = kwargs.get("initial_width", 64.0)
         first = next(i for i, r in enumerate(reach) if r > 1.5 * width)
-        return value, err, sizes[first:]
+        return value, err, sizes[:first], sizes[first:]
+
+    @classmethod
+    def calls_after_head(cls, f, **kwargs):
+        value, err, _, later = cls.calls(f, **kwargs)
+        return value, err, later
+
+    def test_each_doubling_is_one_call(self):
+        # the head's first call holds its seven geometric panels and the
+        # probe at V; at this tolerance each doubling's one-period panels
+        # meet the budget, so each costs one call: panels plus probe
+        value, err, head, later = self.calls(
+            lambda v: np.exp(1j * v) / (1.0 + v) ** 2, rel_tol=1e-8)
+        assert head[0] == 7 * 15 + 3
+        assert len(later) >= 3
+        assert all(size % 15 == 3 for size in later)
+        assert abs(value - power_law_exact(1.0)) <= err <= 1e-8 * abs(value)
 
     def test_vector_integrand(self):
         def f(v):

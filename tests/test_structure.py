@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import affine_libor
-from affine_libor import affine_core, model, montecarlo, processes
+from affine_libor import affine_core, model, montecarlo, processes, quadrature
 
 SRC = Path(affine_libor.__file__).resolve().parent
 
@@ -50,6 +50,13 @@ def test_test_only_helpers_are_gone(name):
 def test_second_transform_path_is_gone(name):
     for module in (affine_libor, affine_core, model):
         assert not hasattr(module, name)
+
+
+def test_tail_probe_rides_the_fused_step_without_a_wrapper():
+    # the fused step calls the integrand it was given; no per-segment
+    # wrapper is left that would need functools.wraps
+    assert not hasattr(quadrature, "_with_probe")
+    assert "functools" not in imported_names("quadrature")
 
 
 def test_one_transform_kernel():
