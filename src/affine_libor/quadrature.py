@@ -217,13 +217,10 @@ def _tail_by_parts(f, v: float, step: float, probed):
             probed = f(np.array([v - step, v, v + step]))
         c_m, c_0, c_p = _components(probed, 3).astype(complex)
         live = np.abs(c_0) >= 1e-300
-        every = live.all()
-        if not every:
-            c_0 = np.where(live, c_0, 1.0)
+        c_0 = np.where(live, c_0, 1.0)
         deriv = (c_p - c_m) / (2.0 * step)
         ratio = deriv / c_0  # f'/f
-        omega = np.imag(ratio) if every else \
-            np.where(live, np.imag(ratio), 0.0)
+        omega = np.where(live, np.imag(ratio), 0.0)
         fastest = float(np.max(np.abs(omega)))
         if fastest * step <= _PHASE_STEP:
             break
@@ -233,10 +230,7 @@ def _tail_by_parts(f, v: float, step: float, probed):
     safe = np.where(omega != 0.0, omega, 1.0)
     parts = 1j * c_0 / safe - (deriv - 1j * safe * c_0) / safe ** 2
     slow = np.abs(omega) * v <= 10.0 * np.maximum(p, 1.0)
-    tail = np.where(slow, power, parts)
-    if not every:
-        tail = np.where(live, tail, 0.0)
-    return tail, np.abs(omega)
+    return np.where(live, np.where(slow, power, parts), 0.0), np.abs(omega)
 
 
 def _fused_step(f, edges, v: float, step: float, abs_tol, rel_tol: float,

@@ -304,6 +304,33 @@ class TestSwaptionRoot:
         with pytest.raises(NoSignChange):
             swaption_root(flat_model, SwaptionSpec(2, 5, 0.02))
 
+    @staticmethod
+    def tilted(monkeypatch, a_flat):
+        """Tilts of SwaptionSpec(1, 3, 0.03) with A = (0, a_flat) and
+        B = (-1, 0): far to the right f tends to 1 - c_3 e^{a_flat}."""
+        monkeypatch.setattr(
+            pricing, "_swaption_tilts",
+            lambda m, s: (0.0, np.array([0.0, 0.0, a_flat]),
+                          np.array([0.0, -1.0, 0.0])))
+        return SwaptionSpec(1, 3, 0.03)
+
+    def test_flat_terms_at_or_above_one_give_no_root(self, monkeypatch,
+                                                     cir_model):
+        c_last = 1.0 + cir_model.delta * 0.03
+        for a_flat in (0.0, -math.log(c_last) + 1e-12):
+            s = self.tilted(monkeypatch, a_flat)
+            with pytest.raises(NoSignChange, match="stays negative"):
+                swaption_root(cir_model, s)
+
+    def test_flat_terms_just_below_one_leave_a_root(self, monkeypatch,
+                                                    cir_model):
+        c_first, c_last = SwaptionSpec(1, 3, 0.03).coupons(cir_model.delta)
+        a_flat = math.log((1.0 - 1e-6) / c_last)
+        root = swaption_root(cir_model, self.tilted(monkeypatch, a_flat))
+        limit = 1.0 - c_last * math.exp(a_flat)
+        # f(x) = limit - c_first e^{-x}
+        assert root == pytest.approx(math.log(c_first / limit), rel=1e-9)
+
     # (start, end) pairs of the benchmark's cli-commands swaptions, each
     # over a strike range of its config.
     DESIGN = ((1, 2), (1, 4), (2, 6), (3, 10), (4, 6), (5, 8), (6, 10),
