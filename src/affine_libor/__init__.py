@@ -9,9 +9,8 @@ transition Monte Carlo oracle for validation.
 
 from .affine_core import (RiccatiRhs, TransformPair, check_semiflow,
                           riccati_solve, transform)
-from .distributions import (ChiSqMixSpec, LsncChi2Params, chisq_mix_cdf,
-                            chisq_mix_sf, lsnc_cdf, lsnc_cgf, lsnc_sf,
-                            lsnc_tilt, ncchi2_cdf, ncchi2_sf)
+from .distributions import (ChiSqMixSpec, chisq_mix_cdf, chisq_mix_sf,
+                            ncchi2_cdf, ncchi2_sf)
 from .errors import (AffineLiborError, BlowUp, ConvergenceFailure,
                      DampingOutOfStrip, DomainViolation, HorizonViolation,
                      InfeasibleCurve, InvalidGrid, InvalidParameter,
@@ -25,7 +24,8 @@ from .model import (CalibratedModel, ForwardExponents, TenorStructure,
 from .montecarlo import (MartingaleReport, PathBatch, RngStream, agrees,
                          forward_measure_weights, martingale_check,
                          martingale_checks, mc_caplet, mc_price, mc_swaption,
-                         simulate_cir, simulate_gamma_ou, simulate_process)
+                         model_states, simulate_cir, simulate_gamma_ou,
+                         simulate_process)
 from .pricing import (CapletSpec, PriceResult, QuadratureSettings,
                       SurfaceCell, SwaptionSpec, black76_implied_vol,
                       black76_price, caplet_cir2f_closed, caplet_cir_closed,

@@ -25,7 +25,7 @@ from .errors import (AffineLiborError, InvalidParameter, NonMonotoneCurve,
                      ParseError)
 from .model import CalibratedModel, TenorStructure, fit_term_structure
 from .montecarlo import (RngStream, agrees, forward_measure_weights,
-                         martingale_checks, mc_caplet, simulate_process)
+                         martingale_checks, mc_caplet, model_states)
 from .pricing import (CapletSpec, QuadratureSettings, SwaptionSpec,
                       caplet_closed, caplet_fourier, swaption_cir_closed,
                       swaption_fourier, vol_surface)
@@ -285,9 +285,7 @@ def _cmd_validate(cfg: RunConfig, write) -> int:
                            f"martingale k={rep.index} t={_fmt(t)} "
                            f"z={_fmt(rep.z_score)} min={_fmt(rep.min_value)}"))
 
-    batch = simulate_process(model.process, [times[0]], cfg.mc_paths,
-                             RngStream(cfg.seed, 10))
-    x = batch.at(times[0])
+    x = model_states(model, times[0], cfg.mc_paths, RngStream(cfg.seed, 10))
     for k in range(1, n + 1):
         w = forward_measure_weights(model, k, times[0], x)
         mean, se = w.mean(), w.std(ddof=1) / np.sqrt(cfg.mc_paths)

@@ -1,6 +1,6 @@
 """Non-central chi-square machinery used by the closed-form pricers.
 
-Four layers:
+Three layers:
 
 * regularised incomplete gamma ratios P(a, x) = ``gammainc(a, x)`` and
   Q(a, x) = ``gammaincc(a, x)``, numpy only, broadcasting like scipy's.
@@ -28,18 +28,10 @@ Four layers:
   downward for P so that only positive terms are added; consecutive D
   follow by the ratio x / (a + 1), re-anchored on a direct D every few
   rows so that no chain of roundings grows long;
-* the location-scale extension LSNC-chi2(mu, sigma, nu, alpha):
-  (Y - mu) / sigma is non-central chi-square with nu degrees of freedom
-  and non-centrality alpha.  Its cumulant generating function is
-
-      kappa(u) = -(nu/2) log(1 - 2 sigma u)
-                 + alpha sigma u / (1 - 2 sigma u) + mu u,
-
-  finite for u < 1/(2 sigma) when sigma > 0, and exponential tilting by
-  theta maps the family onto itself with (sigma, alpha) / zeta,
-  zeta = 1 - 2 sigma theta;
-* positive linear combinations sum_j sigma_j Y_j of independent
-  non-central chi-squares, evaluated by numerical inversion of the
+* shifted positive linear combinations shift + sum_j sigma_j Y_j of
+  independent non-central chi-squares (:class:`ChiSqMixSpec`).  With one
+  component this is the location-scale law, evaluated exactly by the
+  series at (x - shift) / sigma; with more, by numerical inversion of the
   characteristic function (Imhof's integral) with a certified truncation
   bound on the tail of the integrand modulus; all evaluation points of
   one mixture share one vector-valued integral.
@@ -53,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainViolation, InvalidParameter
+from .errors import ConvergenceFailure, InvalidParameter
 from .quadrature import adaptive_gauss_kronrod
 
 _SERIES_TOL = 1e-13
@@ -444,101 +436,37 @@ def _check_ncchi2_args(nu, alpha_nc):
             f"non-centrality must be non-negative, got {alpha_nc}")
 
 
-def ncchi2_cdf(x, nu: float, alpha_nc: float, tol: float = _SERIES_TOL):
-    """CDF of the non-central chi-square law, absolute error <= tol."""
+def _ncchi2(x, nu: float, alpha_nc: float, upper: bool, tol: float):
+    """Non-central chi-square CDF, or SF with ``upper``, absolute error
+    <= tol; a scalar x gives a float."""
     _check_ncchi2_args(nu, alpha_nc)
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros_like(x)
-    out[x == math.inf] = 1.0
+    out = np.full_like(x, 1.0 if upper else 0.0)
+    out[x == math.inf] = 0.0 if upper else 1.0
     pos = (x > 0.0) & (x < math.inf)
     if np.count_nonzero(pos):
-        out[pos] = _poisson_gamma_series(x[pos], nu, alpha_nc, False, tol)
+        out[pos] = _poisson_gamma_series(x[pos], nu, alpha_nc, upper, tol)
     return float(out[0]) if scalar else out
+
+
+def ncchi2_cdf(x, nu: float, alpha_nc: float, tol: float = _SERIES_TOL):
+    """CDF of the non-central chi-square law, absolute error <= tol."""
+    return _ncchi2(x, nu, alpha_nc, False, tol)
 
 
 def ncchi2_sf(x, nu: float, alpha_nc: float, tol: float = _SERIES_TOL):
     """Survival function 1 - CDF, computed directly for tail accuracy."""
-    _check_ncchi2_args(nu, alpha_nc)
-    scalar = np.isscalar(x)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.ones_like(x)
-    out[x == math.inf] = 0.0
-    pos = (x > 0.0) & (x < math.inf)
-    if np.count_nonzero(pos):
-        out[pos] = _poisson_gamma_series(x[pos], nu, alpha_nc, True, tol)
-    return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class LsncChi2Params:
-    """Location-scale non-central chi-square: (Y - mu)/sigma ~ chi2(nu, alpha).
-
-    sigma may be negative (a reflected variate); evaluation routines
-    handle the reflection, sigma = 0 is rejected.
-    """
-
-    mu: float
-    sigma: float
-    nu: float
-    alpha_nc: float
-
-    def __post_init__(self):
-        if self.sigma == 0.0:
-            raise InvalidParameter("scale must be nonzero")
-        _check_ncchi2_args(self.nu, self.alpha_nc)
-
-    def mean(self) -> float:
-        return self.mu + self.sigma * (self.nu + self.alpha_nc)
-
-
-def lsnc_cdf(x, p: LsncChi2Params):
-    """P(Y <= x); reflection handles negative scale."""
-    z = (np.asarray(x, dtype=float) - p.mu) / p.sigma
-    if p.sigma > 0.0:
-        return ncchi2_cdf(z, p.nu, p.alpha_nc)
-    return ncchi2_sf(z, p.nu, p.alpha_nc)
-
-
-def lsnc_sf(x, p: LsncChi2Params):
-    """P(Y > x), the tail the pricing formulas consume."""
-    z = (np.asarray(x, dtype=float) - p.mu) / p.sigma
-    if p.sigma > 0.0:
-        return ncchi2_sf(z, p.nu, p.alpha_nc)
-    return ncchi2_cdf(z, p.nu, p.alpha_nc)
-
-
-def lsnc_cgf(u, p: LsncChi2Params):
-    """Cumulant generating function of Y at u."""
-    u = np.asarray(u, dtype=float)
-    bound = 1.0 / (2.0 * p.sigma)
-    if p.sigma > 0.0:
-        ok = u < bound
-    else:
-        ok = u > bound
-    if not np.all(ok):
-        raise DomainViolation(f"CGF requires u on the finite side of {bound}")
-    w = 1.0 - 2.0 * p.sigma * u
-    val = (-0.5 * p.nu * np.log(w) + p.alpha_nc * p.sigma * u / w + p.mu * u)
-    return float(val) if np.isscalar(u) or val.ndim == 0 else val
-
-
-def lsnc_tilt(p: LsncChi2Params, theta: float) -> LsncChi2Params:
-    """Exponential change of measure dF_theta/dF = exp(x theta - kappa(theta)).
-
-    The family is closed under tilting: scale and non-centrality divide
-    by zeta = 1 - 2 sigma theta.
-    """
-    zeta = 1.0 - 2.0 * p.sigma * theta
-    if zeta <= 0.0:
-        raise DomainViolation(
-            f"tilt parameter {theta} outside the CGF domain (zeta={zeta})")
-    return LsncChi2Params(p.mu, p.sigma / zeta, p.nu, p.alpha_nc / zeta)
+    return _ncchi2(x, nu, alpha_nc, True, tol)
 
 
 @dataclass(frozen=True)
 class ChiSqMixSpec:
-    """shift + sum_j sigma_j Y_j with independent Y_j ~ chi2(nu_j, alpha_j)."""
+    """shift + sum_j sigma_j Y_j with independent Y_j ~ chi2(nu_j, alpha_j).
+
+    The one chi-square law record: a single component is the
+    location-scale law, (Y - shift) / sigma ~ chi2(nu, alpha).
+    """
 
     sigmas: np.ndarray
     nus: np.ndarray
@@ -560,9 +488,6 @@ class ChiSqMixSpec:
             raise InvalidParameter("mixture scales must be strictly positive")
         if np.any(self.nus <= 0.0) or np.any(self.alphas < 0.0):
             raise InvalidParameter("need nu > 0 and alpha >= 0 per component")
-
-    def mean(self) -> float:
-        return self.shift + float(np.sum(self.sigmas * (self.nus + self.alphas)))
 
 
 def _imhof_integrand(ys: np.ndarray, m: ChiSqMixSpec):
@@ -652,39 +577,36 @@ def _imhof_integral(xs: np.ndarray, m: ChiSqMixSpec, tol: float):
     return integral / math.pi
 
 
-def chisq_mix_cdf(x, m: ChiSqMixSpec, tol: float = 1e-10):
-    """P(shift + sum_j sigma_j Y_j <= x), absolute error <= tol.
+def _chisq_mix(x, m: ChiSqMixSpec, upper: bool, tol: float):
+    """P(shift + sum_j sigma_j Y_j <= x), or with ``upper`` the
+    complement, absolute error <= tol.
 
-    Single-component mixtures reduce exactly to the series-based CDF; the
-    general case inverts the characteristic function.
+    A single component is the location-scale law: the series at
+    (x - shift) / sigma, through the public :func:`ncchi2_cdf` and
+    :func:`ncchi2_sf`.  The general case inverts the characteristic
+    function.
     """
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if m.sigmas.size == 1:
-        p = LsncChi2Params(m.shift, float(m.sigmas[0]), float(m.nus[0]),
-                           float(m.alphas[0]))
-        out = np.atleast_1d(lsnc_cdf(xs, p))
+        out = (ncchi2_sf if upper else ncchi2_cdf)(
+            (xs - m.shift) / m.sigmas[0], float(m.nus[0]),
+            float(m.alphas[0]))
     else:
-        out = np.zeros_like(xs)
+        out = np.full_like(xs, 1.0 if upper else 0.0)
         above = xs > m.shift
         if above.any():
-            out[above] = np.clip(0.5 - _imhof_integral(xs[above], m, tol),
+            integral = _imhof_integral(xs[above], m, tol)
+            out[above] = np.clip(0.5 + integral if upper else 0.5 - integral,
                                  0.0, 1.0)
     return float(out[0]) if scalar else out
+
+
+def chisq_mix_cdf(x, m: ChiSqMixSpec, tol: float = 1e-10):
+    """P(shift + sum_j sigma_j Y_j <= x), absolute error <= tol."""
+    return _chisq_mix(x, m, False, tol)
 
 
 def chisq_mix_sf(x, m: ChiSqMixSpec, tol: float = 1e-10):
-    """P(shift + sum_j sigma_j Y_j > x)."""
-    scalar = np.isscalar(x)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if m.sigmas.size == 1:
-        p = LsncChi2Params(m.shift, float(m.sigmas[0]), float(m.nus[0]),
-                           float(m.alphas[0]))
-        out = np.atleast_1d(lsnc_sf(xs, p))
-    else:
-        out = np.ones_like(xs)
-        above = xs > m.shift
-        if above.any():
-            out[above] = np.clip(0.5 + _imhof_integral(xs[above], m, tol),
-                                 0.0, 1.0)
-    return float(out[0]) if scalar else out
+    """P(shift + sum_j sigma_j Y_j > x), absolute error <= tol."""
+    return _chisq_mix(x, m, True, tol)

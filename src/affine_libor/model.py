@@ -114,6 +114,22 @@ class ForwardExponents:
     B: np.ndarray
 
 
+def _initial_state(x0, dim: int) -> np.ndarray:
+    """``x0`` as a float array of one finite, non-negative value per
+    factor, not all zero.
+
+    The canonical choice is strictly positive (it resolves the scaling
+    ambiguity of the martingale parameters); a zero component is only
+    admitted so that degenerate factors can be represented exactly.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != (dim,) or not np.all((x0 >= 0.0) & (x0 < math.inf)) \
+            or not np.any(x0 > 0.0):
+        raise InvalidParameter(f"initial state must be {dim} finite, "
+                               f"non-negative values, not all zero, got {x0}")
+    return x0
+
+
 @dataclass(frozen=True)
 class CalibratedModel:
     """Driving process, initial state and the fitted u-sequence."""
@@ -130,15 +146,9 @@ class CalibratedModel:
     steps: np.ndarray | None = None
 
     def __post_init__(self):
-        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "x0",
+                           _initial_state(self.x0, self.process.dim))
         object.__setattr__(self, "us", np.asarray(self.us, dtype=float))
-        # The canonical choice is strictly positive (it resolves the scaling
-        # ambiguity of the martingale parameters); a zero component is only
-        # admitted so that degenerate factors can be represented exactly.
-        if np.any(x0 < 0.0) or not np.any(x0 > 0.0):
-            raise InvalidParameter("initial state must be non-negative and "
-                                   "not identically zero")
         if self.us.shape != (self.tenor.n_periods, self.process.dim):
             raise InvalidParameter("u-sequence shape does not match tenor")
 
@@ -264,15 +274,16 @@ def fit_term_structure(tenor: TenorStructure, process, x0=None,
     Raises
     ------
     InvalidParameter
-        if tol is not a finite positive number.
+        if tol is not a finite positive number, or x0 is not one finite,
+        non-negative value per factor (not all zero).
     ConvergenceFailure
         naming the first tenor date whose residual stays above tol.
     """
     if not 0.0 < tol < math.inf:
         raise InvalidParameter(
             f"calibration tol must be finite and positive, got {tol}")
-    x0 = process.initial_state() if x0 is None else np.atleast_1d(
-        np.asarray(x0, dtype=float))
+    x0 = _initial_state(process.initial_state() if x0 is None else x0,
+                        process.dim)
     ratios = tenor.ratios()
     if np.any(np.diff(ratios) > _RATIO_SLACK) or ratios[0] < 1.0 - _RATIO_SLACK:
         raise NonMonotoneCurve(

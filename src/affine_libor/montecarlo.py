@@ -20,7 +20,7 @@ fan out deterministically without coordination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -170,6 +170,27 @@ def simulate_process(process, times, n_paths: int,
         f"no exact sampler for process type {type(process).__name__}")
 
 
+def _restarted(process, x0: np.ndarray):
+    """``process`` with the initial state of each sampled factor set to
+    the matching entry of ``x0``; other families come back unchanged (and
+    have no sampler)."""
+    if isinstance(process, ProductProcess):
+        return ProductProcess([_restarted(f, x0[j:j + 1])
+                               for j, f in enumerate(process.factors)])
+    if isinstance(process, (CirParams, GammaOuParams)):
+        return replace(process, x0=float(x0[0]))
+    return process
+
+
+def model_states(m: CalibratedModel, t: float, n_paths: int,
+                 rng: RngStream) -> np.ndarray:
+    """States (n_paths, d) at time t of exact paths of the model's driver
+    started, like every pricer, at the model's initial state ``m.x0``
+    (a fit at another ``x0`` leaves the driver record's own behind)."""
+    return simulate_process(_restarted(m.process, m.x0), [t], n_paths,
+                            rng).at(t)
+
+
 def martingale_values(m: CalibratedModel, k: int, t: float,
                       x: np.ndarray) -> np.ndarray:
     """M_t^{u_k} over an (n_paths, d) state array."""
@@ -205,8 +226,7 @@ def mc_price(m: CalibratedModel, payoff, horizon: float, measure_index: int,
     (n_paths, d) state array at ``horizon`` to per-path values.
     """
     _require_paths(n_paths)
-    batch = simulate_process(m.process, [horizon], n_paths, rng)
-    x = batch.at(horizon)
+    x = model_states(m, horizon, n_paths, rng)
     w = forward_measure_weights(m, measure_index, horizon, x)
     vals = w * np.asarray(payoff(x), dtype=float)
     scale = m.bond0(measure_index)
@@ -289,7 +309,7 @@ def martingale_checks(m: CalibratedModel, ks, t: float, n_paths: int,
     _require_paths(n_paths)
     ks = list(ks)
     grid_t = t if t > 0.0 else 0.0
-    x = simulate_process(m.process, [grid_t], n_paths, rng).at(grid_t)
+    x = model_states(m, grid_t, n_paths, rng)
     if not ks:
         return []
     phi_t, psi_t = tilt_exponents(m, t, ks)

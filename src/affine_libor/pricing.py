@@ -38,11 +38,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import (ChiSqMixSpec, LsncChi2Params, chisq_mix_sf,
-                            lsnc_sf, lsnc_tilt)
+from .distributions import ChiSqMixSpec, chisq_mix_sf, ncchi2_sf
 from .errors import (AffineLiborError, ConvergenceFailure, DampingOutOfStrip,
-                     InvalidParameter, ModelMismatch, NoSignChange,
-                     OutOfBounds, QuadratureFailure)
+                     DomainViolation, InvalidParameter, ModelMismatch,
+                     NoSignChange, OutOfBounds, QuadratureFailure)
 from .model import (CalibratedModel, forward_log_mgf, phi_psi_batch,
                     tilt_exponents)
 from .processes import CirParams, ProductProcess
@@ -315,20 +314,27 @@ def _square_root_factors(process) -> tuple:
                         f"{type(process).__name__}")
 
 
-def _factor_law(f: CirParams, x: float, t: float, scale: float,
-                theta: float) -> LsncChi2Params:
-    """Law of scale * X_t for the square-root factor X started at x,
-    under the measure that tilts X_t by theta.
+def _factor_laws(factors, x0, t: float, thetas):
+    """Laws of the square-root factors X_j at t, started at x0_j, under
+    the measures that tilt X_t by the rows of ``thetas``: arrays
+    (sigma, nu, alpha) with X_j / sigma_j non-central chi-square with nu_j
+    degrees of freedom and non-centrality alpha_j; sigma and alpha have
+    one row per measure and one column per factor.
 
     Under the terminal measure X_t / (eta^2 b(t)) is non-central
-    chi-square with nu = lam theta / eta^2 degrees of freedom and
-    non-centrality x a(t) / (eta^2 b(t)).  The T_k-forward measure tilts
-    it by theta = psi_{T_N - t}(u_k) (:func:`lsnc_tilt`).
+    chi-square with nu = lam theta / eta^2 and non-centrality
+    x a(t) / (eta^2 b(t)).  Tilting by theta (the T_k-forward measure
+    tilts by theta = psi_{T_N - t}(u_k)) keeps the family: scale and
+    non-centrality divide by zeta = 1 - 2 eta^2 b(t) theta.
     """
-    eb = f.eta ** 2 * f.b(t)
-    law = lsnc_tilt(LsncChi2Params(0.0, eb, f.lam * f.theta / f.eta ** 2,
-                                   x * f.a(t) / eb), theta)
-    return replace(law, sigma=scale * law.sigma)
+    eb = np.array([f.eta ** 2 * f.b(t) for f in factors])
+    nu = np.array([f.lam * f.theta / f.eta ** 2 for f in factors])
+    alpha = np.array([x * f.a(t) for f, x in zip(factors, x0)]) / eb
+    zeta = 1.0 - 2.0 * eb * thetas
+    if not np.all(zeta > 0.0):
+        raise DomainViolation("forward-measure tilt outside the moment "
+                              "domain of a square-root factor")
+    return eb / zeta, nu, alpha / zeta
 
 
 def _closed_row(m: CalibratedModel, k: int, bold: np.ndarray):
@@ -338,7 +344,7 @@ def _closed_row(m: CalibratedModel, k: int, bold: np.ndarray):
     The log-forward price A_k + sum_j B_kj X_j is a shifted positive
     linear combination of independent non-central chi-squares under both
     adjacent forward measures; each live factor contributes its tilted
-    law (:func:`_factor_law`) scaled by B_kj.  A factor with B_kj = 0, or
+    law (:func:`_factor_laws`) scaled by B_kj.  A factor with B_kj = 0, or
     one pinned at zero, is a point mass and drops out.  None of this
     depends on the strike, so each measure takes one survival-function
     evaluation over the whole strike row; with one live factor that is
@@ -356,16 +362,14 @@ def _closed_row(m: CalibratedModel, k: int, bold: np.ndarray):
         if f.eta <= 0.0 or f.lam * f.theta <= 0.0:
             raise ModelMismatch(
                 f"factor {j} needs eta > 0 and lam * theta > 0")
-    tails = []
-    for tilt in psi:  # the T_k- and the T_{k+1}-forward measure
-        if not live:
-            tails.append(np.where(y < 0.0, 1.0, 0.0))
-            continue
-        laws = [_factor_law(factors[j], m.x0[j], t_fix, b[j], tilt[j])
-                for j in live]
-        tails.append(chisq_mix_sf(y, ChiSqMixSpec(
-            [law.sigma for law in laws], [law.nu for law in laws],
-            [law.alpha_nc for law in laws])))
+    if live:
+        # one row each for the T_k- and the T_{k+1}-forward measure
+        sigma, nu, alpha = _factor_laws([factors[j] for j in live],
+                                        m.x0[live], t_fix, psi[:, live])
+        tails = [chisq_mix_sf(y, ChiSqMixSpec(b[live] * s_row, nu, a_row))
+                 for s_row, a_row in zip(sigma, alpha)]
+    else:
+        tails = [np.where(y < 0.0, 1.0, 0.0)] * 2
     return np.maximum(m.bond0(k) * tails[0]
                       - bold * m.bond0(k + 1) * tails[1], 0.0)
 
@@ -401,19 +405,6 @@ def caplet_cir2f_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
     return caplet_closed(m, c)
 
 
-def _swaption_tilts(m: CalibratedModel, s: SwaptionSpec):
-    """Exercise date T_i and the tilts (phi, psi) of u_i, ..., u_m at
-    T_N - T_i, for a one-dimensional driver."""
-    if not 1 <= s.start_index < s.end_index <= m.n_periods:
-        raise InvalidParameter(
-            f"swaption indices {s.start_index}..{s.end_index} outside "
-            f"1..{m.n_periods}")
-    t_ex = m.tenor.date(s.start_index)
-    phi, psi = tilt_exponents(m, t_ex,
-                              range(s.start_index, s.end_index + 1))
-    return t_ex, phi, psi[:, 0]
-
-
 def _rising_concave_root(f_slope):
     """Zero of an increasing concave function, given as x -> (f(x), f'(x)).
 
@@ -440,20 +431,19 @@ def _rising_concave_root(f_slope):
     return x, fx
 
 
-def swaption_root(m: CalibratedModel, s: SwaptionSpec) -> float:
-    """Unique zero of the exercise function f(x) = 1 - sum c_k e^{A_k + B_k x}.
-
-    The coefficients B_k are non-positive (one strictly, whenever some
-    initial rate is positive), so f is strictly increasing and concave,
-    and it has a zero exactly when it is positive far to the right, where
-    only the terms with B_k = 0 are left.  Newton steps from a point
-    where f < 0 rise monotonically to the zero
-    (:func:`_rising_concave_root`); the result has |f| <= 1e-13.
-    """
-    if m.process.dim != 1:
-        raise ModelMismatch("swaption exercise root needs a one-dimensional "
-                            "driver")
-    _, phi, psi = _swaption_tilts(m, s)
+def _exercise(m: CalibratedModel, s: SwaptionSpec):
+    """Exercise date T_i, the tilts psi of u_i, ..., u_m at T_N - T_i, the
+    coefficients (A_k, B_k) of the exercise function for k = i+1..m, the
+    coupons and the root of :func:`swaption_root`, for a one-dimensional
+    driver."""
+    if not 1 <= s.start_index < s.end_index <= m.n_periods:
+        raise InvalidParameter(
+            f"swaption indices {s.start_index}..{s.end_index} outside "
+            f"1..{m.n_periods}")
+    t_ex = m.tenor.date(s.start_index)
+    phi, psi = tilt_exponents(m, t_ex,
+                              range(s.start_index, s.end_index + 1))
+    psi = psi[:, 0]
     A, B = phi[1:] - phi[0], psi[1:] - psi[0]
     coup = s.coupons(m.delta)
     flat = B == 0.0
@@ -471,7 +461,23 @@ def swaption_root(m: CalibratedModel, s: SwaptionSpec) -> float:
     if not abs(fx) <= 1e-13:
         raise ConvergenceFailure(
             f"swaption root residual {abs(fx):.2e} above 1e-13")
-    return float(root)
+    return t_ex, psi, A, B, coup, float(root)
+
+
+def swaption_root(m: CalibratedModel, s: SwaptionSpec) -> float:
+    """Unique zero of the exercise function f(x) = 1 - sum c_k e^{A_k + B_k x}.
+
+    The coefficients B_k are non-positive (one strictly, whenever some
+    initial rate is positive), so f is strictly increasing and concave,
+    and it has a zero exactly when it is positive far to the right, where
+    only the terms with B_k = 0 are left.  Newton steps from a point
+    where f < 0 rise monotonically to the zero
+    (:func:`_rising_concave_root`); the result has |f| <= 1e-13.
+    """
+    if m.process.dim != 1:
+        raise ModelMismatch("swaption exercise root needs a one-dimensional "
+                            "driver")
+    return _exercise(m, s)[-1]
 
 
 def swaption_fourier(m: CalibratedModel, s: SwaptionSpec,
@@ -491,10 +497,8 @@ def swaption_fourier(m: CalibratedModel, s: SwaptionSpec,
     if m.process.dim != 1:
         raise ModelMismatch("Fourier swaption pricing needs a "
                             "one-dimensional driver")
-    root = swaption_root(m, s)
-    t_ex, phi, psi = _swaption_tilts(m, s)
-    A, B, w = phi[1:] - phi[0], psi[1:] - psi[0], float(psi[0])
-    coup = s.coupons(m.delta)
+    t_ex, psi, A, B, coup, root = _exercise(m, s)
+    w = float(psi[0])
     i = s.start_index
     sup = float(m.process.domain_sup(t_ex)[0]) if t_ex > 0.0 else math.inf
     strip_hi = sup - w
@@ -534,15 +538,14 @@ def swaption_cir_closed(m: CalibratedModel, s: SwaptionSpec) -> PriceResult:
     Decomposes the payoff over the exercise region {X_{T_i} >= Y} and
     evaluates each probability P_{T_k}(X_{T_i} > Y) through the survival
     function of the factor's law tilted to the T_k-forward measure
-    (:func:`_factor_law`).
+    (:func:`_factor_laws`).
     """
     p = _require_cir(m)
-    root = swaption_root(m, s)
-    t_ex, _, psi = _swaption_tilts(m, s)
-    x = float(m.x0[0])
-    tails = [lsnc_sf(root, _factor_law(p, x, t_ex, 1.0, theta))
-             for theta in psi]
-    coup = s.coupons(m.delta)
+    t_ex, psi, _, _, coup, root = _exercise(m, s)
+    sigma, nu, alpha = _factor_laws((p,), m.x0, t_ex, psi[:, None])
+    nu = float(nu[0])
+    tails = [ncchi2_sf(root / s_k, nu, float(a_k))
+             for s_k, a_k in zip(sigma[:, 0], alpha[:, 0])]
     price = m.bond0(s.start_index) * tails[0]
     for pos, k in enumerate(range(s.start_index + 1, s.end_index + 1)):
         price -= coup[pos] * m.bond0(k) * tails[pos + 1]

@@ -48,8 +48,10 @@ class CirParams:
     has_closed_form = True
 
     def __post_init__(self):
-        if min(self.lam, self.theta, self.eta, self.x0) < 0.0:
-            raise InvalidParameter("CIR parameters must be non-negative")
+        if not all(0.0 <= v < math.inf
+                   for v in (self.lam, self.theta, self.eta, self.x0)):
+            raise InvalidParameter(
+                "CIR parameters must be finite and non-negative")
 
     def a(self, t: float) -> float:
         return math.exp(-self.lam * t)
@@ -109,11 +111,13 @@ class GammaOuParams:
     def __post_init__(self):
         # beta = 0 is the degenerate no-jump case (pure decay); it loses
         # the Gamma stationary law but keeps every formula well defined.
-        if self.lam <= 0.0 or self.alpha <= 0.0 or self.beta < 0.0:
+        if not (0.0 < self.lam < math.inf and 0.0 < self.alpha < math.inf
+                and 0.0 <= self.beta < math.inf):
+            raise InvalidParameter("gamma-OU requires finite lam > 0, "
+                                   "alpha > 0 and beta >= 0")
+        if not 0.0 <= self.x0 < math.inf:
             raise InvalidParameter(
-                "gamma-OU requires lam > 0, alpha > 0, beta >= 0")
-        if self.x0 < 0.0:
-            raise InvalidParameter("initial state must be non-negative")
+                "initial state must be finite and non-negative")
 
     def initial_state(self) -> np.ndarray:
         return np.array([self.x0])

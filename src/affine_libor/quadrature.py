@@ -75,6 +75,11 @@ _WG_FULL[1:14:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[-2::-1]])
 # Edges of the head's starting panels as fractions of its width: 0, then
 # geometric cuts 1/64, ..., 1/2, then 1.
 _HEAD_EDGES = np.concatenate([[0.0], 0.5 ** np.arange(6.0, -1.0, -1.0)])
+# semi_infinite_oscillatory: absolute part of each component's budget,
+# most doublings of the range, and panel cap of each step's refinement.
+_SOI_ABS_TOL = 0.0
+_SOI_DOUBLINGS = 26
+_SOI_PANELS = 512
 
 
 def _components(values, n: int) -> np.ndarray:
@@ -249,9 +254,7 @@ def _fused_step(f, edges, v: float, step: float, abs_tol, rel_tol: float,
 
 
 def semi_infinite_oscillatory(f, initial_width: float = 64.0,
-                              abs_tol: float = 0.0, rel_tol: float = 1e-9,
-                              max_doublings: int = 26,
-                              max_panels: int = 512):
+                              rel_tol: float = 1e-9):
     """Integrate ``f`` on [0, inf); returns (value, error_estimate).
 
     The head [0, V] starts from the geometric panels cut at V/64, V/32,
@@ -267,7 +270,7 @@ def semi_infinite_oscillatory(f, initial_width: float = 64.0,
     absolute tolerance, so it no longer drives refinement; doubling stops
     when every component has settled.  Segment [V, 2V] starts from panels
     one period wide at the fastest unsettled frequency measured at V (at
-    most ``max_panels // 2``), so that no starting panel aliases the
+    most ``_SOI_PANELS // 2``), so that no starting panel aliases the
     oscillation, and the difference step of its probe comes from that
     frequency too, so a steady phase costs no probe-only call after the
     head.  The reported error is quadrature error plus the consistency
@@ -285,17 +288,17 @@ def semi_infinite_oscillatory(f, initial_width: float = 64.0,
             f"initial width must be finite and positive, got {v}")
     step = _probe_step(v, ())
     total, qerr, probed, vector = _fused_step(
-        f, v * _HEAD_EDGES, v, step, abs_tol * 0.1, rel_tol * 0.1,
-        max_panels)
+        f, v * _HEAD_EDGES, v, step, _SOI_ABS_TOL * 0.1, rel_tol * 0.1,
+        _SOI_PANELS)
     tail, omega = _tail_by_parts(f, v, step, probed)
     value, err = total + tail, np.full(total.shape, np.inf)
     gap = err
     unsettled = np.ones(total.shape, dtype=bool)
-    for _ in range(max_doublings):
-        budget = np.maximum(abs_tol, rel_tol * np.abs(total + tail))
+    for _ in range(_SOI_DOUBLINGS):
+        budget = np.maximum(_SOI_ABS_TOL, rel_tol * np.abs(total + tail))
         fastest = np.max(omega, where=unsettled, initial=0.0)
         n = max(1, int(np.ceil(np.fmin(fastest * v / (2.0 * np.pi),
-                                       max_panels // 2))))
+                                       _SOI_PANELS // 2))))
         edges = v + (v / n) * np.arange(n + 1.0)
         edges[-1] = 2.0 * v  # v + n * (v / n) can miss 2v by an ulp
         step = _probe_step(2.0 * v, omega)
@@ -304,7 +307,7 @@ def semi_infinite_oscillatory(f, initial_width: float = 64.0,
         seg, serr, probed, _ = _fused_step(
             f, edges, 2.0 * v, step,
             np.where(unsettled, budget * 0.05, np.inf), rel_tol * 0.1,
-            max_panels)
+            _SOI_PANELS)
         tail_next, omega = _tail_by_parts(f, 2.0 * v, step, probed)
         gap = np.abs(tail - (seg + tail_next))
         total = total + seg

@@ -203,6 +203,39 @@ class TestCommands:
         assert main(["validate", "--config", str(cfg)]) == 0
         assert capsys.readouterr().out.endswith("42/42 checks passed\n")
 
+    def test_validate_starts_paths_at_the_model_state(self, tmp_path,
+                                                      capsys):
+        # model.x0 moves the state every pricer starts from; the paths
+        # must start there too, not at process.x0
+        cfg = write(tmp_path, "c.cfg", CIR_CFG_TEMPLATE.format(tenor=TABLE1)
+                    + "model.x0 = 2.0\n")
+        assert main(["validate", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        assert out.endswith("42/42 checks passed\n")
+
+    # NaN and inf compare false against every bound, and used to pass the
+    # driver's checks and end as InfeasibleCurve or ConvergenceFailure.
+    @pytest.mark.parametrize("family, line", [
+        ("cir", "process.lambda = nan"), ("cir", "process.eta = inf"),
+        ("cir", "process.theta = nan"), ("cir", "process.x0 = nan"),
+        ("gamma_ou", "process.lambda = nan"),
+        ("gamma_ou", "process.beta = inf"),
+        ("cir_2f", "process.eta1 = nan"), ("cir_2f", "process.x02 = inf")])
+    def test_non_finite_driver_is_invalid_parameter(self, tmp_path, capsys,
+                                                    family, line):
+        key = line.split(" =")[0] + " ="
+        lines = [line if text.startswith(key) else text for text in
+                 (REPO / "configs" / f"{family}.cfg").read_text().splitlines()
+                 if not text.startswith("tenor.path")]
+        assert line in lines
+        cfg = write(tmp_path, "c.cfg",
+                    "\n".join(lines + [f"tenor.path = {TABLE1}"]) + "\n")
+        assert main(["caplet", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: InvalidParameter")
+        assert "price" not in captured.out
+
     def test_error_category_on_bad_config(self, tmp_path, capsys):
         cfg = write(tmp_path, "bad.cfg", "process.family = cir\n")
         assert main(["caplet", "--config", str(cfg)]) == 1
@@ -226,6 +259,8 @@ class TestCommands:
         ("swaption", "swaption.strike = nan"),
         ("caplet", "calibration.tol = nan"),
         ("caplet", "calibration.tol = -1"),
+        ("caplet", "model.x0 = nan"),
+        ("caplet", "model.x0 = 1.0,2.0"),
     ])
     def test_out_of_range_input_is_invalid_parameter(self, tmp_path, capsys,
                                                      command, line):

@@ -6,16 +6,19 @@ import pytest
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import gammainc
 from scipy.stats import ncx2
+from test_model import DRIVER_ARGS
 
 from affine_libor import distributions
-from affine_libor.distributions import (ChiSqMixSpec, LsncChi2Params,
-                                        chisq_mix_cdf, chisq_mix_sf, lsnc_cdf,
-                                        lsnc_cgf, lsnc_sf, lsnc_tilt,
-                                        ncchi2_cdf, ncchi2_sf)
+from affine_libor.distributions import (ChiSqMixSpec, chisq_mix_cdf,
+                                        chisq_mix_sf, ncchi2_cdf, ncchi2_sf)
 from affine_libor.errors import (ConvergenceFailure, DomainViolation,
                                  InvalidParameter)
+from affine_libor.model import fit_term_structure, tilt_exponents
+from affine_libor.pricing import _factor_laws
+from affine_libor.processes import CirParams
 
 # Frozen oracle values: Poisson-weighted quadrature of central chi-square
 # densities (scipy.integrate.quad at epsabs 1e-15, weights by recurrence),
@@ -27,6 +30,25 @@ QUADRATURE_ORACLE = [
     (5.0, 20.0, 25.0, 0.5407136081145838),
     (7.0, 2.2, 9.2, 0.5669560582312693),
 ]
+
+
+def mix_cgf(u, m: ChiSqMixSpec) -> float:
+    """Cumulant generating function of shift + sum_j sigma_j Y_j at u,
+    for u < 1 / (2 max sigma_j): per component
+    -(nu/2) log(1 - 2 sigma u) + alpha sigma u / (1 - 2 sigma u)."""
+    w = 1.0 - 2.0 * m.sigmas * u
+    assert np.all(w > 0.0), "u outside the CGF domain"
+    return float(np.sum(-0.5 * m.nus * np.log(w) + m.alphas * m.sigmas * u / w)
+                 + m.shift * u)
+
+
+def forward_law(f: CirParams, x: float, t: float,
+                theta: float) -> ChiSqMixSpec:
+    """Law of the square-root factor X_t, started at x, under the measure
+    that tilts X_t by theta, as the pricers build it."""
+    sigma, nu, alpha = _factor_laws((f,), np.array([x]), t,
+                                    np.array([[theta]]))
+    return ChiSqMixSpec(sigma[0], nu, alpha[0])
 
 
 def _mp_gamma_ratio(a, x, upper):
@@ -186,106 +208,161 @@ class TestNcChi2:
 
 
 class TestLsnc:
+    """The location-scale law: a one-component mixture."""
+
     def test_mass_starts_at_location(self):
-        p = LsncChi2Params(mu=2.0, sigma=0.5, nu=1.5, alpha_nc=0.3)
-        assert lsnc_cdf(2.0, p) == 0.0
-        assert lsnc_cdf(1.9, p) == 0.0
+        m = ChiSqMixSpec([0.5], [1.5], [0.3], shift=2.0)
+        assert chisq_mix_cdf(2.0, m) == 0.0
+        assert chisq_mix_cdf(1.9, m) == 0.0
+        assert chisq_mix_sf(1.9, m) == 1.0
 
     def test_identity_case(self):
-        p = LsncChi2Params(0.0, 1.0, 2.5, 0.7)
-        assert lsnc_cdf(3.1, p) == pytest.approx(ncchi2_cdf(3.1, 2.5, 0.7),
-                                                 abs=1e-14)
+        m = ChiSqMixSpec([1.0], [2.5], [0.7])
+        assert chisq_mix_cdf(3.1, m) == pytest.approx(
+            ncchi2_cdf(3.1, 2.5, 0.7), abs=1e-14)
 
     def test_affine_reparameterisation(self):
-        p = LsncChi2Params(1.0, 2.0, 3.0, 0.5)
-        assert lsnc_cdf(5.0, p) == pytest.approx(ncchi2_cdf(2.0, 3.0, 0.5),
-                                                 abs=1e-14)
-
-    def test_negative_scale_reflection(self):
-        p = LsncChi2Params(0.0, -1.0, 2.0, 1.0)
-        # P(-W <= -x) = P(W >= x)
-        assert lsnc_cdf(-3.0, p) == pytest.approx(ncchi2_sf(3.0, 2.0, 1.0),
-                                                  abs=1e-13)
-        assert lsnc_sf(-3.0, p) == pytest.approx(ncchi2_cdf(3.0, 2.0, 1.0),
-                                                 abs=1e-13)
+        m = ChiSqMixSpec([2.0], [3.0], [0.5], shift=1.0)
+        assert chisq_mix_cdf(5.0, m) == pytest.approx(
+            ncchi2_cdf(2.0, 3.0, 0.5), abs=1e-14)
+        assert chisq_mix_sf(5.0, m) == pytest.approx(
+            ncchi2_sf(2.0, 3.0, 0.5), abs=1e-14)
 
     def test_zero_scale_rejected(self):
         with pytest.raises(InvalidParameter):
-            LsncChi2Params(0.0, 0.0, 2.0, 1.0)
+            ChiSqMixSpec([0.0], [2.0], [1.0])
 
     def test_cgf_at_zero_and_spec_point(self):
-        p = LsncChi2Params(0.0, 1.0, 2.0, 1.0)
-        assert lsnc_cgf(0.0, p) == 0.0
-        assert lsnc_cgf(0.1, p) == pytest.approx(-math.log(0.8) + 0.1 / 0.8,
-                                                 rel=1e-14)
+        m = ChiSqMixSpec([1.0], [2.0], [1.0])
+        assert mix_cgf(0.0, m) == 0.0
+        assert mix_cgf(0.1, m) == pytest.approx(-math.log(0.8) + 0.1 / 0.8,
+                                                rel=1e-14)
 
     def test_cgf_derivative_is_the_mean(self):
-        p = LsncChi2Params(0.4, 0.7, 2.3, 1.9)
+        # the mean shift + int_shift^inf SF, from the survival function
+        m = ChiSqMixSpec([0.7], [2.3], [1.9], shift=0.4)
         h = 1e-6
-        deriv = (lsnc_cgf(h, p) - lsnc_cgf(-h, p)) / (2.0 * h)
-        assert deriv == pytest.approx(p.mean(), rel=1e-8)
+        deriv = (mix_cgf(h, m) - mix_cgf(-h, m)) / (2.0 * h)
+        area, _ = quad(lambda y: chisq_mix_sf(y, m), m.shift, math.inf,
+                       epsabs=1e-12, epsrel=1e-12)
+        assert deriv == pytest.approx(m.shift + area, rel=1e-8)
+        assert deriv == pytest.approx(0.4 + 0.7 * (2.3 + 1.9), rel=1e-8)
 
     def test_cgf_matches_sampled_expectation(self):
-        p = LsncChi2Params(0.0, 0.5, 2.0, 1.5)
+        m = ChiSqMixSpec([0.5], [2.0], [1.5])
         rng = np.random.default_rng(5)
         y = 0.5 * rng.noncentral_chisquare(2.0, 1.5, size=400_000)
         u = 0.3
         samples = np.exp(u * y)
         se = samples.std(ddof=1) / math.sqrt(samples.size)
-        assert abs(samples.mean() - math.exp(lsnc_cgf(u, p))) <= 3.0 * se
+        assert abs(samples.mean() - math.exp(mix_cgf(u, m))) <= 3.0 * se
+        # E[e^{uY}] = 1 + u int_0^inf e^{uy} SF(y) dy, from the series;
+        # beyond y = 200 the integrand is below e^-200
+        area, _ = quad(lambda z: math.exp(u * z) * chisq_mix_sf(z, m), 0.0,
+                       200.0, epsabs=1e-12, epsrel=1e-12, limit=200)
+        assert 1.0 + u * area == pytest.approx(math.exp(mix_cgf(u, m)),
+                                               rel=1e-8)
 
     def test_cgf_domain(self):
-        p = LsncChi2Params(0.0, 1.0, 2.0, 1.0)
-        with pytest.raises(DomainViolation):
-            lsnc_cgf(0.5, p)
+        # the CGF of a factor's law ends where the driver's moment
+        # domain does
+        f = CirParams(0.4, 0.6, 0.3)
+        for t in (0.5, 2.0, 4.5):
+            m = forward_law(f, 1.1, t, 0.0)
+            assert 1.0 / (2.0 * m.sigmas[0]) == pytest.approx(
+                f.domain_sup(t)[0], rel=1e-14)
 
 
 class TestTilt:
+    """Exponential tilting of a square-root factor's law
+    (``pricing._factor_laws``) keeps the family: scale and
+    non-centrality divide by zeta = 1 - 2 sigma theta."""
+
     def test_zero_tilt_is_identity(self):
-        p = LsncChi2Params(0.3, 0.8, 2.0, 1.5)
-        assert lsnc_tilt(p, 0.0) == p
+        f, x, t = CirParams(0.4, 0.6, 0.3), 1.1, 1.5
+        m = forward_law(f, x, t, 0.0)
+        eb = f.eta ** 2 * f.b(t)
+        assert m.sigmas[0] == eb
+        assert m.nus[0] == f.lam * f.theta / f.eta ** 2
+        assert m.alphas[0] == x * f.a(t) / eb
 
     def test_spec_point(self):
-        p = LsncChi2Params(0.0, 1.0, 2.0, 1.5)
-        tilted = lsnc_tilt(p, 0.25)
-        assert tilted.sigma == pytest.approx(2.0)
-        assert tilted.alpha_nc == pytest.approx(3.0)
+        # lam = 0, eta = 1: terminal scale b(1) = 1, non-centrality 1.5
+        sigma, _, alpha = _factor_laws((CirParams(0.0, 1.0, 1.0),),
+                                       np.array([1.5]), 1.0,
+                                       np.array([[0.25]]))
+        assert sigma[0, 0] == pytest.approx(2.0)
+        assert alpha[0, 0] == pytest.approx(3.0)
 
     def test_cgf_identity_randomized(self):
         # kappa_theta(u) = kappa(u + theta) - kappa(theta)
         rng = np.random.default_rng(17)
-        p = LsncChi2Params(0.2, 0.6, 1.7, 2.4)
-        bound = 1.0 / (2.0 * p.sigma)
+        f, x, t = CirParams(0.6, 0.8, 0.5), 1.3, 1.2
+        p = forward_law(f, x, t, 0.0)
+        bound = 1.0 / (2.0 * p.sigmas[0])
         for _ in range(100):
             theta = rng.uniform(-1.0, 0.9 * bound)
-            tilted = lsnc_tilt(p, theta)
-            u = rng.uniform(-1.0, 0.9 / (2.0 * tilted.sigma))
-            lhs = lsnc_cgf(u, tilted)
-            rhs = lsnc_cgf(u + theta, p) - lsnc_cgf(theta, p)
+            tilted = forward_law(f, x, t, theta)
+            u = rng.uniform(-1.0, 0.9 / (2.0 * tilted.sigmas[0]))
+            lhs = mix_cgf(u, tilted)
+            rhs = mix_cgf(u + theta, p) - mix_cgf(theta, p)
             assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-12)
 
     def test_tilt_composition_via_cgf(self):
-        p = LsncChi2Params(0.0, 0.5, 2.0, 1.0)
-        once = lsnc_tilt(lsnc_tilt(p, 0.3), 0.2)
-        # composed tilts must equal the single tilt by 0.5 on the CGF level
-        direct = lsnc_tilt(p, 0.5)
+        # the tilt by 0.5 is the tilt by 0.3 tilted again by 0.2
+        f, x, t = CirParams(0.5, 0.7, 0.4), 1.0, 2.0
+        once = forward_law(f, x, t, 0.3)
+        direct = forward_law(f, x, t, 0.5)
         for u in (-0.5, 0.0, 0.3):
-            assert lsnc_cgf(u, once) == pytest.approx(lsnc_cgf(u, direct),
-                                                      rel=1e-12, abs=1e-13)
+            assert mix_cgf(u, direct) == pytest.approx(
+                mix_cgf(u + 0.2, once) - mix_cgf(0.2, once),
+                rel=1e-12, abs=1e-13)
 
     def test_out_of_domain(self):
-        p = LsncChi2Params(0.0, 1.0, 2.0, 1.0)
+        # terminal scale 1: the CGF ends at theta = 1/2
+        f = CirParams(0.0, 1.0, 1.0)
         with pytest.raises(DomainViolation):
-            lsnc_tilt(p, 0.5)
+            _factor_laws((f,), np.array([1.0]), 1.0, np.array([[0.5]]))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(a=DRIVER_ARGS["a"], b=DRIVER_ARGS["b"], c=DRIVER_ARGS["c"],
+           x0=DRIVER_ARGS["x0"], k=st.integers(1, 9),
+           frac=st.floats(0.05, 1.0), us=st.lists(
+               st.floats(-2.0, 0.9), min_size=1, max_size=4))
+    def test_forward_law_cgf_matches_driver_transform(self, tenor, a, b, c,
+                                                      x0, k, frac, us):
+        # log E_{T_k}[e^{u X_t}] = kappa_t(theta + u) - kappa_t(theta), with
+        # kappa_t(w) = phi_t(w) + psi_t(w) x0 the driver's log-MGF under
+        # the terminal measure and theta = psi_{T_N - t}(u_k) the tilt
+        f = CirParams(a, b, c, x0)
+        model = fit_term_structure(tenor, f)
+        t = frac * model.tenor.date(k)
+        _, psi = tilt_exponents(model, t, (k,))
+        theta = float(psi[0, 0])
+        law = forward_law(f, x0, t, theta)
+
+        def kappa(w):
+            phi_w, psi_w = f.phi_psi(t, np.array([[w]]))
+            return float(phi_w[0] + psi_w[0, 0] * x0)
+
+        # u of the list is a fraction of the law's CGF bound
+        bound = 1.0 / (2.0 * law.sigmas[0])
+        for frac_u in us:
+            u = frac_u * bound
+            assert mix_cgf(u, law) == pytest.approx(
+                kappa(theta + u) - kappa(theta), rel=1e-10, abs=1e-12)
 
 
 class TestChiSqMix:
     def test_single_term_reduces_to_lsnc(self):
-        mix = ChiSqMixSpec([0.7], [2.0], [1.3])
-        p = LsncChi2Params(0.0, 0.7, 2.0, 1.3)
+        # one component: the series at (x - shift) / sigma, no Imhof
+        mix = ChiSqMixSpec([0.7], [2.0], [1.3], shift=0.2)
         for x in (0.1, 1.0, 5.0):
-            assert chisq_mix_cdf(x, mix) == pytest.approx(lsnc_cdf(x, p),
-                                                          abs=1e-13)
+            z = (x - 0.2) / 0.7
+            assert chisq_mix_cdf(x, mix) == pytest.approx(
+                ncchi2_cdf(z, 2.0, 1.3), abs=1e-13)
+            assert chisq_mix_sf(x, mix) == pytest.approx(
+                ncchi2_sf(z, 2.0, 1.3), abs=1e-13)
 
     def test_below_shift_is_zero(self):
         mix = ChiSqMixSpec([1.0, 2.0], [2.0, 3.0], [0.5, 1.0], shift=1.5)

@@ -10,10 +10,11 @@ from affine_libor.affine_core import transform
 from affine_libor.errors import (ConvergenceFailure, DomainViolation,
                                  HorizonViolation, InfeasibleCurve,
                                  InvalidParameter, NonMonotoneCurve)
-from affine_libor.model import (TenorStructure, estimate_gamma_x,
-                                fit_term_structure, forward_exponents,
-                                forward_price_mgf, libor_lower_bound,
-                                libor_rate, martingale_value, tilt_exponents)
+from affine_libor.model import (CalibratedModel, TenorStructure,
+                                estimate_gamma_x, fit_term_structure,
+                                forward_exponents, forward_price_mgf,
+                                libor_lower_bound, libor_rate,
+                                martingale_value, tilt_exponents)
 from affine_libor.montecarlo import RngStream, forward_measure_weights, \
     simulate_process
 from affine_libor.processes import (CirParams, GammaOuParams,
@@ -187,6 +188,18 @@ class TestFitTermStructure:
                                                    tol):
         with pytest.raises(InvalidParameter):
             fit_term_structure(tenor, cir_process, tol=tol)
+
+    @pytest.mark.parametrize("x0", [[math.nan, 1.0], [1.0, math.inf],
+                                    [-0.5, 1.0], [0.0, 0.0], [1.0],
+                                    [1.0, 1.0, 1.0]])
+    def test_initial_state_is_one_finite_value_per_factor(self, tenor,
+                                                          cir2f_model, x0):
+        # a wrong length used to end in a numpy ValueError, a NaN in
+        # InfeasibleCurve, and the model took [nan, 1.0]
+        with pytest.raises(InvalidParameter):
+            fit_term_structure(tenor, cir2f_model.process, x0=x0)
+        with pytest.raises(InvalidParameter):
+            CalibratedModel(cir2f_model.process, x0, tenor, cir2f_model.us)
 
     def test_infeasible_curve(self, tenor):
         # gamma_X = exp(T * 0.01 + 0.05) ~ 1.105 < B(0,T_1)/B(0,T_N) ~ 1.24

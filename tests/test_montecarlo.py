@@ -214,6 +214,20 @@ class TestMcInstruments:
         est, se = mc_caplet(cir_model, 2, 0.03, 400_000, RngStream(43))
         assert abs(est - exact) <= 3.0 * se
 
+    @pytest.mark.parametrize("process, x0", [
+        (CirParams(0.001, 0.5, 0.59, 1.25), [2.0]),
+        (two_factor_cir(0.5, 0.6, 0.25, 1.2, 0.4, 0.3), [2.0, 0.5])])
+    def test_caplet_starts_at_the_model_state(self, tenor, process, x0):
+        # fitted at an x0 other than the driver record's own: the paths
+        # start where every pricer does, at the model's x0
+        from affine_libor.pricing import CapletSpec, caplet_closed
+        m = fit_term_structure(tenor, process, x0=np.array(x0))
+        exact = caplet_closed(m, CapletSpec(2, 0.03)).price
+        est, se = mc_caplet(m, 2, 0.03, 200_000, RngStream(53))
+        assert abs(est - exact) <= 3.0 * se
+        assert all(r.passed() for r in martingale_checks(
+            m, range(1, m.n_periods + 1), 2.0, 200_000, RngStream(59)))
+
     def test_swaption_brackets_closed_form(self, cir_model):
         from affine_libor.pricing import SwaptionSpec, swaption_cir_closed
         exact = swaption_cir_closed(cir_model,

@@ -10,7 +10,8 @@ from affine_libor import pricing
 from affine_libor.cli import RunConfig
 from affine_libor.errors import (DampingOutOfStrip, InvalidParameter,
                                  ModelMismatch, NoSignChange, OutOfBounds)
-from affine_libor.model import fit_term_structure, martingale_value
+from affine_libor.model import (fit_term_structure, martingale_value,
+                                tilt_exponents)
 from affine_libor.montecarlo import RngStream, mc_caplet, mc_swaption
 from affine_libor.pricing import (CapletSpec, QuadratureSettings,
                                   SwaptionSpec, black76_implied_vol,
@@ -309,9 +310,9 @@ class TestSwaptionRoot:
         """Tilts of SwaptionSpec(1, 3, 0.03) with A = (0, a_flat) and
         B = (-1, 0): far to the right f tends to 1 - c_3 e^{a_flat}."""
         monkeypatch.setattr(
-            pricing, "_swaption_tilts",
-            lambda m, s: (0.0, np.array([0.0, 0.0, a_flat]),
-                          np.array([0.0, -1.0, 0.0])))
+            pricing, "tilt_exponents",
+            lambda m, t, ks: (np.array([0.0, 0.0, a_flat]),
+                              np.array([[0.0], [-1.0], [0.0]])))
         return SwaptionSpec(1, 3, 0.03)
 
     def test_flat_terms_at_or_above_one_give_no_root(self, monkeypatch,
@@ -356,8 +357,9 @@ class TestSwaptionRoot:
                 s = SwaptionSpec(start, end, float(strike))
                 evals.append(0)
                 root = swaption_root(m, s)
-                _, phi, psi = pricing._swaption_tilts(m, s)
-                a, b, coup = phi[1:] - phi[0], psi[1:] - psi[0], \
+                phi, psi = tilt_exponents(m, m.tenor.date(start),
+                                          range(start, end + 1))
+                a, b, coup = phi[1:] - phi[0], psi[1:, 0] - psi[0, 0], \
                     s.coupons(m.delta)
 
                 def f(x):

@@ -64,6 +64,14 @@ class TestCir:
         with pytest.raises(InvalidParameter):
             CirParams(-0.1, 0.5, 0.59)
 
+    @pytest.mark.parametrize("field", ["lam", "theta", "eta", "x0"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, field, bad):
+        args = dict(lam=0.5, theta=0.4, eta=0.3, x0=1.0)
+        args[field] = bad
+        with pytest.raises(InvalidParameter):
+            CirParams(**args)
+
 
 class TestGammaOu:
     def test_trivial_points(self, gou_process):
@@ -94,6 +102,14 @@ class TestGammaOu:
         with pytest.raises(InvalidParameter):
             GammaOuParams(0.01, -1.0, 1.0)
         GammaOuParams(0.01, 2.0, 0.0)  # no-jump degenerate case is allowed
+
+    @pytest.mark.parametrize("field", ["lam", "alpha", "beta", "x0"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, field, bad):
+        args = dict(lam=0.01, alpha=2.0, beta=1.0, x0=1.25)
+        args[field] = bad
+        with pytest.raises(InvalidParameter):
+            GammaOuParams(**args)
 
 
 class TestSubordinator:

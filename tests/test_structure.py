@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 import affine_libor
-from affine_libor import affine_core, model, montecarlo, processes, quadrature
+from affine_libor import (affine_core, distributions, model, montecarlo,
+                          processes, quadrature)
 
 SRC = Path(affine_libor.__file__).resolve().parent
 
@@ -50,6 +51,15 @@ def test_test_only_helpers_are_gone(name):
 def test_second_transform_path_is_gone(name):
     for module in (affine_libor, affine_core, model):
         assert not hasattr(module, name)
+
+
+@pytest.mark.parametrize("name", ["LsncChi2Params", "lsnc_cdf", "lsnc_sf",
+                                  "lsnc_tilt", "lsnc_cgf"])
+def test_one_chi_square_law_record(name):
+    # ChiSqMixSpec is the only law record; one component is the
+    # location-scale law
+    assert not hasattr(affine_libor, name)
+    assert not hasattr(distributions, name)
 
 
 def test_tail_probe_rides_the_fused_step_without_a_wrapper():
