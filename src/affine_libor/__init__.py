@@ -19,8 +19,7 @@ from .errors import (AffineLiborError, BlowUp, ConvergenceFailure,
                      StepUnderflow)
 from .model import (CalibratedModel, ForwardExponents, TenorStructure,
                     estimate_gamma_x, fit_term_structure, forward_exponents,
-                    forward_price_mgf, libor_rate, libor_lower_bound,
-                    martingale_value, tilt_exponents)
+                    libor_rate, martingale_value, tilt_exponents)
 from .montecarlo import (MartingaleReport, PathBatch, RngStream, agrees,
                          forward_measure_weights, martingale_check,
                          martingale_checks, mc_caplet, mc_price, mc_swaption,

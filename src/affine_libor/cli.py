@@ -57,8 +57,9 @@ def load_tenor_csv(path: str) -> TenorStructure:
 
     The accrual is inferred from the (uniform) maturity spacing; an
     optional per-row delta column must agree with that spacing.  Raises
-    ParseError with the offending row number, or NonMonotoneCurve when
-    the discounts imply a negative initial forward rate.
+    ParseError with the offending row number, InvalidParameter for a value
+    that is not finite or a discount outside (0, 1], or NonMonotoneCurve
+    when the discounts imply a negative initial forward rate.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -91,11 +92,12 @@ def load_tenor_csv(path: str) -> TenorStructure:
         raise ParseError(f"{path}: non-uniform maturity spacing")
     if has_delta and np.any(np.abs(np.asarray(deltas) - gaps[0]) > 1e-9):
         raise ParseError(f"{path}: delta column disagrees with spacing")
+    tenor = TenorStructure.from_curve(np.asarray(maturities),
+                                      np.asarray(discounts), float(gaps[0]))
     if np.any(np.diff(discounts) > 0.0):
         raise NonMonotoneCurve(
             f"{path}: increasing discounts imply negative initial rates")
-    return TenorStructure.from_curve(np.asarray(maturities),
-                                     np.asarray(discounts), float(gaps[0]))
+    return tenor
 
 
 def _setting(cfg: dict, key: str, kind=float, default=None):
@@ -141,8 +143,11 @@ def _strike_grid(spec: str) -> np.ndarray:
     if not (step > 0.0 and lo <= hi and np.isfinite([lo, hi, step]).all()):
         raise InvalidParameter(
             f"surface.strikes needs min <= max and step > 0, got {spec!r}")
-    n = int(round((hi - lo) / step)) + 1
-    return lo + step * np.arange(n)
+    n = (hi - lo) / step
+    if not np.isfinite(n):
+        raise InvalidParameter(
+            f"surface.strikes has too many points, got {spec!r}")
+    return lo + step * np.arange(int(round(n)) + 1)
 
 
 @dataclass
@@ -183,6 +188,10 @@ class RunConfig:
             truncation=(_setting(cfg, "quadrature.truncation")
                         if "quadrature.truncation" in cfg else None),
             rel_tol=_setting(cfg, "quadrature.rel_tol", default="1e-9"))
+        method = method or cfg.get("surface.method", "fourier")
+        if method not in ("fourier", "closed"):
+            raise InvalidParameter(
+                f"surface.method must be fourier or closed, got {method!r}")
         return cls(
             process=build_process(cfg),
             tenor=load_tenor_csv(tenor_path),
@@ -192,7 +201,7 @@ class RunConfig:
             quadrature=quad,
             strikes=_strike_grid(cfg.get("surface.strikes",
                                          "0.01:0.06:0.005")),
-            method=method or cfg.get("surface.method", "fourier"),
+            method=method,
             seed=seed if seed is not None else _setting(cfg, "mc.seed", int,
                                                         "1"),
             mc_paths=_setting(cfg, "mc.paths", int, "100000"),

@@ -19,10 +19,10 @@ T_k-forward measure is an exponential tilt by psi_{T_N - t}(u_k), so the
 model stays affine under every forward measure.  One kernel,
 :func:`tilt_exponents`, evaluates these tilts for a set of tenor indices
 with one batched transform; the forward-price exponents, the
-forward-price MGF and every pricer and Monte Carlo weight take their
-tilts from it.  Every batched transform is one call of
-:func:`~affine_libor.affine_core.phi_psi_batch`: the closed form, or one
-batched Riccati solve for drivers without one.
+forward-price MGF of the Fourier rows (:func:`forward_log_mgf`) and every
+pricer and Monte Carlo weight take their tilts from it.  Every batched
+transform is one call of :func:`~affine_libor.affine_core.phi_psi_batch`:
+the closed form, or one batched Riccati solve for drivers without one.
 """
 
 from __future__ import annotations
@@ -57,8 +57,12 @@ class TenorStructure:
         disc = np.asarray(self.discounts, dtype=float)
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "discounts", disc)
-        if self.delta <= 0.0:
-            raise InvalidParameter("accrual delta must be positive")
+        # written so that a NaN anywhere fails it
+        if not (0.0 < self.delta < math.inf and np.all(np.isfinite(dates))
+                and np.all((disc > 0.0) & (disc <= 1.0))):
+            raise InvalidParameter(
+                "need finite tenor dates, a finite positive accrual delta "
+                "and discount factors in (0, 1]")
         if dates.ndim != 1 or dates.size != disc.size + 1:
             raise InvalidParameter(
                 "need len(dates) == len(discounts) + 1 (dates include T_0)")
@@ -67,8 +71,6 @@ class TenorStructure:
             raise InvalidParameter("tenor dates must be strictly increasing")
         if np.any(np.abs(gaps - self.delta) > 1e-9 * max(1.0, self.delta)):
             raise InvalidParameter("tenor dates must be spaced by delta")
-        if np.any(disc <= 0.0) or np.any(disc > 1.0):
-            raise InvalidParameter("discount factors must lie in (0, 1]")
 
     @classmethod
     def from_curve(cls, maturities, discounts, delta: float | None = None):
@@ -418,48 +420,19 @@ def libor_rate(m: CalibratedModel, k: int, t: float, x) -> float:
         / m.delta
 
 
-def libor_lower_bound(m: CalibratedModel, k: int, t: float) -> float:
-    """State-independent floor (exp(A_k) - 1)/delta of the period-k rate.
+def forward_log_mgf(m: CalibratedModel, t: float, phi, psi, v):
+    """Exponent of the forward-price MGF at a 1-d array of v.
 
-    Diagnostic only: one-factor models cannot produce rates below it.
-    """
-    fe = forward_exponents(m, k, k + 1, t)
-    return (math.exp(fe.A) - 1.0) / m.delta
-
-
-def forward_price_mgf(m: CalibratedModel, k: int, t: float, v):
-    """E under P_{T_{k+1}} of exp(v * (A_k + <B_k, X_t>)).
-
-    Exponentially affine in the initial state:
+    E under P_{T_{k+1}} of exp(v * (A_k + <B_k, X_t>)) is
 
         (B(0,T_N)/B(0,T_{k+1})) * exp( v phi_{T_N-t}(u_k)
             + (1-v) phi_{T_N-t}(u_{k+1}) + phi_t(w(v)) + <psi_t(w(v)), x0> ),
 
-    with w(v) = v psi_{T_N-t}(u_k) + (1-v) psi_{T_N-t}(u_{k+1}).  Accepts
-    scalar or 1-d array v, real or complex; a DomainViolation signals that
-    Re(v) lies outside the admissible strip.
-    """
-    if not 1 <= k <= m.n_periods - 1:
-        raise IndexError(f"period index {k} outside 1..{m.n_periods - 1}")
-    if t < 0.0 or t > m.tenor.date(k) + 1e-12:
-        raise HorizonViolation(f"t={t} outside [0, T_{k}]")
-    scalar = np.isscalar(v)
-    v = np.atleast_1d(np.asarray(v))
-    phi, psi = tilt_exponents(m, t, (k, k + 1))
-    out = (m.bond0(m.n_periods) / m.bond0(k + 1)) \
-        * np.exp(forward_log_mgf(m, t, phi, psi, v))
-    if scalar:
-        out = out[0]
-        return float(np.real(out)) if not np.iscomplexobj(v) else complex(out)
-    return out
-
-
-def forward_log_mgf(m: CalibratedModel, t: float, phi, psi, v):
-    """Exponent of :func:`forward_price_mgf` at a 1-d array of v.
-
-    ``phi`` and ``psi`` hold the tilts of u_k and u_{k+1} at T_N - t (rows
-    0 and 1, as :func:`tilt_exponents` returns them).  The Fourier caplet
-    rows integrate exp of this against the payoff transform.
+    with w(v) = v psi_{T_N-t}(u_k) + (1-v) psi_{T_N-t}(u_{k+1}); this
+    returns the exponent, without the prefactor's log.  ``phi`` and ``psi``
+    hold the tilts of u_k and u_{k+1} at T_N - t (rows 0 and 1, as
+    :func:`tilt_exponents` returns them); v may be complex.  The Fourier
+    caplet rows integrate exp of this against the payoff transform.
     """
     blend = v[:, None] * psi[0][None, :] + (1.0 - v[:, None]) * psi[1][None, :]
     phi_in, psi_in = phi_psi_batch(m.process, t, blend)

@@ -36,6 +36,13 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) and v >= 0
+                   for v in (self.seed, self.stream_id)):
+            raise InvalidParameter(
+                "seed and stream id must be non-negative integers, got "
+                f"{self.seed!r} and {self.stream_id!r}")
+
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed,
                                     spawn_key=(self.stream_id,))
@@ -44,19 +51,13 @@ class RngStream:
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Simulated states on a monitoring grid, plus optional path weights.
+    """Simulated states on a monitoring grid.
 
-    states has shape (n_paths, n_times, n_factors) and is non-negative;
-    weights, when present, average to one in expectation.
+    states has shape (n_paths, n_times, n_factors) and is non-negative.
     """
 
     times: np.ndarray
     states: np.ndarray
-    weights: np.ndarray | None = None
-
-    @property
-    def n_paths(self) -> int:
-        return self.states.shape[0]
 
     def at(self, t: float) -> np.ndarray:
         """States (n_paths, d) at a grid time t."""
@@ -64,21 +65,6 @@ class PathBatch:
         if idx.size == 0:
             raise InvalidGrid(f"time {t} is not on the monitoring grid")
         return self.states[:, idx[0], :]
-
-    def dump_csv(self, path: str):
-        """Write `path_id,time,factor_index,state,weight` rows.
-
-        The weight column is left empty when the batch carries none.
-        """
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("path_id,time,factor_index,state,weight\n")
-            for p in range(self.states.shape[0]):
-                w = "" if self.weights is None else \
-                    f"{self.weights[p]:.12g}"
-                for j, t in enumerate(self.times):
-                    for f in range(self.states.shape[2]):
-                        fh.write(f"{p},{t:.12g},{f},"
-                                 f"{self.states[p, j, f]:.12g},{w}\n")
 
 
 def _check_grid(times) -> np.ndarray:
@@ -191,19 +177,6 @@ def model_states(m: CalibratedModel, t: float, n_paths: int,
                             rng).at(t)
 
 
-def martingale_values(m: CalibratedModel, k: int, t: float,
-                      x: np.ndarray) -> np.ndarray:
-    """M_t^{u_k} over an (n_paths, d) state array."""
-    phi, psi = tilt_exponents(m, t, (k,))
-    return np.exp(float(phi[0]) + x @ psi[0])
-
-
-def _initial_value(m: CalibratedModel, k: int) -> float:
-    """M_0^{u_k} at the model's initial state."""
-    phi, psi = tilt_exponents(m, 0.0, (k,))
-    return math.exp(float(phi[0] + np.dot(psi[0], m.x0)))
-
-
 def _require_paths(n_paths: int):
     if n_paths < 2:
         raise InvalidParameter(
@@ -212,8 +185,12 @@ def _require_paths(n_paths: int):
 
 def forward_measure_weights(m: CalibratedModel, k: int, t: float,
                             x: np.ndarray) -> np.ndarray:
-    """Radon-Nikodym weights dP_{T_k}/dP_{T_N} on F_t: M_t^{u_k}/M_0^{u_k}."""
-    return martingale_values(m, k, t, x) / _initial_value(m, k)
+    """Radon-Nikodym weights dP_{T_k}/dP_{T_N} on F_t: M_t^{u_k}/M_0^{u_k}
+    over an (n_paths, d) state array."""
+    phi_t, psi_t = tilt_exponents(m, t, (k,))
+    phi_0, psi_0 = tilt_exponents(m, 0.0, (k,))
+    return np.exp(float(phi_t[0]) + x @ psi_t[0]) \
+        / math.exp(float(phi_0[0] + np.dot(psi_0[0], m.x0)))
 
 
 def mc_price(m: CalibratedModel, payoff, horizon: float, measure_index: int,
@@ -273,11 +250,9 @@ def mc_swaption(m: CalibratedModel, start: int, end: int, strike: float,
 AGREEMENT_FLOOR = 1e-10
 
 
-def agrees(estimate: float, expected: float, std_error: float,
-           z_max: float = 3.0) -> bool:
-    """|estimate - expected| <= max(z_max * std_error, AGREEMENT_FLOOR)."""
-    return abs(estimate - expected) <= max(z_max * std_error,
-                                           AGREEMENT_FLOOR)
+def agrees(estimate: float, expected: float, std_error: float) -> bool:
+    """|estimate - expected| <= max(3 * std_error, AGREEMENT_FLOOR)."""
+    return abs(estimate - expected) <= max(3.0 * std_error, AGREEMENT_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -293,9 +268,9 @@ class MartingaleReport:
     min_value: float
     n_paths: int
 
-    def passed(self, z_max: float = 3.0) -> bool:
-        return agrees(self.sample_mean, self.expected, self.std_error,
-                      z_max) and self.min_value >= 1.0
+    def passed(self) -> bool:
+        return agrees(self.sample_mean, self.expected, self.std_error) \
+            and self.min_value >= 1.0
 
 
 def martingale_checks(m: CalibratedModel, ks, t: float, n_paths: int,

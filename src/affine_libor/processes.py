@@ -125,14 +125,6 @@ class GammaOuParams:
     def domain_sup(self, t: float) -> np.ndarray:
         return np.array([self.alpha])
 
-    def stationary_cumulant(self, u):
-        """Cumulant of the Gamma(alpha, beta) limit law."""
-        return self.beta * np.log(self.alpha / (self.alpha - u))
-
-    def driver_cumulant(self, u):
-        """Cumulant of the compound Poisson driver, lam*beta*u/(alpha-u)."""
-        return self.lam * self.beta * u / (self.alpha - u)
-
     def phi_psi(self, t: float, u: np.ndarray):
         v = u[..., 0]
         s = math.exp(-self.lam * t)
@@ -174,18 +166,6 @@ class LevySubordinatorSpec:
         k0 = complex(np.asarray(self.kappa(np.array([0.0])))[0])
         if abs(k0) > 1e-12:
             raise InvalidParameter("cumulant must vanish at 0")
-
-    @classmethod
-    def compound_poisson_exponential(cls, intensity: float, jump_rate: float,
-                                     x0: float = 1.0):
-        """Compound Poisson subordinator with Exp(jump_rate) jumps."""
-        if intensity < 0.0 or jump_rate <= 0.0:
-            raise InvalidParameter("need intensity >= 0 and jump_rate > 0")
-
-        def kappa(u):
-            return intensity * u / (jump_rate - u)
-
-        return cls(kappa, domain_sup_value=jump_rate, x0=x0)
 
     def initial_state(self) -> np.ndarray:
         return np.array([self.x0])

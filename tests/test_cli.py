@@ -261,6 +261,12 @@ class TestCommands:
         ("caplet", "calibration.tol = -1"),
         ("caplet", "model.x0 = nan"),
         ("caplet", "model.x0 = 1.0,2.0"),
+        # no quote may be printed under an unknown method's label
+        ("caplet", "surface.method = bogus"),
+        ("swaption", "surface.method = bogus"),
+        # a negative seed and an unbounded strike count are user errors
+        ("validate", "mc.seed = -3"),
+        ("surface", "surface.strikes = 0:1e308:1e-308"),
     ])
     def test_out_of_range_input_is_invalid_parameter(self, tmp_path, capsys,
                                                      command, line):
@@ -269,6 +275,30 @@ class TestCommands:
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "out.csv")]) == 1
         assert capsys.readouterr().err.startswith("error: InvalidParameter")
+
+    def test_negative_seed_option_is_invalid_parameter(self, tmp_path,
+                                                       capsys):
+        cfg = write(tmp_path, "c.cfg", CIR_CFG_TEMPLATE.format(tenor=TABLE1))
+        assert main(["validate", "--config", str(cfg), "--seed", "-3"]) == 1
+        assert capsys.readouterr().err.startswith("error: InvalidParameter")
+
+    # The T = 1.5 row of the Euro curve.  A NaN passes every comparison
+    # of the curve checks, and an infinite discount must not read as an
+    # increasing curve.
+    @pytest.mark.parametrize("row", ["1.5,nan", "nan,0.9435826", "1.5,inf"])
+    @pytest.mark.parametrize("command", ["calibrate", "caplet"])
+    def test_non_finite_tenor_row_is_invalid_parameter(self, tmp_path, capsys,
+                                                       row, command):
+        lines = TABLE1.read_text().splitlines()
+        assert lines[3] == "1.5,0.9435826"
+        curve = write(tmp_path, "curve.csv",
+                      "\n".join(lines[:3] + [row] + lines[4:]) + "\n")
+        cfg = write(tmp_path, "c.cfg", CIR_CFG_TEMPLATE.format(tenor=curve))
+        assert main([command, "--config", str(cfg), "--method", "closed",
+                     "--out", str(tmp_path / "u.txt")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: InvalidParameter")
+        assert captured.out == ""
 
 
     # A truncation or tolerance that is zero, negative or not finite used
@@ -359,19 +389,3 @@ class TestRunConfig:
         with pytest.raises(InvalidParameter):
             run_command("greeks", cfg)
         capsys.readouterr()
-
-
-class TestPathDump:
-    def test_csv_layout(self, tmp_path):
-        from affine_libor.montecarlo import RngStream, simulate_cir
-        from affine_libor.processes import CirParams
-        batch = simulate_cir(CirParams(0.5, 0.4, 0.2, 1.0), [0.5, 1.0], 3,
-                             RngStream(1))
-        out = tmp_path / "paths.csv"
-        batch.dump_csv(str(out))
-        lines = out.read_text().splitlines()
-        assert lines[0] == "path_id,time,factor_index,state,weight"
-        assert len(lines) == 1 + 3 * 2 * 1
-        first = lines[1].split(",")
-        assert first[0] == "0" and float(first[1]) == 0.5
-        assert first[4] == ""  # no weights attached

@@ -12,9 +12,9 @@ from affine_libor.errors import (ConvergenceFailure, DomainViolation,
                                  InvalidParameter, NonMonotoneCurve)
 from affine_libor.model import (CalibratedModel, TenorStructure,
                                 estimate_gamma_x, fit_term_structure,
-                                forward_exponents, forward_price_mgf,
-                                libor_lower_bound, libor_rate,
-                                martingale_value, tilt_exponents)
+                                forward_exponents, forward_log_mgf,
+                                libor_rate, martingale_value,
+                                tilt_exponents)
 from affine_libor.montecarlo import RngStream, forward_measure_weights, \
     simulate_process
 from affine_libor.processes import (CirParams, GammaOuParams,
@@ -76,6 +76,21 @@ class TestTenorStructure:
             TenorStructure.from_curve([0.5, 1.0], [1.01, 0.9])
         with pytest.raises(InvalidParameter):
             TenorStructure.from_curve([0.5], [0.99])
+
+    @pytest.mark.parametrize("dates, delta, discounts", [
+        ([0.0, 0.5, 1.0], math.nan, [0.99, 0.98]),
+        ([0.0, 0.5, 1.0], math.inf, [0.99, 0.98]),
+        ([0.0, math.nan, 1.0], 0.5, [0.99, 0.98]),
+        ([0.0, 0.5, 1.0], 0.5, [0.99, math.nan]),
+    ])
+    def test_rejects_non_finite_input(self, dates, delta, discounts):
+        # NaN passes every <= and > comparison, so each must be caught
+        with pytest.raises(InvalidParameter):
+            TenorStructure(np.array(dates), delta, np.array(discounts))
+
+    def test_from_curve_rejects_nan_delta(self):
+        with pytest.raises(InvalidParameter):
+            TenorStructure.from_curve([0.5, 1.0], [0.99, 0.98], math.nan)
 
 
 class TestMartingaleValue:
@@ -295,6 +310,14 @@ class TestVectorFit:
         assert np.all(m.us[-1] == 0.0)
 
 
+def forward_price_mgf(m, k, t, v):
+    """E under P_{T_{k+1}} of exp(v (A_k + <B_k, X_t>)) at each v: the
+    prefactor B(0,T_N)/B(0,T_{k+1}) times exp of ``forward_log_mgf``."""
+    phi, psi = tilt_exponents(m, t, (k, k + 1))
+    return (m.bond0(m.n_periods) / m.bond0(k + 1)) \
+        * np.exp(forward_log_mgf(m, t, phi, psi, np.atleast_1d(v)))
+
+
 class TestTiltKernel:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(**DRIVER_ARGS, k=st.integers(1, 9), frac=st.floats(0.0, 1.0))
@@ -311,8 +334,8 @@ class TestTiltKernel:
                              horizon=m.horizon)
             assert phi[row] == np.real(pair.phi)
             assert np.array_equal(psi[row], np.real(pair.psi))
-        assert forward_price_mgf(m, k, t, 0.0) == pytest.approx(1.0,
-                                                                abs=1e-12)
+        assert forward_price_mgf(m, k, t, 0.0)[0] == pytest.approx(1.0,
+                                                                   abs=1e-12)
 
     def test_index_and_horizon_checks(self, cir_model):
         with pytest.raises(IndexError):
@@ -383,7 +406,9 @@ class TestLiborRate:
 
     def test_lower_bound_diagnostic(self, cir_model):
         for k in (1, 5, 9):
-            bound = libor_lower_bound(cir_model, k, 0.3)
+            # the state-independent floor (e^A - 1)/delta
+            fe = forward_exponents(cir_model, k, k + 1, 0.3)
+            bound = (math.exp(fe.A) - 1.0) / cir_model.delta
             assert bound >= 0.0
             assert libor_rate(cir_model, k, 0.3, [0.0]) == \
                 pytest.approx(bound, rel=1e-12)
@@ -392,20 +417,20 @@ class TestLiborRate:
 class TestForwardPriceMgf:
     def test_v_zero_is_one(self, cir_model):
         # normalisation holds up to the calibration residual
-        assert forward_price_mgf(cir_model, 3, 0.7, 0.0) == \
+        assert forward_price_mgf(cir_model, 3, 0.7, 0.0)[0] == \
             pytest.approx(1.0, abs=1e-12)
 
     def test_v_one_gives_initial_forward_price(self, cir_model):
         for k in (1, 5, 9):
             t_fix = cir_model.tenor.date(k)
-            val = forward_price_mgf(cir_model, k, t_fix, 1.0)
+            val = forward_price_mgf(cir_model, k, t_fix, 1.0)[0]
             expected = cir_model.bond0(k) / cir_model.bond0(k + 1)
             assert val == pytest.approx(expected, abs=5e-12)
 
     def test_against_weighted_monte_carlo(self, cir_model):
         k, v = 3, 1.7
         t_fix = cir_model.tenor.date(k)
-        exact = forward_price_mgf(cir_model, k, t_fix, v)
+        exact = forward_price_mgf(cir_model, k, t_fix, v)[0]
         fe = forward_exponents(cir_model, k, k + 1, t_fix)
         batch = simulate_process(cir_model.process, [t_fix], 400_000,
                                  RngStream(99, 5))
@@ -419,7 +444,7 @@ class TestForwardPriceMgf:
         z = np.array([0.5 + 1.0j, 2.0 - 3.0j])
         vals = forward_price_mgf(cir_model, 2, 1.0, z)
         assert vals.shape == (2,)
-        single = forward_price_mgf(cir_model, 2, 1.0, z[0])
+        single = forward_price_mgf(cir_model, 2, 1.0, z[0])[0]
         assert vals[0] == pytest.approx(single, rel=1e-13)
 
     def test_domain_violation_outside_strip(self, cir_model):

@@ -12,8 +12,8 @@ from affine_libor.montecarlo import (MartingaleReport, PathBatch, RngStream,
                                      mc_caplet, mc_price,
                                      mc_swaption, simulate_cir,
                                      simulate_gamma_ou, simulate_process)
-from affine_libor.processes import (CirParams, GammaOuParams,
-                                    LevySubordinatorSpec, two_factor_cir)
+from affine_libor.processes import CirParams, GammaOuParams, two_factor_cir
+from test_processes import compound_poisson_subordinator
 
 
 class TestRngStream:
@@ -26,6 +26,17 @@ class TestRngStream:
         a = simulate_cir(cir_process, [1.0], 1000, RngStream(42, 0))
         b = simulate_cir(cir_process, [1.0], 1000, RngStream(42, 1))
         assert not np.array_equal(a.states, b.states)
+
+    @pytest.mark.parametrize("seed, stream_id", [(-3, 0), (1, -1), (1.5, 0),
+                                                 (1, 0.5), ("7", 0)])
+    def test_rejects_bad_seed_or_stream(self, seed, stream_id):
+        with pytest.raises(InvalidParameter):
+            RngStream(seed, stream_id)
+
+    def test_numpy_integer_seed(self, cir_process):
+        a = simulate_cir(cir_process, [1.0], 10, RngStream(np.int64(42)))
+        b = simulate_cir(cir_process, [1.0], 10, RngStream(42))
+        assert np.array_equal(a.states, b.states)
 
 
 class TestSimulateCir:
@@ -103,7 +114,7 @@ class TestSimulateProcess:
         assert np.all(batch.states >= 0.0)
 
     def test_unsupported_process(self):
-        spec = LevySubordinatorSpec.compound_poisson_exponential(1.0, 2.0)
+        spec = compound_poisson_subordinator(1.0, 2.0)
         with pytest.raises(InvalidParameter):
             simulate_process(spec, [1.0], 10, RngStream(0))
 

@@ -11,6 +11,13 @@ from affine_libor.processes import (CirParams, GammaOuParams,
                                     two_factor_cir)
 
 
+def compound_poisson_subordinator(intensity, rate):
+    """Compound Poisson subordinator with Exp(rate) jumps arriving at
+    ``intensity``: kappa(u) = intensity u / (rate - u)."""
+    return LevySubordinatorSpec(lambda u: intensity * u / (rate - u),
+                                domain_sup_value=rate)
+
+
 class TestCir:
     def test_zero_argument(self, cir_process):
         pair = transform(cir_process, 2.0, 0.0)
@@ -93,7 +100,10 @@ class TestGammaOu:
         t = 1e4 / gou_process.lam
         u = 0.5
         pair = transform(gou_process, t, u)
-        assert abs(pair.phi - gou_process.stationary_cumulant(u)) <= 1e-10
+        # cumulant of the Gamma(alpha, beta) limit law
+        alpha, beta = gou_process.alpha, gou_process.beta
+        stationary = beta * np.log(alpha / (alpha - u))
+        assert abs(pair.phi - stationary) <= 1e-10
         assert abs(pair.psi[0]) <= 1e-10
 
     def test_parameter_validation(self):
@@ -115,7 +125,7 @@ class TestGammaOu:
 class TestSubordinator:
     def test_compound_poisson_point(self):
         # kappa(u) = lam beta u / (alpha - u) with lam = beta = 1, alpha = 2
-        spec = LevySubordinatorSpec.compound_poisson_exponential(1.0, 2.0)
+        spec = compound_poisson_subordinator(1.0, 2.0)
         pair = transform(spec, 1.0, 1.0)
         assert pair.phi == pytest.approx(1.0, rel=1e-14)
         assert pair.psi[0] == 1.0
@@ -123,15 +133,14 @@ class TestSubordinator:
     def test_cumulant_against_jump_measure_quadrature(self):
         # kappa(u) = intensity * int (e^{ux} - 1) rate e^{-rate x} dx
         intensity, rate, u = 1.3, 2.0, 0.9
-        spec = LevySubordinatorSpec.compound_poisson_exponential(intensity,
-                                                                 rate)
+        spec = compound_poisson_subordinator(intensity, rate)
         oracle, _ = quad(lambda x: intensity * (math.exp(u * x) - 1.0)
                          * rate * math.exp(-rate * x), 0.0, 60.0,
                          epsabs=1e-13, limit=200)
         assert spec.kappa(u) == pytest.approx(oracle, rel=1e-9)
 
     def test_trivial_points(self):
-        spec = LevySubordinatorSpec.compound_poisson_exponential(1.0, 2.0)
+        spec = compound_poisson_subordinator(1.0, 2.0)
         pair = transform(spec, 3.0, 0.0)
         assert pair.phi == 0.0 and pair.psi[0] == 0.0
         pair = transform(spec, 0.0, 0.8)
@@ -186,7 +195,7 @@ class TestProduct:
 class TestClosedFormSemiflow:
     def test_each_family(self, cir_process, gou_process):
         rng = np.random.default_rng(3)
-        sub = LevySubordinatorSpec.compound_poisson_exponential(1.0, 2.0)
+        sub = compound_poisson_subordinator(1.0, 2.0)
         prod = ProductProcess([cir_process, gou_process])
         for proc in (cir_process, gou_process, sub):
             for _ in range(50):

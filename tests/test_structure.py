@@ -5,12 +5,17 @@ kernel (``model.tilt_exponents``); only the transform layers
 (``affine_core``, ``processes``, ``model``) call ``transform``, which is a
 batch of one for the single transform evaluator,
 ``affine_core.phi_psi_batch``.  Helpers that existed only for tests stay
-deleted.  The library runs on numpy
-alone: scipy is a test tool, never imported by ``affine_libor``.
+deleted: every public name of the library is used by the program itself
+(the library, the demos, the benchmark or the acceptance gates).  The
+library runs on numpy alone: scipy is a test tool, never imported by
+``affine_libor``.
 """
 
 import ast
+import dataclasses
+import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +27,7 @@ from affine_libor import (affine_core, distributions, model, montecarlo,
                           processes, quadrature)
 
 SRC = Path(affine_libor.__file__).resolve().parent
+ROOT = SRC.parents[1]
 
 
 def imported_names(module: str) -> set:
@@ -44,6 +50,91 @@ def test_test_only_helpers_are_gone(name):
     assert not hasattr(affine_libor, name)
     assert not hasattr(processes, name)
     assert not hasattr(montecarlo, name)
+
+
+@pytest.mark.parametrize("module, name", [
+    (model, "forward_price_mgf"), (model, "libor_lower_bound"),
+    (montecarlo, "martingale_values"), (montecarlo, "_initial_value")])
+def test_test_only_model_helpers_are_gone(module, name):
+    assert not hasattr(affine_libor, name)
+    assert not hasattr(module, name)
+
+
+@pytest.mark.parametrize("cls, name", [
+    (processes.GammaOuParams, "stationary_cumulant"),
+    (processes.GammaOuParams, "driver_cumulant"),
+    (processes.LevySubordinatorSpec, "compound_poisson_exponential"),
+    (montecarlo.PathBatch, "dump_csv"), (montecarlo.PathBatch, "weights"),
+    (montecarlo.PathBatch, "n_paths")])
+def test_test_only_methods_are_gone(cls, name):
+    assert not hasattr(cls, name)
+
+
+def test_path_batch_holds_times_and_states_only():
+    assert [f.name for f in dataclasses.fields(montecarlo.PathBatch)] == \
+        ["times", "states"]
+
+
+@pytest.mark.parametrize("fn", [montecarlo.agrees,
+                                montecarlo.MartingaleReport.passed])
+def test_agreement_threshold_is_not_a_knob(fn):
+    assert "z_max" not in inspect.signature(fn).parameters
+
+
+def _program_files():
+    """Files whose references count as use by the program: the library
+    (its re-exports aside), the demos, the benchmark and the acceptance
+    gates."""
+    return ([p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+            + sorted((ROOT / "demos").glob("*.py"))
+            + sorted((ROOT / "bench").glob("*.py"))
+            + [ROOT / "tests" / "test_acceptance.py"])
+
+
+def _referenced_names() -> set:
+    """Names, attributes and imports in the program files, plus the
+    identifiers in the benchmark's strings (its tracer names its targets
+    in strings)."""
+    names = set()
+    for path in _program_files():
+        bench = path.parent.name == "bench"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    names.update(alias.name.split("."))
+            elif bench and isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                names.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return names
+
+
+def _public_definitions() -> list:
+    """Public module-level functions and classes of the library, and the
+    public methods of those classes, as (qualified name, name)."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            out.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                out += [(f"{path.stem}.{node.name}.{item.name}", item.name)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")]
+    return out
+
+
+def test_every_public_name_is_used_by_the_program():
+    used = _referenced_names()
+    unused = [qual for qual, name in _public_definitions()
+              if name not in used]
+    assert unused == []
 
 
 @pytest.mark.parametrize("name", ["DomainSpec", "domain_spec",
@@ -90,7 +181,7 @@ def test_no_module_imports_scipy():
 
 def test_closed_caplet_runs_without_scipy():
     """A fresh interpreter prices a closed caplet and never loads scipy."""
-    config = SRC.parents[1] / "configs" / "cir.cfg"
+    config = ROOT / "configs" / "cir.cfg"
     script = (
         "import sys\n"
         "import affine_libor\n"
