@@ -25,12 +25,12 @@ from .montecarlo import (MartingaleReport, PathBatch, RngStream, agrees,
                          martingale_checks, mc_caplet, mc_price, mc_swaption,
                          model_states, simulate_cir, simulate_gamma_ou,
                          simulate_process)
-from .pricing import (CapletSpec, PriceResult, QuadratureSettings,
-                      SurfaceCell, SwaptionSpec, black76_implied_vol,
-                      black76_price, caplet_cir2f_closed, caplet_cir_closed,
-                      caplet_closed, caplet_fourier, floorlet_cir_closed,
-                      floorlet_fourier, swaption_cir_closed, swaption_fourier,
-                      swaption_root, vol_surface)
+from .pricing import (CapletSpec, PriceResult, SurfaceCell, SwaptionSpec,
+                      black76_implied_vol, black76_price, caplet_cir2f_closed,
+                      caplet_cir_closed, caplet_closed, caplet_fourier,
+                      floorlet_cir_closed, floorlet_fourier,
+                      swaption_cir_closed, swaption_fourier, swaption_root,
+                      vol_surface)
 from .processes import (CirParams, GammaOuParams, LevySubordinatorSpec,
                         ProductProcess, RiccatiProcess, two_factor_cir)
 

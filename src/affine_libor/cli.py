@@ -26,12 +26,14 @@ from .errors import (AffineLiborError, InvalidParameter, NonMonotoneCurve,
 from .model import CalibratedModel, TenorStructure, fit_term_structure
 from .montecarlo import (RngStream, agrees, forward_measure_weights,
                          martingale_checks, mc_caplet, model_states)
-from .pricing import (CapletSpec, QuadratureSettings, SwaptionSpec,
-                      caplet_closed, caplet_fourier, swaption_cir_closed,
-                      swaption_fourier, vol_surface)
+from .pricing import (CapletSpec, SwaptionSpec, caplet_closed,
+                      caplet_fourier, swaption_cir_closed, swaption_fourier,
+                      vol_surface)
 from .processes import CirParams, GammaOuParams, ProductProcess
 
 _FMT = "{:.12g}"
+# Most points a surface.strikes grid may have.
+_MAX_STRIKES = 10_000
 
 
 def _fmt(x) -> str:
@@ -144,9 +146,10 @@ def _strike_grid(spec: str) -> np.ndarray:
         raise InvalidParameter(
             f"surface.strikes needs min <= max and step > 0, got {spec!r}")
     n = (hi - lo) / step
-    if not np.isfinite(n):
-        raise InvalidParameter(
-            f"surface.strikes has too many points, got {spec!r}")
+    # the grid has round(n) + 1 points; nan and inf fail here too
+    if not n < _MAX_STRIKES - 0.5:
+        raise InvalidParameter(f"surface.strikes has more than "
+                               f"{_MAX_STRIKES} points, got {spec!r}")
     return lo + step * np.arange(int(round(n)) + 1)
 
 
@@ -158,7 +161,7 @@ class RunConfig:
     tenor: TenorStructure
     x0: np.ndarray | None
     calibration_tol: float
-    quadrature: QuadratureSettings
+    rel_tol: float
     strikes: np.ndarray
     method: str
     seed: int
@@ -182,12 +185,16 @@ class RunConfig:
             x0 = np.array(_setting(
                 cfg, "model.x0", lambda text: [float(v)
                                                for v in text.split(",")]))
-        quad = QuadratureSettings(
-            damping=(_setting(cfg, "quadrature.damping")
-                     if "quadrature.damping" in cfg else None),
-            truncation=(_setting(cfg, "quadrature.truncation")
-                        if "quadrature.truncation" in cfg else None),
-            rel_tol=_setting(cfg, "quadrature.rel_tol", default="1e-9"))
+        # The contour and the head width are fixed: the only quadrature
+        # setting is the target relative error.
+        for key in cfg:
+            if key.startswith("quadrature.") and key != "quadrature.rel_tol":
+                raise ParseError(f"config key {key} is not a setting (the "
+                                 "only quadrature key is quadrature.rel_tol)")
+        rel_tol = _setting(cfg, "quadrature.rel_tol", default="1e-9")
+        if not 0.0 < rel_tol < np.inf:
+            raise InvalidParameter("quadrature rel_tol must be finite and "
+                                   f"positive, got {rel_tol}")
         method = method or cfg.get("surface.method", "fourier")
         if method not in ("fourier", "closed"):
             raise InvalidParameter(
@@ -198,7 +205,7 @@ class RunConfig:
             x0=x0,
             calibration_tol=_setting(cfg, "calibration.tol",
                                      default="1e-12"),
-            quadrature=quad,
+            rel_tol=rel_tol,
             strikes=_strike_grid(cfg.get("surface.strikes",
                                          "0.01:0.06:0.005")),
             method=method,
@@ -230,7 +237,7 @@ def _cmd_caplet(cfg: RunConfig, write) -> int:
     if cfg.method == "closed":
         res = caplet_closed(model, spec)
     else:
-        res = caplet_fourier(model, spec, cfg.quadrature)
+        res = caplet_fourier(model, spec, cfg.rel_tol)
     write(f"caplet k={spec.period_index} strike={_fmt(spec.strike)} "
           f"method={cfg.method}")
     write(f"price = {_fmt(res.price)}")
@@ -248,7 +255,7 @@ def _cmd_swaption(cfg: RunConfig, write) -> int:
     if cfg.method == "closed":
         res = swaption_cir_closed(model, spec)
     else:
-        res = swaption_fourier(model, spec, cfg.quadrature)
+        res = swaption_fourier(model, spec, cfg.rel_tol)
     write(f"swaption start={spec.start_index} end={spec.end_index} "
           f"strike={_fmt(spec.strike)} method={cfg.method}")
     write(f"price = {_fmt(res.price)}")
@@ -262,7 +269,7 @@ def _cmd_swaption(cfg: RunConfig, write) -> int:
 def _cmd_surface(cfg: RunConfig, out: str, write) -> int:
     model = cfg.calibrate()
     cells = vol_surface(model, cfg.strikes, method=cfg.method,
-                        q=cfg.quadrature)
+                        rel_tol=cfg.rel_tol)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("expiry,strike,price,implied_vol\n")
         for cell in cells:
@@ -309,7 +316,7 @@ def _cmd_validate(cfg: RunConfig, write) -> int:
         analytic = caplet_closed(model, spec).price
         label = "closed"
     except AffineLiborError:
-        analytic = caplet_fourier(model, spec, cfg.quadrature).price
+        analytic = caplet_fourier(model, spec, cfg.rel_tol).price
         label = "fourier"
     est, se = mc_caplet(model, k_test, strike, cfg.mc_paths,
                         RngStream(cfg.seed, 11))

@@ -28,13 +28,13 @@ Three layers:
   downward for P so that only positive terms are added; consecutive D
   follow by the ratio x / (a + 1), re-anchored on a direct D every few
   rows so that no chain of roundings grows long;
-* shifted positive linear combinations shift + sum_j sigma_j Y_j of
-  independent non-central chi-squares (:class:`ChiSqMixSpec`).  With one
-  component this is the location-scale law, evaluated exactly by the
-  series at (x - shift) / sigma; with more, by numerical inversion of the
-  characteristic function (Imhof's integral) with a certified truncation
-  bound on the tail of the integrand modulus; all evaluation points of
-  one mixture share one vector-valued integral.
+* positive linear combinations sum_j sigma_j Y_j of independent
+  non-central chi-squares (:class:`ChiSqMixSpec`).  With one component
+  this is the scaled law, evaluated exactly by the series at x / sigma;
+  with more, by numerical inversion of the characteristic function
+  (Imhof's integral) with a certified truncation bound on the tail of
+  the integrand modulus; all evaluation points of one mixture share one
+  vector-valued integral.
 """
 
 from __future__ import annotations
@@ -48,7 +48,10 @@ import numpy as np
 from .errors import ConvergenceFailure, InvalidParameter
 from .quadrature import adaptive_gauss_kronrod
 
+# Absolute error of the non-central chi-square series, and of the
+# mixture laws.
 _SERIES_TOL = 1e-13
+_MIX_TOL = 1e-10
 _MAX_SERIES_TERMS = 200_000
 # Cap on the one-period starting panels of Imhof's integral.
 _IMHOF_PANELS = 2048
@@ -348,17 +351,18 @@ def gammaincc(a, x):
     return _gamma_ratio(a, x, upper=True)
 
 
-def _poisson_window(alpha_nc: float, tol: float):
+def _poisson_window(alpha_nc: float):
     """Lowest Poisson(alpha/2) index of a window around the mode covering
-    all but at most tol of the mass, and the window's weights.
+    all but at most _SERIES_TOL of the mass, and the window's weights.
 
     Weights are summed relative to the modal one: the absolute modal
     weight exp(-a + j0 log a - lgamma(j0 + 1)) carries a rounding error
-    that exceeds tol once alpha reaches the thousands.  Away from the
+    that exceeds _SERIES_TOL once alpha reaches the thousands.  Away from the
     mode consecutive weights fall by ratios that keep falling, so each
     side's remaining weight is bounded by a geometric series in its next
-    ratio.  The window stops once both bounds together are below tol
-    times the running sum, and the weights are then normalised.
+    ratio.  The window stops once both bounds together are below
+    _SERIES_TOL times the running sum, and the weights are then
+    normalised.
     """
     a2 = 0.5 * alpha_nc
     j_lo = j_hi = int(a2)
@@ -369,7 +373,7 @@ def _poisson_window(alpha_nc: float, tol: float):
     rest_up = w_hi * q_up / (1.0 - q_up)
     rest_down = w_lo * q_down / (1.0 - q_down) if q_down < 1.0 else math.inf
     for _ in range(_MAX_SERIES_TERMS):
-        if rest_up + rest_down <= tol * total:
+        if rest_up + rest_down <= _SERIES_TOL * total:
             return j_lo, np.array(lo_w[::-1] + hi_w) / total
         w_up, w_down = w_hi * q_up, w_lo * q_down
         if w_up >= w_down:  # extend the side with the larger next weight
@@ -390,11 +394,10 @@ def _poisson_window(alpha_nc: float, tol: float):
                              f"did not converge (alpha={alpha_nc})")
 
 
-def _poisson_gamma_series(x, nu: float, alpha_nc: float, upper: bool,
-                          tol: float):
+def _poisson_gamma_series(x, nu: float, alpha_nc: float, upper: bool):
     """sum_j Poisson(j; alpha/2) * R(nu/2 + j, x/2) with R = Q if ``upper``
-    else P, truncated so the residual Poisson mass is below tol (R is
-    bounded by one).
+    else P, truncated so the residual Poisson mass is below _SERIES_TOL
+    (R is bounded by one).
 
     One module-level ``gammaincc`` call at the lowest shape a_0 (or
     ``gammainc`` at the highest) serves the whole window: with D_i =
@@ -407,7 +410,7 @@ def _poisson_gamma_series(x, nu: float, alpha_nc: float, upper: bool,
     half_x = 0.5 * x
     if alpha_nc == 0.0:
         return (gammaincc if upper else gammainc)(0.5 * nu, half_x)
-    j0, ws = _poisson_window(alpha_nc, tol)
+    j0, ws = _poisson_window(alpha_nc)
     a0 = 0.5 * float(nu) + j0
     # Partial sums of the weights run in extended precision where the
     # platform has it: summed in doubles, a few hundred of them drift by
@@ -436,9 +439,9 @@ def _check_ncchi2_args(nu, alpha_nc):
             f"non-centrality must be non-negative, got {alpha_nc}")
 
 
-def _ncchi2(x, nu: float, alpha_nc: float, upper: bool, tol: float):
+def _ncchi2(x, nu: float, alpha_nc: float, upper: bool):
     """Non-central chi-square CDF, or SF with ``upper``, absolute error
-    <= tol; a scalar x gives a float."""
+    <= _SERIES_TOL; a scalar x gives a float."""
     _check_ncchi2_args(nu, alpha_nc)
     scalar = np.isscalar(x)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -446,32 +449,31 @@ def _ncchi2(x, nu: float, alpha_nc: float, upper: bool, tol: float):
     out[x == math.inf] = 0.0 if upper else 1.0
     pos = (x > 0.0) & (x < math.inf)
     if np.count_nonzero(pos):
-        out[pos] = _poisson_gamma_series(x[pos], nu, alpha_nc, upper, tol)
+        out[pos] = _poisson_gamma_series(x[pos], nu, alpha_nc, upper)
     return float(out[0]) if scalar else out
 
 
-def ncchi2_cdf(x, nu: float, alpha_nc: float, tol: float = _SERIES_TOL):
-    """CDF of the non-central chi-square law, absolute error <= tol."""
-    return _ncchi2(x, nu, alpha_nc, False, tol)
+def ncchi2_cdf(x, nu: float, alpha_nc: float):
+    """CDF of the non-central chi-square law, absolute error <= 1e-13."""
+    return _ncchi2(x, nu, alpha_nc, False)
 
 
-def ncchi2_sf(x, nu: float, alpha_nc: float, tol: float = _SERIES_TOL):
+def ncchi2_sf(x, nu: float, alpha_nc: float):
     """Survival function 1 - CDF, computed directly for tail accuracy."""
-    return _ncchi2(x, nu, alpha_nc, True, tol)
+    return _ncchi2(x, nu, alpha_nc, True)
 
 
 @dataclass(frozen=True)
 class ChiSqMixSpec:
-    """shift + sum_j sigma_j Y_j with independent Y_j ~ chi2(nu_j, alpha_j).
+    """sum_j sigma_j Y_j with independent Y_j ~ chi2(nu_j, alpha_j).
 
-    The one chi-square law record: a single component is the
-    location-scale law, (Y - shift) / sigma ~ chi2(nu, alpha).
+    The one chi-square law record: a single component is the scaled law,
+    Y / sigma ~ chi2(nu, alpha).
     """
 
     sigmas: np.ndarray
     nus: np.ndarray
     alphas: np.ndarray
-    shift: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "sigmas", np.atleast_1d(
@@ -547,11 +549,10 @@ def _imhof_truncation(m: ChiSqMixSpec, tol: float) -> float:
     return U
 
 
-def _imhof_integral(xs: np.ndarray, m: ChiSqMixSpec, tol: float):
-    """Imhof's integral / pi for every x in ``xs`` (all above the shift),
-    as one vector-valued quadrature with absolute error <= tol each."""
-    ys = xs - m.shift
-    U = _imhof_truncation(m, 0.5 * tol)
+def _imhof_integral(ys: np.ndarray, m: ChiSqMixSpec):
+    """Imhof's integral / pi for every y in ``ys`` (all positive), as one
+    vector-valued quadrature with absolute error <= _MIX_TOL each."""
+    U = _imhof_truncation(m, 0.5 * _MIX_TOL)
     # A panel holding many periods of the phase samples the sinusoid at
     # aliased points, where the 7- and 15-point rules can agree while both
     # are wrong.  Panels therefore start one period of the fastest phase
@@ -568,45 +569,44 @@ def _imhof_integral(xs: np.ndarray, m: ChiSqMixSpec, tol: float):
     # over a heavy-tailed (small sum-of-dof) window need many panels; the
     # budget covers all moderate cases and the error check stays honest.
     integral, err = adaptive_gauss_kronrod(
-        _imhof_integrand(ys, m), 0.0, U, abs_tol=0.5 * tol * math.pi,
+        _imhof_integrand(ys, m), 0.0, U, abs_tol=0.5 * _MIX_TOL * math.pi,
         max_panels=20_000, breakpoints=breaks)
-    if np.max(err) / math.pi > tol:
+    if np.max(err) / math.pi > _MIX_TOL:
         raise ConvergenceFailure(
             f"Imhof quadrature error {np.max(err) / math.pi:.2e} above "
-            f"tol {tol}")
+            f"tol {_MIX_TOL}")
     return integral / math.pi
 
 
-def _chisq_mix(x, m: ChiSqMixSpec, upper: bool, tol: float):
-    """P(shift + sum_j sigma_j Y_j <= x), or with ``upper`` the
-    complement, absolute error <= tol.
+def _chisq_mix(x, m: ChiSqMixSpec, upper: bool):
+    """P(sum_j sigma_j Y_j <= x), or with ``upper`` the complement,
+    absolute error <= _MIX_TOL.
 
-    A single component is the location-scale law: the series at
-    (x - shift) / sigma, through the public :func:`ncchi2_cdf` and
-    :func:`ncchi2_sf`.  The general case inverts the characteristic
-    function.
+    A single component is the scaled law: the series at x / sigma,
+    through the public :func:`ncchi2_cdf` and :func:`ncchi2_sf`.  The
+    general case inverts the characteristic function.
     """
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if m.sigmas.size == 1:
         out = (ncchi2_sf if upper else ncchi2_cdf)(
-            (xs - m.shift) / m.sigmas[0], float(m.nus[0]),
+            xs / m.sigmas[0], float(m.nus[0]),
             float(m.alphas[0]))
     else:
         out = np.full_like(xs, 1.0 if upper else 0.0)
-        above = xs > m.shift
+        above = xs > 0.0
         if above.any():
-            integral = _imhof_integral(xs[above], m, tol)
+            integral = _imhof_integral(xs[above], m)
             out[above] = np.clip(0.5 + integral if upper else 0.5 - integral,
                                  0.0, 1.0)
     return float(out[0]) if scalar else out
 
 
-def chisq_mix_cdf(x, m: ChiSqMixSpec, tol: float = 1e-10):
-    """P(shift + sum_j sigma_j Y_j <= x), absolute error <= tol."""
-    return _chisq_mix(x, m, False, tol)
+def chisq_mix_cdf(x, m: ChiSqMixSpec):
+    """P(sum_j sigma_j Y_j <= x), absolute error <= 1e-10."""
+    return _chisq_mix(x, m, False)
 
 
-def chisq_mix_sf(x, m: ChiSqMixSpec, tol: float = 1e-10):
-    """P(shift + sum_j sigma_j Y_j > x), absolute error <= tol."""
-    return _chisq_mix(x, m, True, tol)
+def chisq_mix_sf(x, m: ChiSqMixSpec):
+    """P(sum_j sigma_j Y_j > x), absolute error <= 1e-10."""
+    return _chisq_mix(x, m, True)

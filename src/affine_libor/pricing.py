@@ -34,7 +34,7 @@ Implied volatilities invert Black's futures formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,32 +58,21 @@ def _check_strike(strike: float):
 
 @dataclass(frozen=True)
 class CapletSpec:
-    """Call (or, for floorlets, put) on the period-k simple rate.
-
-    ``bold_strike`` is 1 + delta * strike; it is filled in from the model
-    tenor when left unset.
-    """
+    """Call (or, for floorlets, put) on the period-k simple rate."""
 
     period_index: int
     strike: float
-    bold_strike: float | None = None
 
     def __post_init__(self):
         _check_strike(self.strike)
-        if self.bold_strike is not None and \
-                not 1.0 <= self.bold_strike < math.inf:
-            raise InvalidParameter("bold strike must be finite and at least "
-                                   f"one, got {self.bold_strike}")
 
-    def with_model(self, m: CalibratedModel) -> "CapletSpec":
+    def with_model(self, m: CalibratedModel) -> float:
+        """The bold strike 1 + delta * strike on the model's tenor, once
+        the period index is checked against it."""
         if not 1 <= self.period_index <= m.n_periods - 1:
             raise InvalidParameter(f"caplet index {self.period_index} "
                                    f"outside 1..{m.n_periods - 1}")
-        bold = 1.0 + m.delta * self.strike
-        if self.bold_strike is not None and \
-                abs(self.bold_strike - bold) > 1e-12:
-            raise InvalidParameter("bold strike inconsistent with tenor")
-        return replace(self, bold_strike=bold)
+        return 1.0 + m.delta * self.strike
 
 
 @dataclass(frozen=True)
@@ -104,36 +93,6 @@ class SwaptionSpec:
         c = np.full(self.end_index - self.start_index, delta * self.strike)
         c[-1] += 1.0
         return c
-
-
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Contour and accuracy knobs for the Fourier pricers.
-
-    damping = None picks the documented default inside the admissible
-    strip, once per expiry row of a surface; truncation widens (or
-    shrinks) the first integration panel.  A damping must be finite,
-    truncation and rel_tol finite and positive.
-    """
-
-    damping: float | None = None
-    truncation: float | None = None
-    rel_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.damping is not None and not math.isfinite(self.damping):
-            raise InvalidParameter(
-                f"quadrature damping must be finite, got {self.damping}")
-        if self.truncation is not None and \
-                not 0.0 < self.truncation < math.inf:
-            raise InvalidParameter("quadrature truncation must be finite and "
-                                   f"positive, got {self.truncation}")
-        if not 0.0 < self.rel_tol < math.inf:
-            raise InvalidParameter("quadrature rel_tol must be finite and "
-                                   f"positive, got {self.rel_tol}")
-
-
-DEFAULT_QUADRATURE = QuadratureSettings()
 
 
 @dataclass(frozen=True)
@@ -183,11 +142,9 @@ def _put_damping_candidates(lo: float):
     return [g * lo for g in (0.5, 0.25, 0.1, 0.04, 0.015, 0.006)]
 
 
-def _choose_damping(q: QuadratureSettings, lo: float, hi: float,
-                    want_call: bool, magnitudes):
-    """The contour's damping: ``q.damping`` checked against the strip, or
-    the candidate whose worst |integrand(0)| over the strike row is
-    smallest.
+def _choose_damping(lo: float, hi: float, want_call: bool, magnitudes):
+    """The contour's damping: the candidate in the strip whose worst
+    |integrand(0)| over the strike row is smallest.
 
     ``magnitudes`` maps candidates to |integrand(0)|, one row per
     candidate and one column per strike.  A contour whose dampened
@@ -205,11 +162,6 @@ def _choose_damping(q: QuadratureSettings, lo: float, hi: float,
         if lo >= 0.0:
             raise DampingOutOfStrip("strip does not extend below 0")
         hi = 0.0
-    if q.damping is not None:
-        if not lo < q.damping < hi:
-            raise DampingOutOfStrip(
-                f"damping {q.damping} outside ({lo}, {hi})")
-        return q.damping
     candidates = _call_damping_candidates(hi) if want_call \
         else _put_damping_candidates(lo)
     mags = magnitudes(np.array(candidates))
@@ -220,7 +172,7 @@ def _choose_damping(q: QuadratureSettings, lo: float, hi: float,
 
 
 def _fourier_row(m: CalibratedModel, k: int, bold: np.ndarray,
-                 q: QuadratureSettings, want_call: bool):
+                 rel_tol: float, want_call: bool):
     """Caplets (or floorlets) at expiry T_k for the bold strikes ``bold``.
 
     Only the factor K'^{-z} of the integrand depends on the strike, so the
@@ -254,11 +206,9 @@ def _fourier_row(m: CalibratedModel, k: int, bold: np.ndarray,
         with np.errstate(over="ignore", invalid="ignore"):
             return np.abs(strike_integrands(candidates + 0j))
 
-    damping = _choose_damping(q, lo, hi, want_call, magnitudes)
-    width = q.truncation if q.truncation is not None else 64.0
+    damping = _choose_damping(lo, hi, want_call, magnitudes)
     integral, err = semi_infinite_oscillatory(
-        lambda v: strike_integrands(damping - 1j * v),
-        initial_width=width, rel_tol=q.rel_tol)
+        lambda v: strike_integrands(damping - 1j * v), rel_tol=rel_tol)
     pref = m.bond0(m.n_periods) * bold / (2.0 * math.pi)
     return pref * 2.0 * np.real(integral), pref * 2.0 * np.abs(err), damping
 
@@ -271,25 +221,23 @@ def _checked(what: str, price: float, err: float, damping, root=None):
     return PriceResult(max(float(price), 0.0), float(err), damping, root=root)
 
 
-def _fourier_caplet(m, c, q, want_call: bool) -> PriceResult:
-    c = c.with_model(m)
+def _fourier_caplet(m, c, rel_tol: float, want_call: bool) -> PriceResult:
     prices, errs, damping = _fourier_row(
-        m, c.period_index, np.array([c.bold_strike]), q, want_call)
+        m, c.period_index, np.array([c.with_model(m)]), rel_tol, want_call)
     return _checked("caplet" if want_call else "floorlet", prices[0],
                     errs[0], damping)
 
 
 def caplet_fourier(m: CalibratedModel, c: CapletSpec,
-                   q: QuadratureSettings = DEFAULT_QUADRATURE) -> PriceResult:
+                   rel_tol: float = 1e-9) -> PriceResult:
     """Caplet price by Fourier inversion of the forward-price MGF."""
-    return _fourier_caplet(m, c, q, want_call=True)
+    return _fourier_caplet(m, c, rel_tol, want_call=True)
 
 
 def floorlet_fourier(m: CalibratedModel, c: CapletSpec,
-                     q: QuadratureSettings = DEFAULT_QUADRATURE
-                     ) -> PriceResult:
+                     rel_tol: float = 1e-9) -> PriceResult:
     """Floorlet price: same transform kernel, damping below zero."""
-    return _fourier_caplet(m, c, q, want_call=False)
+    return _fourier_caplet(m, c, rel_tol, want_call=False)
 
 
 def _require_cir(m: CalibratedModel) -> CirParams:
@@ -377,8 +325,7 @@ def _closed_row(m: CalibratedModel, k: int, bold: np.ndarray):
 def caplet_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
     """Closed-form caplet for any product of square-root factors (see
     :func:`_closed_row`)."""
-    c = c.with_model(m)
-    price = _closed_row(m, c.period_index, np.array([c.bold_strike]))[0]
+    price = _closed_row(m, c.period_index, np.array([c.with_model(m)]))[0]
     return PriceResult(float(price), 0.0, None)
 
 
@@ -391,9 +338,8 @@ def caplet_cir_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
 def floorlet_cir_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
     """Closed-form floorlet via cap-floor parity on the closed-form caplet."""
     cap = caplet_cir_closed(m, c)
-    c = c.with_model(m)
     k = c.period_index
-    parity = m.bond0(k) - c.bold_strike * m.bond0(k + 1)
+    parity = m.bond0(k) - c.with_model(m) * m.bond0(k + 1)
     return PriceResult(max(cap.price - parity, 0.0), cap.error_estimate, None)
 
 
@@ -481,8 +427,7 @@ def swaption_root(m: CalibratedModel, s: SwaptionSpec) -> float:
 
 
 def swaption_fourier(m: CalibratedModel, s: SwaptionSpec,
-                     q: QuadratureSettings = DEFAULT_QUADRATURE
-                     ) -> PriceResult:
+                     rel_tol: float = 1e-9) -> PriceResult:
     """Payer swaption by Fourier inversion under the T_i-forward measure.
 
     Uses the payoff transform
@@ -504,10 +449,7 @@ def swaption_fourier(m: CalibratedModel, s: SwaptionSpec,
     strip_hi = sup - w
     if strip_hi <= 0.0:
         raise DampingOutOfStrip("tilted domain is empty")
-    damping = q.damping if q.damping is not None else \
-        0.5 * min(1.0, strip_hi)
-    if not 0.0 < damping < strip_hi:
-        raise DampingOutOfStrip(f"damping {damping} outside (0, {strip_hi})")
+    damping = 0.5 * min(1.0, strip_hi)
 
     process, x0 = m.process, m.x0
     boundary = coup * np.exp(A + B * root)
@@ -524,9 +466,7 @@ def swaption_fourier(m: CalibratedModel, s: SwaptionSpec,
             / (iz[:, None] * (B[None, :] + iz[:, None]))).sum(axis=1)
         return np.exp(log_mgf) * fhat
 
-    width = q.truncation if q.truncation is not None else 64.0
-    integral, err = semi_infinite_oscillatory(
-        integrand, initial_width=width, rel_tol=q.rel_tol)
+    integral, err = semi_infinite_oscillatory(integrand, rel_tol=rel_tol)
     pref = m.bond0(i) / (2.0 * math.pi)
     return _checked("swaption", pref * 2.0 * float(np.real(integral)),
                     pref * 2.0 * float(abs(err)), damping, root=root)
@@ -557,38 +497,39 @@ def _norm_cdf(x: float) -> float:
 
 
 def black76_price(forward: float, strike: float, expiry: float, vol: float,
-                  annuity: float, call: bool = True) -> float:
-    """Black's futures formula for a caplet-style payoff, undiscounted
-    forward measure expectation times ``annuity``."""
-    intrinsic = max(forward - strike, 0.0) if call \
-        else max(strike - forward, 0.0)
+                  annuity: float) -> float:
+    """Black's futures formula for a caplet: the forward-measure
+    expectation of the call payoff times ``annuity``."""
     if vol <= 0.0 or expiry <= 0.0 or strike <= 0.0 or forward <= 0.0:
-        return annuity * intrinsic
+        return annuity * max(forward - strike, 0.0)
     total = vol * math.sqrt(expiry)
     d1 = (math.log(forward / strike) + 0.5 * total * total) / total
     d2 = d1 - total
-    if call:
-        return annuity * (forward * _norm_cdf(d1) - strike * _norm_cdf(d2))
-    return annuity * (strike * _norm_cdf(-d2) - forward * _norm_cdf(-d1))
+    return annuity * (forward * _norm_cdf(d1) - strike * _norm_cdf(d2))
+
+
+# Slack of the static bounds that black76_implied_vol checks a price
+# against.
+_VOL_BOUND_SLACK = 1e-10
 
 
 def black76_implied_vol(price: float, forward_rate: float, strike: float,
-                        expiry: float, annuity: float,
-                        tol: float = 1e-10) -> float:
+                        expiry: float, annuity: float) -> float:
     """Volatility reproducing ``price`` in Black's formula.
 
     Newton iteration safeguarded by a maintained bracket.  It stops when a
     Newton step moves the vol by at most 1e-12 relative, when the price
     residual is within a few ulps of the price, or when the bracket has
     shrunk to 1e-12 relative; so the vol is resolved however small the
-    vega.  ``tol`` is the slack of the static bounds: prices outside
-    [intrinsic, annuity * forward] by more than ``tol`` raise OutOfBounds,
-    and a time value below ``tol / 100`` gives vol zero.
+    vega.  Prices outside [intrinsic, annuity * forward] by more than
+    ``_VOL_BOUND_SLACK`` raise OutOfBounds, and a time value below a
+    hundredth of it gives vol zero.
     """
     if annuity <= 0.0 or forward_rate <= 0.0 or strike <= 0.0:
         raise OutOfBounds("need positive annuity, forward and strike")
     intrinsic = annuity * max(forward_rate - strike, 0.0)
     upper = annuity * forward_rate
+    tol = _VOL_BOUND_SLACK
     if price < intrinsic - tol or price > upper + tol:
         raise OutOfBounds(
             f"price {price} outside [{intrinsic}, {upper}]")
@@ -653,25 +594,25 @@ def _row_quotes(row, m: CalibratedModel, k: int, strikes) -> dict:
     """Per strike of expiry T_k: its PriceResult, or the error that
     stopped it.  Invalid strikes fail alone; a failure of the shared row
     (transform, damping) fails every strike of the row."""
-    quotes, specs = {}, []
+    quotes, priced, bolds = {}, [], []
     for strike in strikes:
         try:
-            specs.append(CapletSpec(k, strike).with_model(m))
+            bolds.append(CapletSpec(k, strike).with_model(m))
+            priced.append(strike)
         except AffineLiborError as exc:
             quotes[strike] = exc
-    if not specs:
+    if not priced:
         return quotes
     try:
-        prices, errs, damping = row(k, np.array([c.bold_strike
-                                                 for c in specs]))
+        prices, errs, damping = row(k, np.array(bolds))
     except AffineLiborError as exc:
-        quotes.update((c.strike, exc) for c in specs)
+        quotes.update((strike, exc) for strike in priced)
         return quotes
-    for c, price, err in zip(specs, prices, errs):
+    for strike, price, err in zip(priced, prices, errs):
         try:
-            quotes[c.strike] = _checked("caplet", price, err, damping)
+            quotes[strike] = _checked("caplet", price, err, damping)
         except QuadratureFailure as exc:
-            quotes[c.strike] = exc
+            quotes[strike] = exc
     return quotes
 
 
@@ -699,23 +640,23 @@ def _surface_cell(expiry: float, strike: float, fwd: float, annuity: float,
 
 
 def vol_surface(m: CalibratedModel, strikes, method: str = "fourier",
-                q: QuadratureSettings = DEFAULT_QUADRATURE):
+                rel_tol: float = 1e-9):
     """Caplet prices and Black-76 implied vols over expiries x strikes.
 
     One row per caplet expiry T_k (k = 1 .. N-1, expiry-major) and strike
     (ascending).  Each expiry row is priced at once: the Fourier route
     evaluates one vector-valued integral whose damping is chosen once per
-    expiry (least worst-strike magnitude at the origin, or ``q.damping``),
-    so a row's prices depend on which strikes share it, within their
-    error estimates; the closed forms evaluate each forward measure's
-    series once over the strike row.  Rows are independent of each other.
+    expiry (least worst-strike magnitude at the origin), so a row's
+    prices depend on which strikes share it, within their error
+    estimates; the closed forms evaluate each forward measure's series
+    once over the strike row.  Rows are independent of each other.
     Cells where pricing or inversion fails are emitted with NaN entries
     and the error category, never silently clamped.
     """
     strikes = sorted(float(s) for s in np.atleast_1d(strikes))
     if method == "fourier":
         def row(k, bold):
-            return _fourier_row(m, k, bold, q, want_call=True)
+            return _fourier_row(m, k, bold, rel_tol, want_call=True)
     elif method == "closed":
         _square_root_factors(m.process)
 

@@ -72,8 +72,10 @@ _WK_FULL = np.concatenate([_WGK[:-1], [_WGK[-1]], _WGK[-2::-1]])
 _WG_FULL = np.zeros(15)
 _WG_FULL[1:14:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[-2::-1]])
 
-# Edges of the head's starting panels as fractions of its width: 0, then
-# geometric cuts 1/64, ..., 1/2, then 1.
+# Width V of the head [0, V] of semi_infinite_oscillatory, and the edges
+# of its starting panels as fractions of V: 0, then geometric cuts
+# 1/64, ..., 1/2, then 1.
+_HEAD_WIDTH = 64.0
 _HEAD_EDGES = np.concatenate([[0.0], 0.5 ** np.arange(6.0, -1.0, -1.0)])
 # semi_infinite_oscillatory: absolute part of each component's budget,
 # most doublings of the range, and panel cap of each step's refinement.
@@ -253,12 +255,11 @@ def _fused_step(f, edges, v: float, step: float, abs_tol, rel_tol: float,
     return value, err, probed, vector
 
 
-def semi_infinite_oscillatory(f, initial_width: float = 64.0,
-                              rel_tol: float = 1e-9):
+def semi_infinite_oscillatory(f, rel_tol: float = 1e-9):
     """Integrate ``f`` on [0, inf); returns (value, error_estimate).
 
-    The head [0, V] starts from the geometric panels cut at V/64, V/32,
-    ..., V/2, which follow a transform that varies fastest near the
+    The head [0, V], V = 64, starts from the geometric panels cut at
+    V/64, V/32, ..., V/2, which follow a transform that varies fastest near the
     origin; then V is doubled.  Each step -- the head and every doubling
     -- is one fused integrand call that evaluates the step's starting
     panels together with the tail probe at its right end, and refines
@@ -280,12 +281,12 @@ def semi_infinite_oscillatory(f, initial_width: float = 64.0,
     Raises
     ------
     InvalidParameter
-        if ``initial_width`` is not a finite positive number.
+        if ``rel_tol`` is not a finite positive number.
     """
-    v = float(initial_width)
-    if not 0.0 < v < math.inf:
+    if not 0.0 < rel_tol < math.inf:
         raise InvalidParameter(
-            f"initial width must be finite and positive, got {v}")
+            f"rel_tol must be finite and positive, got {rel_tol}")
+    v = _HEAD_WIDTH
     step = _probe_step(v, ())
     total, qerr, probed, vector = _fused_step(
         f, v * _HEAD_EDGES, v, step, _SOI_ABS_TOL * 0.1, rel_tol * 0.1,

@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from affine_libor.cli import (RunConfig, build_process, load_tenor_csv, main,
-                              parse_config_text)
+from affine_libor.cli import (RunConfig, _strike_grid, build_process,
+                              load_tenor_csv, main, parse_config_text)
 from affine_libor.errors import (InvalidParameter, NonMonotoneCurve,
                                  ParseError)
 
@@ -264,9 +264,10 @@ class TestCommands:
         # no quote may be printed under an unknown method's label
         ("caplet", "surface.method = bogus"),
         ("swaption", "surface.method = bogus"),
-        # a negative seed and an unbounded strike count are user errors
+        # a negative seed and a strike count above 10 000 are user errors
         ("validate", "mc.seed = -3"),
         ("surface", "surface.strikes = 0:1e308:1e-308"),
+        ("surface", "surface.strikes = 0:1:1e-12"),
     ])
     def test_out_of_range_input_is_invalid_parameter(self, tmp_path, capsys,
                                                      command, line):
@@ -301,13 +302,11 @@ class TestCommands:
         assert captured.out == ""
 
 
-    # A truncation or tolerance that is zero, negative or not finite used
-    # to price 0 with a zero error, or to end in a traceback.
+    # A tolerance that is zero, negative or not finite used to price 0
+    # with a zero error, or to end in a traceback.
     @pytest.mark.parametrize("line", [
-        "quadrature.truncation = 0", "quadrature.truncation = -5",
-        "quadrature.truncation = nan", "quadrature.truncation = inf",
         "quadrature.rel_tol = nan", "quadrature.rel_tol = 0",
-        "quadrature.rel_tol = -1", "quadrature.damping = nan"])
+        "quadrature.rel_tol = -1"])
     def test_bad_quadrature_setting_is_invalid_parameter(self, tmp_path,
                                                          capsys, line):
         cfg = write(tmp_path, "c.cfg",
@@ -360,6 +359,25 @@ class TestConfigErrors:
         cfg = write(tmp_path, "c.cfg", text)
         assert bad.split(" =")[0] in self.parse_error(capsys, cfg)
 
+    # The contour and the head width are fixed; only quadrature.rel_tol is
+    # read.  On configs/cir.cfg, a truncation of 1e300 used to print
+    # price = 0 and quadrature_error = 0 with exit status 0.
+    @pytest.mark.parametrize("line", [
+        "quadrature.truncation = 1e300", "quadrature.damping = 3",
+        "quadrature.truncation = 0", "quadrature.truncation = -5",
+        "quadrature.truncation = nan", "quadrature.truncation = inf",
+        "quadrature.damping = nan"])
+    def test_unread_quadrature_key(self, tmp_path, capsys, line):
+        text = CIR_CFG.read_text().replace(
+            "../data/zcb_euro_2002-02-19.csv", str(TABLE1))
+        cfg = write(tmp_path, "c.cfg", text + line + "\n")
+        assert main(["caplet", "--config", str(cfg),
+                     "--method", "fourier"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ParseError: ")
+        assert line.split(" =")[0] in captured.err
+        assert "price" not in captured.out
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
@@ -379,6 +397,11 @@ class TestRunConfig:
         assert cfg.strikes[0] == pytest.approx(0.01)
         assert cfg.strikes[-1] == pytest.approx(0.06)
         assert len(cfg.strikes) == 11
+
+    def test_strike_grid_holds_at_most_ten_thousand_points(self):
+        assert len(_strike_grid("0:0.9999:1e-4")) == 10_000
+        with pytest.raises(InvalidParameter):
+            _strike_grid("0:1:1e-4")
 
     def test_run_command_api(self, tmp_path, capsys):
         from affine_libor.cli import run_command

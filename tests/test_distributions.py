@@ -33,13 +33,13 @@ QUADRATURE_ORACLE = [
 
 
 def mix_cgf(u, m: ChiSqMixSpec) -> float:
-    """Cumulant generating function of shift + sum_j sigma_j Y_j at u,
-    for u < 1 / (2 max sigma_j): per component
+    """Cumulant generating function of sum_j sigma_j Y_j at u, for
+    u < 1 / (2 max sigma_j): per component
     -(nu/2) log(1 - 2 sigma u) + alpha sigma u / (1 - 2 sigma u)."""
     w = 1.0 - 2.0 * m.sigmas * u
     assert np.all(w > 0.0), "u outside the CGF domain"
-    return float(np.sum(-0.5 * m.nus * np.log(w) + m.alphas * m.sigmas * u / w)
-                 + m.shift * u)
+    return float(np.sum(-0.5 * m.nus * np.log(w)
+                        + m.alphas * m.sigmas * u / w))
 
 
 def forward_law(f: CirParams, x: float, t: float,
@@ -124,12 +124,12 @@ class TestGammaRatios:
         nu = nu_steps / 1024.0
         sd = math.sqrt(2.0 * (nu + 2.0 * alpha))
         x = np.maximum(nu + alpha + sd * np.array(zs), 1e-3)
-        j0, ws = distributions._poisson_window(alpha, 1e-13)
+        j0, ws = distributions._poisson_window(alpha)
         shapes = 0.5 * nu + j0 + np.arange(ws.size)
         ratio = distributions.gammaincc if upper else distributions.gammainc
         per_shape = ws @ ratio(shapes[:, None], 0.5 * x[None, :])
         by_recurrence = distributions._poisson_gamma_series(
-            x, nu, alpha, upper, 1e-13)
+            x, nu, alpha, upper)
         assert np.max(np.abs(by_recurrence - per_shape)) <= 2e-15
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -208,13 +208,13 @@ class TestNcChi2:
 
 
 class TestLsnc:
-    """The location-scale law: a one-component mixture."""
+    """The scaled law: a one-component mixture."""
 
     def test_mass_starts_at_location(self):
-        m = ChiSqMixSpec([0.5], [1.5], [0.3], shift=2.0)
-        assert chisq_mix_cdf(2.0, m) == 0.0
-        assert chisq_mix_cdf(1.9, m) == 0.0
-        assert chisq_mix_sf(1.9, m) == 1.0
+        m = ChiSqMixSpec([0.5], [1.5], [0.3])
+        assert chisq_mix_cdf(0.0, m) == 0.0
+        assert chisq_mix_cdf(-0.1, m) == 0.0
+        assert chisq_mix_sf(-0.1, m) == 1.0
 
     def test_identity_case(self):
         m = ChiSqMixSpec([1.0], [2.5], [0.7])
@@ -222,10 +222,10 @@ class TestLsnc:
             ncchi2_cdf(3.1, 2.5, 0.7), abs=1e-14)
 
     def test_affine_reparameterisation(self):
-        m = ChiSqMixSpec([2.0], [3.0], [0.5], shift=1.0)
-        assert chisq_mix_cdf(5.0, m) == pytest.approx(
+        m = ChiSqMixSpec([2.0], [3.0], [0.5])
+        assert chisq_mix_cdf(4.0, m) == pytest.approx(
             ncchi2_cdf(2.0, 3.0, 0.5), abs=1e-14)
-        assert chisq_mix_sf(5.0, m) == pytest.approx(
+        assert chisq_mix_sf(4.0, m) == pytest.approx(
             ncchi2_sf(2.0, 3.0, 0.5), abs=1e-14)
 
     def test_zero_scale_rejected(self):
@@ -239,14 +239,14 @@ class TestLsnc:
                                                 rel=1e-14)
 
     def test_cgf_derivative_is_the_mean(self):
-        # the mean shift + int_shift^inf SF, from the survival function
-        m = ChiSqMixSpec([0.7], [2.3], [1.9], shift=0.4)
+        # the mean int_0^inf SF, from the survival function
+        m = ChiSqMixSpec([0.7], [2.3], [1.9])
         h = 1e-6
         deriv = (mix_cgf(h, m) - mix_cgf(-h, m)) / (2.0 * h)
-        area, _ = quad(lambda y: chisq_mix_sf(y, m), m.shift, math.inf,
+        area, _ = quad(lambda y: chisq_mix_sf(y, m), 0.0, math.inf,
                        epsabs=1e-12, epsrel=1e-12)
-        assert deriv == pytest.approx(m.shift + area, rel=1e-8)
-        assert deriv == pytest.approx(0.4 + 0.7 * (2.3 + 1.9), rel=1e-8)
+        assert deriv == pytest.approx(area, rel=1e-8)
+        assert deriv == pytest.approx(0.7 * (2.3 + 1.9), rel=1e-8)
 
     def test_cgf_matches_sampled_expectation(self):
         m = ChiSqMixSpec([0.5], [2.0], [1.5])
@@ -355,19 +355,20 @@ class TestTilt:
 
 class TestChiSqMix:
     def test_single_term_reduces_to_lsnc(self):
-        # one component: the series at (x - shift) / sigma, no Imhof
-        mix = ChiSqMixSpec([0.7], [2.0], [1.3], shift=0.2)
+        # one component: the series at x / sigma, no Imhof
+        mix = ChiSqMixSpec([0.7], [2.0], [1.3])
         for x in (0.1, 1.0, 5.0):
-            z = (x - 0.2) / 0.7
+            z = x / 0.7
             assert chisq_mix_cdf(x, mix) == pytest.approx(
                 ncchi2_cdf(z, 2.0, 1.3), abs=1e-13)
             assert chisq_mix_sf(x, mix) == pytest.approx(
                 ncchi2_sf(z, 2.0, 1.3), abs=1e-13)
 
-    def test_below_shift_is_zero(self):
-        mix = ChiSqMixSpec([1.0, 2.0], [2.0, 3.0], [0.5, 1.0], shift=1.5)
-        assert chisq_mix_cdf(1.4, mix) == 0.0
-        assert chisq_mix_sf(1.4, mix) == 1.0
+    def test_no_mass_at_or_below_zero(self):
+        mix = ChiSqMixSpec([1.0, 2.0], [2.0, 3.0], [0.5, 1.0])
+        assert chisq_mix_cdf(0.0, mix) == 0.0
+        assert chisq_mix_cdf(-0.1, mix) == 0.0
+        assert chisq_mix_sf(-0.1, mix) == 1.0
 
     def test_against_monte_carlo(self):
         mix = ChiSqMixSpec([1.0, 2.0], [2.0, 3.0], [0.5, 1.0])
@@ -390,7 +391,7 @@ class TestChiSqMix:
             assert chisq_mix_cdf(x, mix) == pytest.approx(expected, abs=1e-10)
 
     def test_cdf_sf_complement_and_monotone(self):
-        mix = ChiSqMixSpec([1.0, 1.5], [2.5, 1.0], [0.4, 2.0], shift=0.3)
+        mix = ChiSqMixSpec([1.0, 1.5], [2.5, 1.0], [0.4, 2.0])
         xs = np.linspace(0.3, 10.0, 30)
         vals = chisq_mix_cdf(xs, mix)
         assert np.all(np.diff(vals) >= -1e-12)

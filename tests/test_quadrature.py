@@ -105,11 +105,10 @@ class TestVectorSemiInfinite:
         exact = 1.0 / (1.0 - 1j * rates)
         assert np.all(np.abs(value - exact) <= err + 1e-15)
 
-    @pytest.mark.parametrize("width", [0.0, -5.0, math.nan, math.inf])
-    def test_initial_width_must_be_finite_and_positive(self, width):
+    @pytest.mark.parametrize("rel_tol", [0.0, -5.0, math.nan, math.inf])
+    def test_rel_tol_must_be_finite_and_positive(self, rel_tol):
         with pytest.raises(InvalidParameter):
-            semi_infinite_oscillatory(lambda v: np.exp(-v),
-                                      initial_width=width)
+            semi_infinite_oscillatory(lambda v: np.exp(-v), rel_tol=rel_tol)
 
 
 # int_0^inf exp(i*w*v) / (1 + v)^2 dv in closed form: the amplitude decays
@@ -155,8 +154,8 @@ class TestTailProbes:
             return f(v)
 
         value, err = semi_infinite_oscillatory(counted, **kwargs)
-        width = kwargs.get("initial_width", 64.0)
-        first = next(i for i, r in enumerate(reach) if r > 1.5 * width)
+        # the head is [0, 64]
+        first = next(i for i, r in enumerate(reach) if r > 1.5 * 64.0)
         return value, err, sizes[:first], sizes[first:]
 
     @classmethod

@@ -24,7 +24,7 @@ import pytest
 
 import affine_libor
 from affine_libor import (affine_core, distributions, model, montecarlo,
-                          processes, quadrature)
+                          pricing, processes, quadrature)
 
 SRC = Path(affine_libor.__file__).resolve().parent
 ROOT = SRC.parents[1]
@@ -79,6 +79,35 @@ def test_path_batch_holds_times_and_states_only():
                                 montecarlo.MartingaleReport.passed])
 def test_agreement_threshold_is_not_a_knob(fn):
     assert "z_max" not in inspect.signature(fn).parameters
+
+
+# Values that no program sets to anything but one value are constants:
+# the contour, the head width, the series and mixture tolerances, the
+# implied-vol bound slack, the bold strike and the mixture shift.
+def test_quadrature_settings_are_gone():
+    assert not hasattr(affine_libor, "QuadratureSettings")
+    assert not hasattr(pricing, "QuadratureSettings")
+    assert not hasattr(pricing, "DEFAULT_QUADRATURE")
+
+
+def test_semi_infinite_oscillatory_takes_only_a_tolerance():
+    params = inspect.signature(quadrature.semi_infinite_oscillatory).parameters
+    assert list(params) == ["f", "rel_tol"]
+
+
+@pytest.mark.parametrize("cls, fields", [
+    (pricing.CapletSpec, ["period_index", "strike"]),
+    (distributions.ChiSqMixSpec, ["sigmas", "nus", "alphas"])])
+def test_spec_records_hold_no_derived_or_unused_fields(cls, fields):
+    assert [f.name for f in dataclasses.fields(cls)] == fields
+
+
+@pytest.mark.parametrize("fn, name", [
+    (distributions.ncchi2_cdf, "tol"), (distributions.ncchi2_sf, "tol"),
+    (distributions.chisq_mix_cdf, "tol"), (distributions.chisq_mix_sf, "tol"),
+    (pricing.black76_implied_vol, "tol"), (pricing.black76_price, "call")])
+def test_tolerance_and_branch_are_not_knobs(fn, name):
+    assert name not in inspect.signature(fn).parameters
 
 
 def _program_files():
