@@ -369,6 +369,10 @@ def _poisson_window(alpha_nc: float):
     lo_w, hi_w = [], [1.0]
     w_lo = w_hi = total = 1.0
     q_up = a2 / (j_hi + 1)  # below one: j_hi + 1 > a2
+    if q_up >= 1.0:  # a2 past 2**53, where j_hi + 1 rounds to a2
+        raise ConvergenceFailure(
+            "Poisson window for the non-central chi-square cannot close: "
+            f"non-centrality alpha={alpha_nc} is beyond double precision")
     q_down = j_lo / a2
     rest_up = w_hi * q_up / (1.0 - q_up)
     rest_down = w_lo * q_down / (1.0 - q_down) if q_down < 1.0 else math.inf
@@ -434,9 +438,9 @@ def _poisson_gamma_series(x, nu: float, alpha_nc: float, upper: bool):
 def _check_ncchi2_args(nu, alpha_nc):
     if nu <= 0.0:
         raise InvalidParameter(f"degrees of freedom must be positive, got {nu}")
-    if alpha_nc < 0.0:
+    if not 0.0 <= alpha_nc < math.inf:
         raise InvalidParameter(
-            f"non-centrality must be non-negative, got {alpha_nc}")
+            f"non-centrality must be finite and non-negative, got {alpha_nc}")
 
 
 def _ncchi2(x, nu: float, alpha_nc: float, upper: bool):

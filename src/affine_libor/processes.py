@@ -52,6 +52,12 @@ class CirParams:
                    for v in (self.lam, self.theta, self.eta, self.x0)):
             raise InvalidParameter(
                 "CIR parameters must be finite and non-negative")
+        # every formula divides by eta^2 or multiplies by it, and a
+        # subnormal square has lost precision
+        if self.eta > 0.0 and not (np.finfo(float).tiny
+                                   <= self.eta * self.eta < math.inf):
+            raise InvalidParameter(
+                f"CIR eta = {self.eta} has no finite, normal square")
 
     def a(self, t: float) -> float:
         return math.exp(-self.lam * t)

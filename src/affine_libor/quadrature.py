@@ -8,14 +8,16 @@ Two entry points:
 * :func:`semi_infinite_oscillatory` -- integrals of the form
   ``int_0^inf f(v) dv`` where ``f`` eventually behaves like a slowly
   varying amplitude times ``exp(i*omega*v)``.  The integration range is
-  doubled outward and the remaining tail is closed with a two-term
-  integration-by-parts asymptotic whose consistency across one doubling
+  doubled outward and the remaining tail is closed with the first eight
+  terms of the asymptotic series (repeated integration by parts) of a
+  power-law amplitude; the closure's consistency across one doubling
   serves as the error estimate.  Each component stops doubling as soon
-  as its own tail is consistent.  The head [0, V] starts from geometric
-  panels cut at V/64, ..., V/2, and each new segment starts from panels
-  one period of the fastest unsettled oscillation wide.  Every step is
-  one fused integrand call: the starting panels plus the three abscissae
-  of the tail probe at the step's right end.
+  as its own tail agrees to within a quarter of its budget.  The head
+  [0, V] starts from geometric panels cut at V/64, ..., V/2, and each
+  new segment starts from panels one period of the fastest unsettled
+  oscillation wide.  Every step is one fused integrand call: the
+  starting panels plus the three abscissae of the tail probe at the
+  step's right end.
 
 Integrands take a 1-d ``ndarray`` of n abscissae and return either n
 values (real or complex) or an ``(n, m)`` array: m integrands that share
@@ -186,8 +188,15 @@ def adaptive_gauss_kronrod(f, a: float, b: float, abs_tol=0.0,
     return total[0], total_err[0]
 
 
-# Largest phase step of the central difference that measures a tail's
-# frequency: it is off by (omega*h)^2/6 relative, at most 7e-7.
+# Terms of the asymptotic series that closes an oscillatory tail, and the
+# share of its budget within which a component's tail must agree across
+# one doubling before it settles.
+_TAIL_TERMS = 8
+_SETTLE_SHARE = 0.25
+
+# Largest phase turn of the tail probe's step: small enough that the
+# principal logarithm of f(v + h) / f(v - h) cannot wrap and that the
+# phase's curvature over the step stays negligible.
 _PHASE_STEP = 2e-3
 
 
@@ -204,40 +213,50 @@ def _probe_step(v: float, omega) -> float:
 
 
 def _tail_by_parts(f, v: float, step: float, probed):
-    """Two-term integration-by-parts estimate of ``int_v^inf f`` and the
-    frequency |omega_j| of each component at v, both as arrays.
+    """Asymptotic estimate of ``int_v^inf f`` and the frequency |omega_j|
+    of each component at v, both as arrays.
 
-    Writes each component f_j = exp(i*omega_j*u) * h_j(u) with the
-    instantaneous frequency omega_j = Im(f_j'/f_j) measured at u = v, which
-    makes h_j locally non-oscillatory.  The central difference starts from
-    ``step``, on the values ``probed`` of f at v - step, v, v + step, and
+    Models each component near v as f_j(u) = exp(i*omega_j*u) A_j u^-p_j.
+    Both exponents are read from the values ``probed`` of f at v - h, v,
+    v + h (h = ``step``): log(f(v + h) / f(v - h)) = 2i omega h
+    - p log((v + h) / (v - h)) holds exactly for the model, so neither
+    carries the (omega h)^2 / 6 bias of a central difference.  The step
     is shrunk (re-evaluating f) until it turns the fastest phase by at
-    most ``_PHASE_STEP``, since the error of omega enters the tail
-    relative.  Integration by parts is only trustworthy when the phase
-    turns much faster than the amplitude decays (1/omega^2 blows up
-    otherwise); slow-phase tails fall back to the power-law closure
+    most ``_PHASE_STEP``.  Repeated integration by parts then gives the
+    asymptotic series
+
+        int_v^inf f = -v f(v) / y * sum_k (p)_k / y^k,  y = i omega v,
+
+    with (p)_k the rising factorial; its first ``_TAIL_TERMS`` = K terms
+    close the tail, leaving for the model a remainder of the size of the
+    first omitted term, |(p)_K / y^K| times the leading one.  The series
+    is only trustworthy when the phase turns much faster than the
+    amplitude decays (each term is (p + k - 1) / |y| times the one
+    before); slow-phase tails fall back to the power-law closure
     int_v^inf A u^-p du = f(v) v / (p - 1), which is exact for a pure
     power integrand.
     """
     for attempt in range(8):
         if attempt:
             probed = f(np.array([v - step, v, v + step]))
-        c_m, c_0, c_p = _components(probed, 3).astype(complex)
-        live = np.abs(c_0) >= 1e-300
-        c_0 = np.where(live, c_0, 1.0)
-        deriv = (c_p - c_m) / (2.0 * step)
-        ratio = deriv / c_0  # f'/f
-        omega = np.where(live, np.imag(ratio), 0.0)
-        fastest = float(np.max(np.abs(omega)))
+        vals = _components(probed, 3).astype(complex)
+        live = np.abs(vals).min(axis=0) >= 1e-300
+        c_m, c_0, c_p = np.where(live, vals, 1.0)
+        turn = np.log(c_p / c_m)
+        omega = np.imag(turn) / (2.0 * step)
+        freq = np.abs(omega)
+        fastest = float(freq.max())
         if fastest * step <= _PHASE_STEP:
             break
         step = 0.5 * _PHASE_STEP / fastest
-    p = -np.real(ratio) * v
+    p = np.real(turn) / (-2.0 * math.atanh(step / v))
     power = c_0 * v / (np.clip(p, 1.5, 16.0) - 1.0)
-    safe = np.where(omega != 0.0, omega, 1.0)
-    parts = 1j * c_0 / safe - (deriv - 1j * safe * c_0) / safe ** 2
-    slow = np.abs(omega) * v <= 10.0 * np.maximum(p, 1.0)
-    return np.where(live, np.where(slow, power, parts), 0.0), np.abs(omega)
+    y = 1j * v * np.where(omega != 0.0, omega, 1.0)
+    # row k - 1 of the cumulative product is (p)_k / y^k
+    terms = np.cumprod((p + np.arange(_TAIL_TERMS - 1.0)[:, None]) / y, axis=0)
+    parts = -v * c_0 / y * (1.0 + terms.sum(axis=0))
+    slow = freq * v <= 10.0 * np.maximum(p, 1.0)
+    return np.where(live, np.where(slow, power, parts), 0.0), freq
 
 
 def _fused_step(f, edges, v: float, step: float, abs_tol, rel_tol: float,
@@ -266,15 +285,15 @@ def semi_infinite_oscillatory(f, rel_tol: float = 1e-9):
     its panels (by the covering rule of the module docstring) only when
     that call misses a component's budget.  Each component settles on
     its own: once the tail closed by :func:`_tail_by_parts` is consistent
-    across one doubling to within half its error budget, its value,
-    error and tail are fixed, and later segments give it an infinite
-    absolute tolerance, so it no longer drives refinement; doubling stops
-    when every component has settled.  Segment [V, 2V] starts from panels
-    one period wide at the fastest unsettled frequency measured at V (at
-    most ``_SOI_PANELS // 2``), so that no starting panel aliases the
-    oscillation, and the difference step of its probe comes from that
-    frequency too, so a steady phase costs no probe-only call after the
-    head.  The reported error is quadrature error plus the consistency
+    across one doubling to within a quarter of its error budget
+    (``_SETTLE_SHARE``), its value, error and tail are fixed, and later
+    segments give it an infinite absolute tolerance, so it no longer
+    drives refinement; doubling stops when every component has settled.
+    Segment [V, 2V] starts from panels one period wide at the fastest
+    unsettled frequency measured at V (at most ``_SOI_PANELS // 2``), so
+    that no starting panel aliases the oscillation, and the difference
+    step of its probe comes from that frequency too, so a steady phase
+    costs no probe-only call after the head.  The reported error is quadrature error plus the consistency
     gap at settling, so a caller can always judge whether the target was
     met.
 
@@ -315,7 +334,7 @@ def semi_infinite_oscillatory(f, rel_tol: float = 1e-9):
         qerr = qerr + serr
         v *= 2.0
         tail = tail_next
-        settled = unsettled & (gap <= 0.5 * budget)
+        settled = unsettled & (gap <= _SETTLE_SHARE * budget)
         value = np.where(settled, total + tail, value)
         err = np.where(settled, qerr + gap, err)
         unsettled &= ~settled

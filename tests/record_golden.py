@@ -6,7 +6,9 @@ the golden test does, overwrites the recordings under
 moved, the largest price shift, the largest relative shift of the
 u-sequence and, for surfaces, the largest implied-vol shift together with
 that cell's Black vega (a vol shift is only as meaningful as the price
-shift divided by the vega).
+shift divided by the vega).  Where a recording prints a
+``quadrature_error``, the price shift is also given as a multiple of it
+(of the largest, should a recording print several).
 
     PYTHONPATH=src python tests/record_golden.py
 """
@@ -26,7 +28,7 @@ from test_golden import (CASES, CURVE, GOLDEN, OUT_FILES, argv_for,
 from affine_libor.cli import load_tenor_csv, main
 
 # keys whose values are prices in the stdout recordings
-PRICE_KEYS = ("price", "closed", "mc")
+PRICE_KEYS = ("price", "closed", "mc", "fourier")
 _KEY_VALUE = re.compile(r"([A-Za-z_]+)\s*=\s*(\S+)")
 
 
@@ -84,6 +86,11 @@ def summarise(name: str, old: str, new: str, tenor) -> str:
                 if key in PRICE_KEYS and key in before:
                     shift = max(shift, abs(float(value) - float(before[key])))
         parts.append(f"price {shift:.2g}")
+        # a quote that certifies its error must move within it
+        errors = [float(value) for key, value in _KEY_VALUE.findall(new)
+                  if key == "quadrature_error"]
+        if shift and errors:
+            parts.append(f"{shift / max(errors):.2g} x quadrature_error")
     return f"{name}: " + ", ".join(parts)
 
 

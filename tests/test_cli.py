@@ -236,6 +236,52 @@ class TestCommands:
         assert captured.err.startswith("error: InvalidParameter")
         assert "price" not in captured.out
 
+    # Tiny and huge etas once ended in tracebacks: a Poisson window whose
+    # ratio a2 / (j + 1) rounds to one (ZeroDivisionError), eta^2 = 0 in
+    # phi_psi (ZeroDivisionError) and eta^2 overflowing in domain_sup
+    # (OverflowError).  At eta = 1e-155, whose square is subnormal, the
+    # non-centrality overflowed to inf and the closed caplet printed
+    # price = 0 with exit status 0.
+    @pytest.mark.parametrize("family, command, lines, category", [
+        ("cir", "caplet", ["process.eta = 1e-12"], "ConvergenceFailure"),
+        ("cir", "caplet", ["process.eta = 1e-155"], "InvalidParameter"),
+        ("cir_2f", "caplet", ["process.eta1 = 1e-300",
+                              "process.lambda2 = 1e-300"],
+         "InvalidParameter"),
+        ("cir_2f", "calibrate", ["process.eta1 = 1e300",
+                                 "process.lambda1 = 50"],
+         "InvalidParameter")])
+    def test_extreme_eta_ends_as_one_error_line(self, tmp_path, capsys,
+                                                family, command, lines,
+                                                category):
+        keys = {line.split(" =")[0] + " =" for line in lines}
+        cfg = write(tmp_path, "c.cfg", "\n".join(
+            [text for text in
+             (REPO / "configs" / f"{family}.cfg").read_text().splitlines()
+             if not text.startswith(tuple(keys) + ("tenor.path",))]
+            + lines + [f"tenor.path = {TABLE1}"]) + "\n")
+        assert main([command, "--config", str(cfg), "--method", "closed",
+                     "--out", str(tmp_path / "out.txt")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {category}: ")
+        assert captured.err.count("\n") == 1
+        assert "price" not in captured.out
+        if category == "ConvergenceFailure":
+            assert "alpha=" in captured.err
+
+    def test_unreachable_poisson_window_fails_every_closed_cell(
+            self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.cfg", CIR_CFG_TEMPLATE.format(tenor=TABLE1)
+                    .replace("process.eta = 0.59", "process.eta = 1e-12"))
+        out = tmp_path / "s.csv"
+        assert main(["surface", "--config", str(cfg), "--method", "closed",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.endswith("27 cells, 27 failed\n")
+        assert captured.err == ""
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 27 and all(r.endswith(",nan,nan") for r in rows)
+
     def test_error_category_on_bad_config(self, tmp_path, capsys):
         cfg = write(tmp_path, "bad.cfg", "process.family = cir\n")
         assert main(["caplet", "--config", str(cfg)]) == 1

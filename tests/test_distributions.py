@@ -180,6 +180,14 @@ class TestNcChi2:
             ncchi2_cdf(1.0, 0.0, 1.0)
         with pytest.raises(InvalidParameter):
             ncchi2_cdf(1.0, 2.0, -0.5)
+        # an infinite non-centrality once passed, and x = inf returned 1
+        with pytest.raises(InvalidParameter):
+            ncchi2_cdf(math.inf, 2.0, math.inf)
+
+    def test_window_beyond_double_precision(self):
+        # a2 / (j0 + 1) rounds to one past a2 = 2**53
+        with pytest.raises(ConvergenceFailure, match="alpha=1e\\+20"):
+            ncchi2_sf(1e20, 2.0, 1e20)
 
     def test_long_window_off_the_shape_grid(self):
         # 532-term window from the non-dyadic shape 1022.19...: a

@@ -79,6 +79,14 @@ class TestCir:
         with pytest.raises(InvalidParameter):
             CirParams(**args)
 
+    # 1e-156 squares to a subnormal: phi_psi's lam theta / (2 eta^2)
+    # overflowed and the curve read as InfeasibleCurve
+    @pytest.mark.parametrize("eta", [1e-300, 1e-156, 1e300])
+    def test_eta_needs_a_finite_normal_square(self, eta):
+        with pytest.raises(InvalidParameter):
+            CirParams(0.5, 0.4, eta)
+        CirParams(0.5, 0.4, 0.0)  # the deterministic limit stays legal
+
 
 class TestGammaOu:
     def test_trivial_points(self, gou_process):
