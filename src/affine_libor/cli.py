@@ -32,8 +32,9 @@ from .pricing import (CapletSpec, SwaptionSpec, caplet_closed,
 from .processes import CirParams, GammaOuParams, ProductProcess
 
 _FMT = "{:.12g}"
-# Most points a surface.strikes grid may have.
+# Most points a surface.strikes grid may have, and most Monte Carlo paths.
 _MAX_STRIKES = 10_000
+_MAX_MC_PATHS = 10_000_000
 
 
 def _fmt(x) -> str:
@@ -275,15 +276,19 @@ def _cmd_surface(cfg: RunConfig, out: str, write) -> int:
         for cell in cells:
             fh.write(f"{_fmt(cell.expiry)},{_fmt(cell.strike)},"
                      f"{_fmt(cell.price)},{_fmt(cell.implied_vol)}\n")
-    failed = sum(1 for c in cells if c.error is not None)
-    write(f"surface written to {out}: {len(cells)} cells, {failed} failed")
-    return 0 if failed == 0 else 1
+    failed = [c for c in cells if c.error is not None]
+    write(f"surface written to {out}: {len(cells)} cells, "
+          f"{len(failed)} failed")
+    if failed:
+        print(f"error: {failed[0].error}: {len(failed)} of {len(cells)} "
+              "cells failed", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_validate(cfg: RunConfig, write) -> int:
-    if cfg.mc_paths < 2:
-        raise InvalidParameter(
-            f"mc.paths must be at least 2, got {cfg.mc_paths}")
+    if not 2 <= cfg.mc_paths <= _MAX_MC_PATHS:
+        raise InvalidParameter(f"mc.paths must be 2..{_MAX_MC_PATHS}, "
+                               f"got {cfg.mc_paths}")
     model = cfg.calibrate()
     n = model.n_periods
     checks = []

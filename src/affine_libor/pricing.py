@@ -10,14 +10,16 @@ bond-price quotient exp(A_k + <B_k, X_{T_k}>), priced as
         * int_R K'^{-(R-iv)} E[(e^Z)^{R-iv}] / ((R-iv)(R-1-iv)) dv,
 
 with K' = 1 + delta K, damping R > 1 inside the strip where the
-forward-price moment generating function is finite.  The same integrand
-with R < 0 prices the floorlet.  E[(e^Z)^z] is the model's forward-price
-MGF (:func:`affine_libor.model.forward_log_mgf`).  Only the factor
-K'^{-(R-iv)} depends on the strike, so the caplets of one expiry are one
-vector-valued integral with one damping (:func:`vol_surface`); a single
-caplet is the one-strike case.  A payer swaption on [T_i, T_m] is a put
-on a coupon bond; its payoff transform has a closed form in terms of the
-unique zero of the exercise function (:func:`swaption_root`).
+forward-price moment generating function is finite.  E[(e^Z)^z] is the
+model's forward-price MGF (:func:`affine_libor.model.forward_log_mgf`).
+Only the factor K'^{-(R-iv)} depends on the strike, so the caplets of one
+expiry are one vector-valued integral with one damping
+(:func:`vol_surface`); a single caplet is the one-strike case.  Cap-floor
+parity is model-free, so on either route a floorlet is its caplet less
+the period's forward value (:func:`_floorlet`).  A payer swaption on
+[T_i, T_m] is a put on a coupon bond; its payoff transform has a closed
+form in terms of the unique zero of the exercise function
+(:func:`swaption_root`).
 
 Chi-square route (products of square-root factors, a lone factor being a
 product of one): each factor, tilted to a forward measure, follows a
@@ -58,7 +60,8 @@ def _check_strike(strike: float):
 
 @dataclass(frozen=True)
 class CapletSpec:
-    """Call (or, for floorlets, put) on the period-k simple rate."""
+    """Call on the period-k simple rate; its floorlet (the put) follows
+    by cap-floor parity."""
 
     period_index: int
     strike: float
@@ -105,65 +108,45 @@ class PriceResult:
     root: float | None = None
 
 
-def _damping_strip(psi_low: np.ndarray, psi_diff: np.ndarray,
-                   sup: np.ndarray):
-    """Admissible real interval for v in psi_low + v * psi_diff < sup."""
-    lo, hi = -math.inf, math.inf
+def _strip_upper_end(psi_low: np.ndarray, psi_diff: np.ndarray,
+                     sup: np.ndarray) -> float:
+    """Supremum of the real v with psi_low + v * psi_diff < sup."""
+    hi = math.inf
     for j in range(psi_low.size):
         room = sup[j] - psi_low[j]
         d = psi_diff[j]
         if d > 0.0:
             hi = min(hi, room / d)
-        elif d < 0.0:
-            lo = max(lo, room / d)
-        elif room <= 0.0:
+        elif d == 0.0 and room <= 0.0:
             raise DampingOutOfStrip("transform argument pinned outside domain")
-    return lo, hi
+    return hi
 
 
-def _call_damping_candidates(hi: float):
-    # The fixed dampings are offered whatever the strip's width: a driver
-    # that barely moves has a strip reaching 1e6 or more, where the
-    # relative grid alone starts at dampings in the thousands and an
-    # in-the-money strike recovers its price only through massive
-    # cancellation.
-    fixed = [2.0, 5.0, 25.0, 125.0]
-    if not math.isfinite(hi):
-        return fixed
-    span = hi - 1.0
-    grid = [1.0 + span * g for g in
-            (0.5, 0.25, 0.1, 0.04, 0.015, 0.006, 0.0025, 0.001)] + fixed
-    return [r for r in grid if 1.0 < r < hi] + [0.5 * (1.0 + hi)]
-
-
-def _put_damping_candidates(lo: float):
-    if not math.isfinite(lo):
-        return [-0.5, -1.0, -2.0, -8.0, -32.0]
-    return [g * lo for g in (0.5, 0.25, 0.1, 0.04, 0.015, 0.006)]
-
-
-def _choose_damping(lo: float, hi: float, want_call: bool, magnitudes):
-    """The contour's damping: the candidate in the strip whose worst
-    |integrand(0)| over the strike row is smallest.
+def _choose_damping(hi: float, magnitudes):
+    """The contour's damping: the candidate in (1, hi), the strip above
+    1, whose worst |integrand(0)| over the strike row is smallest.
 
     ``magnitudes`` maps candidates to |integrand(0)|, one row per
     candidate and one column per strike.  A contour whose dampened
     integrand is large at the origin only recovers a small price through
     massive cancellation (Lord & Kahl 2007), so the damping minimises that
-    magnitude for the worst strike (the strip midpoint is always among
-    the call candidates).
+    magnitude for the worst strike (a finite strip's midpoint is always
+    among the candidates).
     """
-    if want_call:
-        if hi <= 1.0:
-            raise DampingOutOfStrip(
-                f"strip upper end {hi} leaves no damping above 1")
-        lo = 1.0
-    else:
-        if lo >= 0.0:
-            raise DampingOutOfStrip("strip does not extend below 0")
-        hi = 0.0
-    candidates = _call_damping_candidates(hi) if want_call \
-        else _put_damping_candidates(lo)
+    if hi <= 1.0:
+        raise DampingOutOfStrip(
+            f"strip upper end {hi} leaves no damping above 1")
+    # The fixed dampings are offered whatever the strip's width: a driver
+    # that barely moves has a strip reaching 1e6 or more, where the
+    # relative grid alone starts at dampings in the thousands and an
+    # in-the-money strike recovers its price only through massive
+    # cancellation.
+    candidates = [2.0, 5.0, 25.0, 125.0]
+    if math.isfinite(hi):
+        grid = [1.0 + (hi - 1.0) * g for g in
+                (0.5, 0.25, 0.1, 0.04, 0.015, 0.006, 0.0025, 0.001)]
+        candidates = [r for r in grid + candidates if 1.0 < r < hi] \
+            + [0.5 * (1.0 + hi)]
     mags = magnitudes(np.array(candidates))
     worst = np.where(np.isfinite(mags), mags, math.inf).max(axis=1)
     if not np.isfinite(worst).any():
@@ -172,8 +155,9 @@ def _choose_damping(lo: float, hi: float, want_call: bool, magnitudes):
 
 
 def _fourier_row(m: CalibratedModel, k: int, bold: np.ndarray,
-                 rel_tol: float, want_call: bool):
-    """Caplets (or floorlets) at expiry T_k for the bold strikes ``bold``.
+                 rel_tol: float):
+    """Caplets at expiry T_k for the bold strikes ``bold`` (floorlets
+    follow from them by parity, :func:`_floorlet`).
 
     Only the factor K'^{-z} of the integrand depends on the strike, so the
     whole row is one vector-valued integral: the transform is evaluated
@@ -190,7 +174,7 @@ def _fourier_row(m: CalibratedModel, k: int, bold: np.ndarray,
         np.full(m.process.dim, np.inf)
     # Re(z) is constant along the contour, so the strip bounds decide
     # admissibility once and for all nodes.
-    lo, hi = _damping_strip(psi[1], psi[0] - psi[1], sup)
+    hi = _strip_upper_end(psi[1], psi[0] - psi[1], sup)
     log_bold = np.log(bold)
 
     def strike_integrands(z):
@@ -206,7 +190,7 @@ def _fourier_row(m: CalibratedModel, k: int, bold: np.ndarray,
         with np.errstate(over="ignore", invalid="ignore"):
             return np.abs(strike_integrands(candidates + 0j))
 
-    damping = _choose_damping(lo, hi, want_call, magnitudes)
+    damping = _choose_damping(hi, magnitudes)
     integral, err = semi_infinite_oscillatory(
         lambda v: strike_integrands(damping - 1j * v), rel_tol=rel_tol)
     pref = m.bond0(m.n_periods) * bold / (2.0 * math.pi)
@@ -221,34 +205,32 @@ def _checked(what: str, price: float, err: float, damping, root=None):
     return PriceResult(max(float(price), 0.0), float(err), damping, root=root)
 
 
-def _fourier_caplet(m, c, rel_tol: float, want_call: bool) -> PriceResult:
-    prices, errs, damping = _fourier_row(
-        m, c.period_index, np.array([c.with_model(m)]), rel_tol, want_call)
-    return _checked("caplet" if want_call else "floorlet", prices[0],
-                    errs[0], damping)
+def _floorlet(m: CalibratedModel, c: CapletSpec,
+              cap: PriceResult) -> PriceResult:
+    """Floorlet by cap-floor parity, cap - (B(0,T_k) - K' B(0,T_{k+1})),
+    on the model's own bonds B(0,T_N) M_0^{u_k}, which both caplet routes
+    price off (the curve's miss them by the fit residual).  Its error is
+    the caplet's plus the rounding of the parity sum."""
+    k = c.period_index
+    phi, psi = tilt_exponents(m, 0.0, (k, k + 1))
+    bond, fixed = m.bond0(m.n_periods) * np.exp(phi + psi @ m.x0) \
+        * np.array([1.0, c.with_model(m)])
+    err = cap.error_estimate + 4.0 * math.ulp(bond + fixed)
+    return _checked("floorlet", cap.price - (bond - fixed), err, cap.damping)
 
 
 def caplet_fourier(m: CalibratedModel, c: CapletSpec,
                    rel_tol: float = 1e-9) -> PriceResult:
     """Caplet price by Fourier inversion of the forward-price MGF."""
-    return _fourier_caplet(m, c, rel_tol, want_call=True)
+    prices, errs, damping = _fourier_row(
+        m, c.period_index, np.array([c.with_model(m)]), rel_tol)
+    return _checked("caplet", prices[0], errs[0], damping)
 
 
 def floorlet_fourier(m: CalibratedModel, c: CapletSpec,
                      rel_tol: float = 1e-9) -> PriceResult:
-    """Floorlet price: same transform kernel, damping below zero."""
-    return _fourier_caplet(m, c, rel_tol, want_call=False)
-
-
-def _require_cir(m: CalibratedModel) -> CirParams:
-    if not isinstance(m.process, CirParams):
-        raise ModelMismatch("closed form requires a one-factor square-root "
-                            f"driver, got {type(m.process).__name__}")
-    p = m.process
-    if p.eta <= 0.0 or p.lam * p.theta <= 0.0:
-        raise ModelMismatch("closed form needs eta > 0 and lam * theta > 0 "
-                            "(positive degrees of freedom)")
-    return p
+    """Floorlet price by parity on the Fourier caplet (:func:`_floorlet`)."""
+    return _floorlet(m, c, caplet_fourier(m, c, rel_tol))
 
 
 def _square_root_factors(process) -> tuple:
@@ -260,6 +242,23 @@ def _square_root_factors(process) -> tuple:
         return process.factors
     raise ModelMismatch("no closed-form caplet for "
                         f"{type(process).__name__}")
+
+
+def _factor_count(m: CalibratedModel, n: int) -> tuple:
+    """The driver's square-root factors, which must number ``n``."""
+    factors = _square_root_factors(m.process)
+    if len(factors) != n:
+        raise ModelMismatch(f"closed form needs {n} square-root factor(s), "
+                            f"got {len(factors)}")
+    return factors
+
+
+def _require_positive_dof(f: CirParams, j: int):
+    """A square-root factor's chi-square law needs eta > 0 and
+    lam * theta > 0 (positive degrees of freedom)."""
+    if f.eta <= 0.0 or f.lam * f.theta <= 0.0:
+        raise ModelMismatch(f"factor {j} needs eta > 0 and lam * theta > 0 "
+                            "(positive degrees of freedom)")
 
 
 def _factor_laws(factors, x0, t: float, thetas):
@@ -306,10 +305,7 @@ def _closed_row(m: CalibratedModel, k: int, bold: np.ndarray):
     live = [j for j, f in enumerate(factors)
             if b[j] != 0.0 and (f.lam * f.theta > 0.0 or m.x0[j] > 0.0)]
     for j in live:
-        f = factors[j]
-        if f.eta <= 0.0 or f.lam * f.theta <= 0.0:
-            raise ModelMismatch(
-                f"factor {j} needs eta > 0 and lam * theta > 0")
+        _require_positive_dof(factors[j], j)
     if live:
         # one row each for the T_k- and the T_{k+1}-forward measure
         sigma, nu, alpha = _factor_laws([factors[j] for j in live],
@@ -331,23 +327,18 @@ def caplet_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
 
 def caplet_cir_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
     """Closed-form caplet for the one-factor square-root driver."""
-    _require_cir(m)
+    _factor_count(m, 1)
     return caplet_closed(m, c)
 
 
 def floorlet_cir_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
-    """Closed-form floorlet via cap-floor parity on the closed-form caplet."""
-    cap = caplet_cir_closed(m, c)
-    k = c.period_index
-    parity = m.bond0(k) - c.with_model(m) * m.bond0(k + 1)
-    return PriceResult(max(cap.price - parity, 0.0), cap.error_estimate, None)
+    """Floorlet by parity on the closed-form caplet (:func:`_floorlet`)."""
+    return _floorlet(m, c, caplet_cir_closed(m, c))
 
 
 def caplet_cir2f_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
-    """Closed-form caplet for independent square-root factors."""
-    if not isinstance(m.process, ProductProcess):
-        raise ModelMismatch("2-factor closed form requires independent "
-                            "square-root factors")
+    """Closed-form caplet for two independent square-root factors."""
+    _factor_count(m, 2)
     return caplet_closed(m, c)
 
 
@@ -382,6 +373,9 @@ def _exercise(m: CalibratedModel, s: SwaptionSpec):
     coefficients (A_k, B_k) of the exercise function for k = i+1..m, the
     coupons and the root of :func:`swaption_root`, for a one-dimensional
     driver."""
+    if m.process.dim != 1:
+        raise ModelMismatch("swaption exercise needs a one-dimensional "
+                            "driver")
     if not 1 <= s.start_index < s.end_index <= m.n_periods:
         raise InvalidParameter(
             f"swaption indices {s.start_index}..{s.end_index} outside "
@@ -420,9 +414,6 @@ def swaption_root(m: CalibratedModel, s: SwaptionSpec) -> float:
     where f < 0 rise monotonically to the zero
     (:func:`_rising_concave_root`); the result has |f| <= 1e-13.
     """
-    if m.process.dim != 1:
-        raise ModelMismatch("swaption exercise root needs a one-dimensional "
-                            "driver")
     return _exercise(m, s)[-1]
 
 
@@ -439,9 +430,6 @@ def swaption_fourier(m: CalibratedModel, s: SwaptionSpec,
     exercise-boundary coupon values is one by definition of the root Y),
     so the integrand decays like 1/z^2 without catastrophic cancellation.
     """
-    if m.process.dim != 1:
-        raise ModelMismatch("Fourier swaption pricing needs a "
-                            "one-dimensional driver")
     t_ex, psi, A, B, coup, root = _exercise(m, s)
     w = float(psi[0])
     i = s.start_index
@@ -480,7 +468,8 @@ def swaption_cir_closed(m: CalibratedModel, s: SwaptionSpec) -> PriceResult:
     function of the factor's law tilted to the T_k-forward measure
     (:func:`_factor_laws`).
     """
-    p = _require_cir(m)
+    (p,) = _factor_count(m, 1)
+    _require_positive_dof(p, 0)
     t_ex, psi, _, _, coup, root = _exercise(m, s)
     sigma, nu, alpha = _factor_laws((p,), m.x0, t_ex, psi[:, None])
     nu = float(nu[0])
@@ -656,7 +645,7 @@ def vol_surface(m: CalibratedModel, strikes, method: str = "fourier",
     strikes = sorted(float(s) for s in np.atleast_1d(strikes))
     if method == "fourier":
         def row(k, bold):
-            return _fourier_row(m, k, bold, rel_tol, want_call=True)
+            return _fourier_row(m, k, bold, rel_tol)
     elif method == "closed":
         _square_root_factors(m.process)
 

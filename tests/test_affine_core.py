@@ -8,7 +8,7 @@ from affine_libor.affine_core import (RiccatiRhs, TransformPair,
                                       check_semiflow, phi_psi_batch,
                                       riccati_solve, transform)
 from affine_libor.errors import (BlowUp, DomainViolation, HorizonViolation,
-                                 InvalidParameter)
+                                 InvalidParameter, StepUnderflow)
 from affine_libor.processes import RiccatiProcess, two_factor_cir
 from test_model import DRIVER_ARGS, admissible_driver
 
@@ -120,6 +120,16 @@ class TestRiccatiSolve:
     def test_invalid_tol(self, cir_process):
         with pytest.raises(InvalidParameter):
             riccati_solve(cir_process.riccati_rhs(), 1.0, 0.1, tol=0.0)
+
+    def test_step_underflow_on_a_nan_field(self):
+        # The field vanishes at 0, as RiccatiRhs requires, and is NaN
+        # elsewhere: every error estimate is NaN, so each rejected step
+        # shrinks fivefold until it falls below the floor.
+        nan_away = RiccatiRhs(
+            lambda u: np.where(u[..., 0] == 0.0, 0.0, np.nan),
+            lambda u: np.where(u == 0.0, 0.0, np.nan), dim=1)
+        with pytest.raises(StepUnderflow, match="below floor"):
+            riccati_solve(nan_away, 1.0, 0.1)
 
 
 class TestBatch:

@@ -278,7 +278,8 @@ class TestCommands:
                      "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out.endswith("27 cells, 27 failed\n")
-        assert captured.err == ""
+        assert captured.err == \
+            "error: ConvergenceFailure: 27 of 27 cells failed\n"
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 27 and all(r.endswith(",nan,nan") for r in rows)
 
@@ -310,10 +311,12 @@ class TestCommands:
         # no quote may be printed under an unknown method's label
         ("caplet", "surface.method = bogus"),
         ("swaption", "surface.method = bogus"),
-        # a negative seed and a strike count above 10 000 are user errors
+        # a negative seed, a strike count above 10 000 and a path count
+        # above 10 000 000 are user errors, caught before any allocation
         ("validate", "mc.seed = -3"),
         ("surface", "surface.strikes = 0:1e308:1e-308"),
         ("surface", "surface.strikes = 0:1:1e-12"),
+        ("validate", "mc.paths = 1000000000000"),
     ])
     def test_out_of_range_input_is_invalid_parameter(self, tmp_path, capsys,
                                                      command, line):

@@ -189,6 +189,21 @@ def test_tail_probe_rides_the_fused_step_without_a_wrapper():
     assert "functools" not in imported_names("quadrature")
 
 
+# A floorlet comes from its caplet by cap-floor parity: no put contour,
+# and one family check (the count of square-root factors) for the
+# closed-form wrappers.
+@pytest.mark.parametrize("name", ["_put_damping_candidates", "_require_cir",
+                                  "_fourier_caplet"])
+def test_put_contour_and_duplicate_checks_are_gone(name):
+    assert not hasattr(pricing, name)
+
+
+@pytest.mark.parametrize("fn", ["_fourier_row", "_choose_damping"])
+def test_contour_takes_no_call_put_flag(fn):
+    params = inspect.signature(getattr(pricing, fn)).parameters
+    assert "want_call" not in params
+
+
 def test_one_transform_kernel():
     assert model.phi_psi_batch is affine_core.phi_psi_batch
 
