@@ -17,7 +17,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import threading
 from dataclasses import dataclass, field
+from functools import partial
+from types import FunctionType
 
 import numpy as np
 
@@ -285,50 +288,122 @@ def _cmd_surface(cfg: RunConfig, out: str, write) -> int:
     return 1 if failed else 0
 
 
+def _wrapped() -> bool:
+    """Whether a module of this package holds a wrapped function
+    (``functools.wraps`` leaves ``__wrapped__``): a profiler, tracer or
+    test double put there from outside, whose bookkeeping (one call stack
+    for the process, say) need not be thread-safe."""
+    prefix = __name__.rpartition(".")[0] + "."
+    return any(getattr(value, "__wrapped__", None) is not None
+               for name, mod in list(sys.modules.items())
+               if name.startswith(prefix)
+               for value in vars(mod).values()
+               if isinstance(value, FunctionType))
+
+
+def _run_tasks(tasks) -> list:
+    """Results of the zero-argument callables ``tasks``, in their order.
+
+    The calling thread and one worker thread per further usable core (at
+    most one per task) take the tasks in turn.  With one core, or while a
+    function of the package is wrapped (:func:`_wrapped`), they run in
+    order on the calling thread, so a wrapper sees one call at a time.
+    Every worker is joined before this returns or raises.  A task that
+    raises stops the hand-out of further tasks, and the exception of the
+    first task in order that raised is raised again: every task before it
+    has run, so it is the exception a run in order would have raised.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    if _wrapped():
+        cores = 1
+    results = [None] * len(tasks)
+    errors = [None] * len(tasks)
+    pending = iter(range(len(tasks)))
+    lock = threading.Lock()
+
+    def work():
+        while True:
+            with lock:
+                i = None if any(errors) else next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = tasks[i]()
+            except BaseException as exc:  # raised again by the caller
+                errors[i] = exc
+
+    workers = [threading.Thread(target=work)
+               for _ in range(min(cores, len(tasks)) - 1)]
+    for worker in workers:
+        worker.start()
+    try:
+        work()
+    finally:
+        for worker in workers:
+            worker.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 def _cmd_validate(cfg: RunConfig, write) -> int:
     if not 2 <= cfg.mc_paths <= _MAX_MC_PATHS:
         raise InvalidParameter(f"mc.paths must be 2..{_MAX_MC_PATHS}, "
                                f"got {cfg.mc_paths}")
     model = cfg.calibrate()
-    n = model.n_periods
-    checks = []
-
-    resid = max(model.residuals)
-    checks.append((resid <= cfg.calibration_tol,
-                   f"calibration residual {_fmt(resid)}"))
-
+    n_paths = cfg.mc_paths
+    ks = range(1, model.n_periods + 1)
     horizon = model.horizon
     times = [model.tenor.date(1), 0.5 * horizon, horizon]
-    for j, t in enumerate(times):
-        for rep in martingale_checks(model, range(1, n + 1), t, cfg.mc_paths,
-                                     RngStream(cfg.seed, j)):
-            checks.append((rep.passed(),
-                           f"martingale k={rep.index} t={_fmt(t)} "
-                           f"z={_fmt(rep.z_score)} min={_fmt(rep.min_value)}"))
 
-    x = model_states(model, times[0], cfg.mc_paths, RngStream(cfg.seed, 10))
-    for k in range(1, n + 1):
-        w = forward_measure_weights(model, k, times[0], x)
-        mean, se = w.mean(), w.std(ddof=1) / np.sqrt(cfg.mc_paths)
-        z = 0.0 if se == 0.0 else (mean - 1.0) / se
-        checks.append((agrees(mean, 1.0, se),
-                       f"weight mean k={k} z={_fmt(z)}"))
+    # Five independent simulations, each on its own stream; every task
+    # returns its (passed, label) lines.
+    def martingale(j):
+        t = times[j]
+        return [(rep.passed(), f"martingale k={rep.index} t={_fmt(t)} "
+                               f"z={_fmt(rep.z_score)} "
+                               f"min={_fmt(rep.min_value)}")
+                for rep in martingale_checks(model, ks, t, n_paths,
+                                             RngStream(cfg.seed, j))]
 
-    k_test = _setting(cfg.raw, "caplet.index", int, "2")
-    strike = _setting(cfg.raw, "caplet.strike", default="0.03")
-    spec = CapletSpec(k_test, strike)
-    try:
-        analytic = caplet_closed(model, spec).price
-        label = "closed"
-    except AffineLiborError:
-        analytic = caplet_fourier(model, spec, cfg.rel_tol).price
-        label = "fourier"
-    est, se = mc_caplet(model, k_test, strike, cfg.mc_paths,
-                        RngStream(cfg.seed, 11))
-    z = (analytic - est) / se if se > 0.0 else 0.0
-    checks.append((agrees(est, analytic, se),
-                   f"caplet oracle k={k_test} {label}={_fmt(analytic)} "
-                   f"mc={_fmt(est)} z={_fmt(z)}"))
+    def weights():
+        x = model_states(model, times[0], n_paths, RngStream(cfg.seed, 10))
+        lines = []
+        for k in ks:
+            w = forward_measure_weights(model, k, times[0], x)
+            mean, se = w.mean(), w.std(ddof=1) / np.sqrt(n_paths)
+            z = 0.0 if se == 0.0 else (mean - 1.0) / se
+            lines.append((agrees(mean, 1.0, se),
+                          f"weight mean k={k} z={_fmt(z)}"))
+        return lines
+
+    def caplet_oracle():
+        k_test = _setting(cfg.raw, "caplet.index", int, "2")
+        strike = _setting(cfg.raw, "caplet.strike", default="0.03")
+        spec = CapletSpec(k_test, strike)
+        try:
+            analytic = caplet_closed(model, spec).price
+            label = "closed"
+        except AffineLiborError:
+            analytic = caplet_fourier(model, spec, cfg.rel_tol).price
+            label = "fourier"
+        est, se = mc_caplet(model, k_test, strike, n_paths,
+                            RngStream(cfg.seed, 11))
+        z = (analytic - est) / se if se > 0.0 else 0.0
+        return [(agrees(est, analytic, se),
+                 f"caplet oracle k={k_test} {label}={_fmt(analytic)} "
+                 f"mc={_fmt(est)} z={_fmt(z)}")]
+
+    resid = max(model.residuals)
+    checks = [(resid <= cfg.calibration_tol,
+               f"calibration residual {_fmt(resid)}")]
+    tasks = [partial(martingale, j) for j in range(len(times))]
+    for lines in _run_tasks(tasks + [weights, caplet_oracle]):
+        checks.extend(lines)
 
     failures = 0
     for ok, label in checks:

@@ -51,7 +51,7 @@ class ModelMismatch(AffineLiborError):
 
 
 class DampingOutOfStrip(AffineLiborError):
-    """Fourier damping parameter lies outside the admissible strip."""
+    """No usable Fourier damping in the admissible strip."""
 
 
 class QuadratureFailure(AffineLiborError):

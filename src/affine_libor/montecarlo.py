@@ -14,7 +14,17 @@ Carlo rate:
 Forward-measure expectations are estimated under the terminal measure by
 weighting each path with the density M^{u_k}_t / M^{u_k}_0.  Streams are
 counter-based (Philox keyed by (seed, stream_id)), so distinct stream ids
-fan out deterministically without coordination.
+fan out deterministically without coordination, and simulations on
+distinct streams may run in concurrent threads (numpy's samplers and
+large ufuncs release the GIL) with the same draws as in sequence.
+
+The arithmetic works in place so that a concurrent simulation adds little
+memory: a sampler holds about three path-length arrays besides its
+output, every factor of a product fills its own column of one states
+array, and each exp(a + x @ b) over the paths is computed in place in
+its own output array.  Each in-place step is an exact reordering of the plain formula
+(commuted + and *, Gamma(shape, 2) as 2 * Gamma(shape, 1)), so the
+estimates are bit-for-bit those of the plain formulas.
 """
 
 from __future__ import annotations
@@ -74,6 +84,104 @@ def _check_grid(times) -> np.ndarray:
     return times
 
 
+def _poisson(gen: np.random.Generator, mean, size=None) -> np.ndarray:
+    """Poisson draws; a mean that numpy cannot sample (NaN, or above about
+    9.2e18: an extreme driver's non-centrality or jump intensity) is the
+    driver's InvalidParameter."""
+    try:
+        return gen.poisson(mean, size)
+    except ValueError as exc:
+        raise InvalidParameter(
+            f"exact sampler cannot draw this driver's Poisson counts: {exc}"
+        ) from exc
+
+
+def _fill_cir(p: CirParams, times: np.ndarray, gen: np.random.Generator,
+              out: np.ndarray):
+    """Write exact square-root paths on ``times`` into ``out`` (n_paths,
+    n_times), holding three path-length arrays: the state, one scratch
+    array and the Poisson counts."""
+    x = np.full(out.shape[0], p.x0)
+    tmp = np.empty_like(x)
+    prev = 0.0
+    nu = p.lam * p.theta / p.eta ** 2 if p.eta > 0.0 else 0.0
+    for j, t in enumerate(times):
+        dt = t - prev
+        if dt > 0.0:
+            a, b = p.a(dt), p.b(dt)
+            if p.eta == 0.0:
+                x *= a
+                x += p.theta * (1.0 - a)
+            else:
+                scale = p.eta ** 2 * b
+                # half the non-centrality x a / scale
+                np.multiply(x, a, out=tmp)
+                tmp /= scale
+                tmp *= 0.5
+                # Gamma(shape, 2) is 2 * Gamma(shape, 1), draw for draw
+                np.add(_poisson(gen, tmp), 0.5 * nu, out=x)
+                gen.standard_gamma(x, out=tmp)
+                tmp *= 2.0
+                np.multiply(tmp, scale, out=x)
+        out[:, j] = x
+        prev = t
+
+
+def _fill_gamma_ou(p: GammaOuParams, times: np.ndarray,
+                   gen: np.random.Generator, out: np.ndarray):
+    """Write exact gamma-OU paths on ``times`` into ``out`` (n_paths,
+    n_times)."""
+    n_paths = out.shape[0]
+    x = np.full(n_paths, p.x0)
+    prev = 0.0
+    for j, t in enumerate(times):
+        dt = t - prev
+        if dt > 0.0:
+            x *= math.exp(-p.lam * dt)
+            counts = _poisson(gen, p.lam * p.beta * dt, n_paths)
+            total = int(counts.sum())
+            if total:
+                sizes = gen.exponential(1.0 / p.alpha, total)
+                # each jump size decayed by exp(-lam (dt - arrival))
+                decay = gen.uniform(0.0, dt, total)
+                np.subtract(dt, decay, out=decay)
+                decay *= -p.lam
+                np.exp(decay, out=decay)
+                decay *= sizes
+                x += np.bincount(np.repeat(np.arange(n_paths), counts),
+                                 weights=decay, minlength=n_paths)
+        out[:, j] = x
+        prev = t
+
+
+def _fill(process, times: np.ndarray, rng: RngStream, out: np.ndarray):
+    """Write exact paths of ``process`` into ``out`` (n_paths, n_times,
+    dim); factor j of a product draws from stream ``stream_id * 997 + j``
+    of the same seed."""
+    if isinstance(process, CirParams):
+        _fill_cir(process, times, rng.generator(), out[:, :, 0])
+    elif isinstance(process, GammaOuParams):
+        _fill_gamma_ou(process, times, rng.generator(), out[:, :, 0])
+    elif isinstance(process, ProductProcess):
+        for j, f in enumerate(process.factors):
+            _fill(f, times, RngStream(rng.seed, rng.stream_id * 997 + j),
+                  out[:, :, j:j + 1])
+    else:
+        raise InvalidParameter(
+            f"no exact sampler for process type {type(process).__name__}")
+
+
+def simulate_process(process, times, n_paths: int,
+                     rng: RngStream) -> PathBatch:
+    """Exact paths of any supported family; each factor of a product
+    fills its own column of one states array."""
+    times = _check_grid(times)
+    dim = len(process.factors) if isinstance(process, ProductProcess) else 1
+    states = np.empty((n_paths, times.size, dim))
+    _fill(process, times, rng, states)
+    return PathBatch(times, states)
+
+
 def simulate_cir(p: CirParams, times, n_paths: int,
                  rng: RngStream) -> PathBatch:
     """Exact square-root diffusion paths on the monitoring grid.
@@ -83,26 +191,7 @@ def simulate_cir(p: CirParams, times, n_paths: int,
     X_t a(dt) / (eta^2 b(dt)); eta = 0 degenerates to the deterministic
     mean reversion x a(t) + theta (1 - a(t)).
     """
-    times = _check_grid(times)
-    gen = rng.generator()
-    x = np.full(n_paths, p.x0)
-    states = np.empty((n_paths, times.size, 1))
-    prev = 0.0
-    nu = p.lam * p.theta / p.eta ** 2 if p.eta > 0.0 else 0.0
-    for j, t in enumerate(times):
-        dt = t - prev
-        if dt > 0.0:
-            a, b = p.a(dt), p.b(dt)
-            if p.eta == 0.0:
-                x = x * a + p.theta * (1.0 - a)
-            else:
-                scale = p.eta ** 2 * b
-                noncent = x * a / scale
-                shapes = 0.5 * nu + gen.poisson(0.5 * noncent)
-                x = scale * gen.gamma(shapes, 2.0)
-        states[:, j, 0] = x
-        prev = t
-    return PathBatch(times, states)
+    return simulate_process(p, times, n_paths, rng)
 
 
 def simulate_gamma_ou(p: GammaOuParams, times, n_paths: int,
@@ -113,47 +202,7 @@ def simulate_gamma_ou(p: GammaOuParams, times, n_paths: int,
     time tau within a step of length dt survives as exp(-lam (dt - tau))
     times its size.
     """
-    times = _check_grid(times)
-    gen = rng.generator()
-    x = np.full(n_paths, p.x0)
-    states = np.empty((n_paths, times.size, 1))
-    prev = 0.0
-    for j, t in enumerate(times):
-        dt = t - prev
-        if dt > 0.0:
-            x = x * math.exp(-p.lam * dt)
-            counts = gen.poisson(p.lam * p.beta * dt, n_paths)
-            total = int(counts.sum())
-            if total:
-                sizes = gen.exponential(1.0 / p.alpha, total)
-                arrivals = gen.uniform(0.0, dt, total)
-                owner = np.repeat(np.arange(n_paths), counts)
-                x = x + np.bincount(
-                    owner, weights=sizes * np.exp(-p.lam * (dt - arrivals)),
-                    minlength=n_paths)
-        states[:, j, 0] = x
-        prev = t
-    return PathBatch(times, states)
-
-
-def simulate_process(process, times, n_paths: int,
-                     rng: RngStream) -> PathBatch:
-    """Exact paths of any supported family; product factors are stacked."""
-    if isinstance(process, CirParams):
-        return simulate_cir(process, times, n_paths, rng)
-    if isinstance(process, GammaOuParams):
-        return simulate_gamma_ou(process, times, n_paths, rng)
-    if isinstance(process, ProductProcess):
-        times = _check_grid(times)
-        gen_stream = rng  # factors consume sub-streams deterministically
-        parts = [simulate_process(f, times, n_paths,
-                                  RngStream(gen_stream.seed,
-                                            gen_stream.stream_id * 997 + j))
-                 for j, f in enumerate(process.factors)]
-        return PathBatch(times, np.concatenate([p.states for p in parts],
-                                               axis=2))
-    raise InvalidParameter(
-        f"no exact sampler for process type {type(process).__name__}")
+    return simulate_process(p, times, n_paths, rng)
 
 
 def _restarted(process, x0: np.ndarray):
@@ -183,14 +232,28 @@ def _require_paths(n_paths: int):
             f"need at least 2 paths for a standard error, got {n_paths}")
 
 
+def _exp_affine(a: float, b: np.ndarray, x: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """exp(a + x @ b) over an (n_paths, d) state array, computed in
+    ``out``.  A one-factor product is a plain multiply: numpy's
+    (n, 1) @ (1,) matmul gives the same values several times slower."""
+    if b.shape == (1,):
+        np.multiply(x[:, 0], b[0], out=out)
+    else:
+        np.matmul(x, b, out=out)
+    out += a
+    return np.exp(out, out=out)
+
+
 def forward_measure_weights(m: CalibratedModel, k: int, t: float,
                             x: np.ndarray) -> np.ndarray:
     """Radon-Nikodym weights dP_{T_k}/dP_{T_N} on F_t: M_t^{u_k}/M_0^{u_k}
     over an (n_paths, d) state array."""
     phi_t, psi_t = tilt_exponents(m, t, (k,))
     phi_0, psi_0 = tilt_exponents(m, 0.0, (k,))
-    return np.exp(float(phi_t[0]) + x @ psi_t[0]) \
-        / math.exp(float(phi_0[0] + np.dot(psi_0[0], m.x0)))
+    w = _exp_affine(float(phi_t[0]), psi_t[0], x, np.empty(len(x)))
+    w /= math.exp(float(phi_0[0] + np.dot(psi_0[0], m.x0)))
+    return w
 
 
 def mc_price(m: CalibratedModel, payoff, horizon: float, measure_index: int,
@@ -204,8 +267,8 @@ def mc_price(m: CalibratedModel, payoff, horizon: float, measure_index: int,
     """
     _require_paths(n_paths)
     x = model_states(m, horizon, n_paths, rng)
-    w = forward_measure_weights(m, measure_index, horizon, x)
-    vals = w * np.asarray(payoff(x), dtype=float)
+    vals = forward_measure_weights(m, measure_index, horizon, x)
+    vals *= np.asarray(payoff(x), dtype=float)
     scale = m.bond0(measure_index)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n_paths))
@@ -220,7 +283,9 @@ def mc_caplet(m: CalibratedModel, k: int, strike: float, n_paths: int,
     bold = 1.0 + m.delta * strike
 
     def payoff(x):
-        return np.maximum(np.exp(fe.A + x @ fe.B) - bold, 0.0)
+        vals = _exp_affine(fe.A, fe.B, x, np.empty(len(x)))
+        vals -= bold
+        return np.maximum(vals, 0.0, out=vals)
 
     return mc_price(m, payoff, t_fix, k + 1, n_paths, rng)
 
@@ -290,8 +355,9 @@ def martingale_checks(m: CalibratedModel, ks, t: float, n_paths: int,
     phi_t, psi_t = tilt_exponents(m, t, ks)
     phi_0, psi_0 = tilt_exponents(m, 0.0, ks)
     reports = []
+    vals = np.empty(n_paths)
     for k, a_t, b_t, a_0, b_0 in zip(ks, phi_t, psi_t, phi_0, psi_0):
-        vals = np.exp(float(a_t) + x @ b_t)
+        _exp_affine(float(a_t), b_t, x, vals)
         m0 = math.exp(float(a_0 + np.dot(b_0, m.x0)))
         mean = float(vals.mean())
         stderr = float(vals.std(ddof=1) / math.sqrt(n_paths))

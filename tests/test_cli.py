@@ -1,12 +1,23 @@
+import contextlib
+import functools
+import io
+import os
+import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affine_libor.cli import (RunConfig, _strike_grid, build_process,
-                              load_tenor_csv, main, parse_config_text)
+from affine_libor import cli, montecarlo
+from affine_libor.cli import (RunConfig, _run_tasks, _strike_grid,
+                              build_process, load_tenor_csv, main,
+                              parse_config_text)
 from affine_libor.errors import (InvalidParameter, NonMonotoneCurve,
                                  ParseError)
 
@@ -269,6 +280,23 @@ class TestCommands:
         if category == "ConvergenceFailure":
             assert "alpha=" in captured.err
 
+    # A loose quadrature tolerance leaves an error estimate above the
+    # 1e-3 relative control; a factor started at 1e300 has a Poisson
+    # non-centrality numpy cannot sample (a ValueError traceback before).
+    @pytest.mark.parametrize("family, command, method, line, category", [
+        ("cir", "caplet", "fourier", "quadrature.rel_tol = 0.01",
+         "QuadratureFailure"),
+        ("cir_2f", "validate", "fourier", "process.x02 = 1e300",
+         "InvalidParameter")])
+    def test_extreme_setting_ends_as_one_error_line(self, tmp_path, capsys,
+                                                    family, command, method,
+                                                    line, category):
+        cfg = bundled_config(tmp_path, family, f"mc.paths = 4000\n{line}\n")
+        assert main([command, "--config", str(cfg), "--method", method]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {category}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_unreachable_poisson_window_fails_every_closed_cell(
             self, tmp_path, capsys):
         cfg = write(tmp_path, "c.cfg", CIR_CFG_TEMPLATE.format(tenor=TABLE1)
@@ -426,6 +454,207 @@ class TestConfigErrors:
         assert captured.err.startswith("error: ParseError: ")
         assert line.split(" =")[0] in captured.err
         assert "price" not in captured.out
+
+
+def bundled_config(tmp_path, family, extra=""):
+    """configs/<family>.cfg with its tenor path made absolute, plus
+    ``extra`` lines."""
+    text = (REPO / "configs" / f"{family}.cfg").read_text().replace(
+        "../data/zcb_euro_2002-02-19.csv", str(TABLE1))
+    return write(tmp_path, f"{family}.cfg", text + extra)
+
+
+def with_cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+class TestValidateTasks:
+    """validate runs its five simulation groups on the usable cores; the
+    output never depends on how many there are."""
+
+    def validate(self, capsys, cfg, seed):
+        before = threading.active_count()
+        code = main(["validate", "--config", str(cfg), "--seed", str(seed)])
+        assert threading.active_count() == before
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("family", ["cir", "gamma_ou", "cir_2f"])
+    def test_golden_settings_for_any_core_count(self, tmp_path, monkeypatch,
+                                                capsys, family):
+        cfg = bundled_config(tmp_path, family, "mc.paths = 4000\n")
+        golden = (REPO / "tests" / "data" / "golden"
+                  / f"{family}.validate.out").read_text()
+        for cores in (1, 2, 5):
+            with_cores(monkeypatch, cores)
+            assert self.validate(capsys, cfg, 3) == (0, golden, "")
+
+    @pytest.mark.parametrize("family", ["cir", "gamma_ou", "cir_2f"])
+    def test_bundled_paths_for_one_and_two_cores(self, tmp_path, monkeypatch,
+                                                 capsys, family):
+        # 100 000 paths (the bundled mc.paths), seed 1 of the benchmark's
+        # validate seeds
+        cfg = bundled_config(tmp_path, family)
+        runs = []
+        for cores in (1, 2):
+            with_cores(monkeypatch, cores)
+            runs.append(self.validate(capsys, cfg, 1))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][1].endswith(
+            "42/42 checks passed\n")
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("index", [10, 11])
+    def test_failing_task_ends_as_one_error_line(self, tmp_path, monkeypatch,
+                                                 capsys, cores, index):
+        # the caplet oracle runs concurrently with the martingale checks
+        # and raises for an index at or past N = 10
+        with_cores(monkeypatch, cores)
+        cfg = bundled_config(tmp_path, "cir",
+                             f"mc.paths = 4000\ncaplet.index = {index}\n")
+        code, out, err = self.validate(capsys, cfg, 3)
+        assert code == 1 and out == ""
+        assert err.startswith("error: InvalidParameter: caplet index ")
+        assert err.count("\n") == 1
+
+    def test_wrapped_function_sees_the_tasks_in_order(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # a tracer that wraps library functions may keep one call stack
+        # for the process: while a wrapper is in place, every simulation
+        # runs on the calling thread, whatever the cores
+        threads = []
+        original = montecarlo.simulate_process
+
+        @functools.wraps(original)
+        def traced(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "simulate_process", traced)
+        with_cores(monkeypatch, 5)
+        cfg = bundled_config(tmp_path, "cir", "mc.paths = 4000\n")
+        golden = (REPO / "tests" / "data" / "golden"
+                  / "cir.validate.out").read_text()
+        assert self.validate(capsys, cfg, 3) == (0, golden, "")
+        assert len(threads) == 5
+        assert set(threads) == {threading.get_ident()}
+
+    def test_worker_threads_follow_the_usable_cores(self, monkeypatch):
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(cli.threading, "Thread", Counted)
+        for cores, workers in ((1, 0), (2, 1), (3, 2), (16, 4)):
+            with_cores(monkeypatch, cores)
+            started.clear()
+            assert _run_tasks([lambda i=i: i for i in range(5)]) == \
+                list(range(5))
+            assert len(started) == workers
+
+    def test_each_task_runs_once_under_contention(self, monkeypatch):
+        # 15 workers plus the caller on 200 tasks, switching threads as
+        # often as the interpreter allows: a task handed out twice or
+        # never shows in ``ran``
+        with_cores(monkeypatch, 16)
+        ran, returned = [], []
+        tasks = [lambda i=i: ran.append(i) or i for i in range(200)]
+        runner = threading.Thread(
+            target=lambda: returned.append(_run_tasks(tasks)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert returned == [list(range(200))]
+        assert sorted(ran) == list(range(200))
+
+    def test_first_failure_in_order_is_raised(self, monkeypatch):
+        # task 1 fails after task 2 has already failed: a run in order
+        # would have stopped at task 1, so its exception is the one raised
+        def slow_failure():
+            time.sleep(0.05)
+            raise ParseError("task 1")
+
+        def fast_failure():
+            raise InvalidParameter("task 2")
+
+        for cores in (1, 3):
+            with_cores(monkeypatch, cores)
+            ran = []
+            tasks = [lambda: ran.append(0), slow_failure, fast_failure,
+                     lambda: ran.append(3)]
+            with pytest.raises(ParseError, match="task 1"):
+                _run_tasks(tasks)
+            assert 0 in ran
+            if cores == 1:  # in order, nothing runs after a failure
+                assert ran == [0]
+
+
+# Config fuzzing: extreme values in 1-3 keys of a bundled config.  Index
+# keys draw indices at and past the ends of the 10-period tenor.
+FUZZ_VALUES = ("0", "-1", "-1e300", "1e-300", "1e300", "nan", "inf", "-inf")
+FUZZ_INDICES = ("-1", "0", "1", "9", "10", "11")
+INDEX_KEYS = ("caplet.index", "swaption.start", "swaption.end")
+
+
+def bundled_settings(family) -> dict:
+    text = (REPO / "configs" / f"{family}.cfg").read_text()
+    out = parse_config_text(text)
+    out["tenor.path"] = str(TABLE1)
+    out["mc.paths"] = "4000"
+    return out
+
+
+@st.composite
+def fuzzed_runs(draw):
+    family = draw(st.sampled_from(["cir", "gamma_ou", "cir_2f"]))
+    cfg = bundled_settings(family)
+    keys = draw(st.lists(st.sampled_from(sorted(set(cfg) - {"tenor.path"})),
+                         min_size=1, max_size=3, unique=True))
+    for key in keys:
+        cfg[key] = draw(st.sampled_from(
+            FUZZ_INDICES if key in INDEX_KEYS else FUZZ_VALUES))
+    command = draw(st.sampled_from(
+        ["calibrate", "caplet", "swaption", "surface", "validate"]))
+    return cfg, command, draw(st.sampled_from(["fourier", "closed"]))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestConfigFuzz:
+    @settings(max_examples=500, deadline=5000, derandomize=True)
+    @given(run=fuzzed_runs())
+    def test_any_config_ends_in_a_result_or_one_error_line(self, fuzz_dir,
+                                                           run):
+        cfg, command, method = run
+        path = write(fuzz_dir, "c.cfg", "".join(
+            f"{key} = {value}\n" for key, value in cfg.items()))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path), "--method", method,
+                         "--out", str(fuzz_dir / "out.txt")])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1)
+        if code == 0:
+            assert err == ""
+            assert not re.search(r"\b(nan|inf)\b", out)
+        elif command == "validate" and err == "":
+            # a check that fails is reported, not raised
+            assert "FAIL " in out
+            assert re.search(r"\n\d+/\d+ checks passed\n$", out)
+        else:
+            assert re.fullmatch(r"error: [A-Za-z]+: [^\n]*\n", err)
 
 
 class TestEntryPoint:

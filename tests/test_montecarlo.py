@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_libor.affine_core import transform
 from affine_libor.errors import InvalidGrid, InvalidParameter
@@ -12,7 +14,9 @@ from affine_libor.montecarlo import (MartingaleReport, PathBatch, RngStream,
                                      mc_caplet, mc_price,
                                      mc_swaption, simulate_cir,
                                      simulate_gamma_ou, simulate_process)
-from affine_libor.processes import CirParams, GammaOuParams, two_factor_cir
+from affine_libor.processes import (CirParams, GammaOuParams,
+                                    ProductProcess, two_factor_cir)
+from test_model import DRIVER_ARGS, admissible_driver
 from test_processes import compound_poisson_subordinator
 
 
@@ -106,7 +110,72 @@ class TestSimulateGammaOu:
         assert abs(x.var(ddof=1) - 0.25) <= 3.0 * se_var
 
 
+def reference_paths(process, times, n_paths, rng):
+    """The samplers as they were written before they worked in place:
+    fresh arrays at every step, product factors concatenated."""
+    if isinstance(process, ProductProcess):
+        return np.concatenate(
+            [reference_paths(f, times, n_paths,
+                             RngStream(rng.seed, rng.stream_id * 997 + j))
+             for j, f in enumerate(process.factors)], axis=2)
+    p, gen = process, rng.generator()
+    x = np.full(n_paths, p.x0)
+    states = np.empty((n_paths, len(times), 1))
+    prev = 0.0
+    for j, t in enumerate(times):
+        dt = t - prev
+        if dt > 0.0 and isinstance(p, CirParams):
+            a, b = p.a(dt), p.b(dt)
+            if p.eta == 0.0:
+                x = x * a + p.theta * (1.0 - a)
+            else:
+                nu = p.lam * p.theta / p.eta ** 2
+                scale = p.eta ** 2 * b
+                noncent = x * a / scale
+                shapes = 0.5 * nu + gen.poisson(0.5 * noncent)
+                x = scale * gen.gamma(shapes, 2.0)
+        elif dt > 0.0:
+            x = x * math.exp(-p.lam * dt)
+            counts = gen.poisson(p.lam * p.beta * dt, n_paths)
+            total = int(counts.sum())
+            if total:
+                sizes = gen.exponential(1.0 / p.alpha, total)
+                arrivals = gen.uniform(0.0, dt, total)
+                owner = np.repeat(np.arange(n_paths), counts)
+                x = x + np.bincount(
+                    owner, weights=sizes * np.exp(-p.lam * (dt - arrivals)),
+                    minlength=n_paths)
+        states[:, j, 0] = x
+        prev = t
+    return states
+
+
 class TestSimulateProcess:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(**DRIVER_ARGS, start=st.sampled_from([0.0, 0.25]),
+           steps=st.lists(st.floats(0.05, 2.0), min_size=2, max_size=4),
+           seed=st.integers(0, 2 ** 32), stream=st.integers(0, 20))
+    def test_lean_samplers_draw_the_same_paths(self, family, a, b, c, x0,
+                                               second, start, steps, seed,
+                                               stream):
+        process = admissible_driver(family, a, b, c, x0, second)
+        times = start + np.cumsum(steps)
+        if start == 0.0:
+            times = np.concatenate([[0.0], times])
+        rng = RngStream(seed, stream)
+        got = simulate_process(process, times, 300, rng).states
+        assert np.array_equal(got, reference_paths(process, times, 300, rng))
+
+    @pytest.mark.parametrize("process", [
+        CirParams(0.8, 0.4, 0.0, 2.0), GammaOuParams(0.4, 2.0, 0.0, 1.5),
+        ProductProcess([GammaOuParams(1.0, 2.0, 1.0, 0.3),
+                        CirParams(1.5, 0.3, 0.2, 0.5)])])
+    def test_degenerate_and_mixed_drivers_draw_the_same_paths(self, process):
+        times = [0.5, 1.0, 3.0]
+        got = simulate_process(process, times, 300, RngStream(8, 2)).states
+        assert np.array_equal(
+            got, reference_paths(process, times, 300, RngStream(8, 2)))
+
     def test_product_stacks_factors(self):
         p = two_factor_cir(0.5, 0.6, 0.25, 1.2, 0.4, 0.3)
         batch = simulate_process(p, [1.0, 2.0], 1000, RngStream(4))

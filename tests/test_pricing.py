@@ -9,10 +9,10 @@ from test_model import DRIVER_ARGS
 
 from affine_libor import pricing
 from affine_libor.cli import RunConfig
-from affine_libor.errors import (InvalidParameter, ModelMismatch,
-                                 NoSignChange, OutOfBounds)
-from affine_libor.model import (fit_term_structure, forward_log_mgf,
-                                tilt_exponents)
+from affine_libor.errors import (DampingOutOfStrip, InvalidParameter,
+                                 ModelMismatch, NoSignChange, OutOfBounds)
+from affine_libor.model import (TenorStructure, fit_term_structure,
+                                forward_log_mgf, tilt_exponents)
 from affine_libor.montecarlo import RngStream, mc_caplet, mc_swaption
 from affine_libor.pricing import (CapletSpec, SwaptionSpec,
                                   black76_implied_vol, black76_price,
@@ -170,6 +170,39 @@ class TestCapletFourier:
         ode = caplet_fourier(model, spec)
         closed = caplet_closed(cfg.calibrate(), spec)
         assert abs(ode.price - closed.price) <= ode.error_estimate + 1e-13
+
+
+class TestDampingStrip:
+    """A fit at the edge of the moment domain leaves the Fourier contour
+    too little room: the strip above 1 is a few ulps wide, where the pole
+    at z = 1 cancels the price away under a small error estimate."""
+
+    # Zero forward rates up to T_9, then one positive rate: u_1 .. u_9 are
+    # equal, and theta puts them ``ulps`` below the domain supremum of a
+    # square-root driver started at x0 = 1e-300.
+    EDGE_CURVE = [0.98] * 9 + [0.97]
+
+    @pytest.mark.parametrize("lam, theta, eta, ulps", [
+        (1e-3, 0.022764618350893055, 0.2, 2),
+        (0.1, 0.00022764618350893054, 0.2, 2),
+        # these two priced with damping 1 + 2e-16 and 1 + 2e-14, 0.8% and
+        # 0.009% from the closed form, under an error estimate of 4e-8
+        (0.1, 0.0005122039128950935, 0.3, 2),
+        (0.1, 0.00026500659326639763, 0.2, 256)])
+    def test_edge_of_domain_fit_has_no_damping(self, lam, theta, eta, ulps):
+        tenor = TenorStructure.from_curve(0.5 * np.arange(1, 11),
+                                          self.EDGE_CURVE)
+        m = fit_term_structure(tenor, CirParams(lam, theta, eta, 1e-300))
+        sup = m.process.domain_sup(m.horizon)[0]
+        assert sup - m.u(9)[0] == ulps * np.spacing(sup)
+        with pytest.raises(DampingOutOfStrip,
+                           match=r"strip \(1, 1\.0000000000000\d+\) leaves "
+                                 r"no damping 1e-12 from both ends"):
+            caplet_fourier(m, CapletSpec(9, 0.01))
+        assert [c.error for c in vol_surface(m, [0.01, 0.02])][-2:] == \
+            ["DampingOutOfStrip"] * 2
+        # the caplet itself exists: the closed form prices it
+        assert caplet_closed(m, CapletSpec(9, 0.01)).price > 0.0
 
 
 class TestFloorlet:
