@@ -264,8 +264,7 @@ def _dormand_prince(rhs: RiccatiRhs, t: float, y: np.ndarray, tol: float,
     return out
 
 
-def check_semiflow(process, t: float, s: float, u,
-                   horizon: float | None = None) -> float:
+def check_semiflow(process, t: float, s: float, u) -> float:
     """Maximum deviation from the semi-flow identity at (t, s, u).
 
     The identity phi_{t+s}(u) = phi_t(u) + phi_s(psi_t(u)) and
@@ -273,9 +272,9 @@ def check_semiflow(process, t: float, s: float, u,
     process; the returned number is a pure floating-point diagnostic used
     by the validation suite.
     """
-    full = transform(process, t + s, u, horizon)
-    inner = transform(process, t, u, horizon)
-    outer = transform(process, s, inner.psi, horizon)
+    full = transform(process, t + s, u)
+    inner = transform(process, t, u)
+    outer = transform(process, s, inner.psi)
     dev_phi = abs(full.phi - (inner.phi + outer.phi))
     dev_psi = float(np.max(np.abs(full.psi - outer.psi)))
     return max(dev_phi, dev_psi)

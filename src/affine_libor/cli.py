@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import threading
+import warnings
 from dataclasses import dataclass, field
 from functools import partial
 from types import FunctionType
@@ -304,50 +304,31 @@ def _wrapped() -> bool:
 def _run_tasks(tasks) -> list:
     """Results of the zero-argument callables ``tasks``, in their order.
 
-    The calling thread and one worker thread per further usable core (at
-    most one per task) take the tasks in turn.  With one core, or while a
+    A pool of one thread per usable core (at most one per task) runs the
+    tasks while the calling thread waits.  With one core, or while a
     function of the package is wrapped (:func:`_wrapped`), they run in
     order on the calling thread, so a wrapper sees one call at a time.
-    Every worker is joined before this returns or raises.  A task that
-    raises stops the hand-out of further tasks, and the exception of the
-    first task in order that raised is raised again: every task before it
-    has run, so it is the exception a run in order would have raised.
+    Results are taken in task order, so the exception raised is that of
+    the first task in order that raised: every task before it has run,
+    so it is the exception a run in order would have raised.  Tasks not
+    yet started are then cancelled, and every pool thread has ended
+    before this returns or raises.
     """
     try:
-        cores = len(os.sched_getaffinity(0))
+        workers = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    if _wrapped():
-        cores = 1
-    results = [None] * len(tasks)
-    errors = [None] * len(tasks)
-    pending = iter(range(len(tasks)))
-    lock = threading.Lock()
-
-    def work():
-        while True:
-            with lock:
-                i = None if any(errors) else next(pending, None)
-            if i is None:
-                return
-            try:
-                results[i] = tasks[i]()
-            except BaseException as exc:  # raised again by the caller
-                errors[i] = exc
-
-    workers = [threading.Thread(target=work)
-               for _ in range(min(cores, len(tasks)) - 1)]
-    for worker in workers:
-        worker.start()
+        workers = os.cpu_count() or 1
+    workers = min(workers, len(tasks))
+    if workers <= 1 or _wrapped():
+        return [task() for task in tasks]
+    # imported here: the commands that run no tasks never load it
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(workers)
     try:
-        work()
+        futures = [pool.submit(task) for task in tasks]
+        return [future.result() for future in futures]
     finally:
-        for worker in workers:
-            worker.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
+        pool.shutdown(cancel_futures=True)
 
 
 def _cmd_validate(cfg: RunConfig, write) -> int:
@@ -447,16 +428,21 @@ def main(argv=None) -> int:
     parser.add_argument("--method", choices=["fourier", "closed"],
                         default=None)
     args = parser.parse_args(argv)
-    try:
-        cfg = RunConfig.from_file(args.config, seed=args.seed,
-                                  method=args.method)
-        return run_command(args.command, cfg, out=args.out)
-    except AffineLiborError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # an output file that cannot be written
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    # numpy's overflow and invalid-value warnings stay off stderr: a
+    # result they spoil fails a check and ends as one error line.  The
+    # filter is process-wide, so it covers validate's pool threads too.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            cfg = RunConfig.from_file(args.config, seed=args.seed,
+                                      method=args.method)
+            return run_command(args.command, cfg, out=args.out)
+        except AffineLiborError as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:  # an output file that cannot be written
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -191,16 +191,15 @@ def martingale_value(m: CalibratedModel, t: float, x, u) -> float:
     return float(np.exp(pair.exponent(x)))
 
 
-def estimate_gamma_x(process, horizon: float, x0=None) -> float:
-    """Supremum of E[exp(<u, X_T>)] over the positive part of the domain.
+def estimate_gamma_x(process, horizon: float) -> float:
+    """Supremum of E[exp(<u, X_T>)] over the positive part of the domain,
+    from the all-ones initial state.
 
     Probes the martingale exponent along a geometric approach to the
     domain boundary (doubling when the domain is unbounded); returns
     ``inf`` when the exponent keeps growing, else the boundary limit.
-    The canonical initial state is all-ones.
     """
-    x0 = np.full(process.dim, 1.0) if x0 is None else np.atleast_1d(
-        np.asarray(x0, dtype=float))
+    x0 = np.full(process.dim, 1.0)
     sup = np.atleast_1d(process.domain_sup(horizon))
     last = None
     for i in range(1, 51):
@@ -250,28 +249,24 @@ def _find_direction_scale(process, horizon, x0, direction,
 
 
 def fit_term_structure(tenor: TenorStructure, process, x0=None,
-                       tol: float = 1e-12, direction=None) -> CalibratedModel:
+                       tol: float = 1e-12) -> CalibratedModel:
     """Fit the u-sequence to the initial discount curve.
 
-    Picks one direction u_+ > 0 whose martingale value exceeds the largest
-    ratio B(0,T_1)/B(0,T_N), then solves the strictly increasing scalar
-    equations M_0^{xi_k u_+} = B(0,T_k)/B(0,T_N) for xi_k in (0, 1), in
-    log form.  The equations share the horizon T_N, so one vectorised
-    secant runs them all: each step evaluates the transform once, on the
-    tenor dates that have not converged yet.  Each date keeps a bracket
-    and takes the Anderson-Bjorck (modified regula falsi) point inside it
-    (Anderson & Bjorck 1973, BIT 13), or the midpoint when that point
-    leaves the bracket or when two steps have halved neither the bracket
-    nor the residual, so no date is slower than bisection by more than a
-    constant factor.  A date stops when its residual is at most tol / 2,
-    when its bracket holds two adjacent floats, or after 200 steps.
-    u_N = 0 always; for a one-dimensional driver the result is the unique
-    fitting sequence.
-
-    Parameters
-    ----------
-    direction : optional positive weight vector
-        Multi-factor tie-break; defaults to the diagonal (all ones).
+    Picks one point u_+ on the diagonal (all components equal) whose
+    martingale value exceeds the largest ratio B(0,T_1)/B(0,T_N), then
+    solves the strictly increasing scalar equations M_0^{xi_k u_+} =
+    B(0,T_k)/B(0,T_N) for xi_k in (0, 1), in log form.  The equations share
+    the horizon T_N, so one vectorised secant runs them all: each step
+    evaluates the transform once, on the tenor dates that have not
+    converged yet.  Each date keeps a bracket and takes the Anderson-Bjorck
+    (modified regula falsi) point inside it (Anderson & Bjorck 1973, BIT
+    13), or the midpoint when that point leaves the bracket or when two
+    steps have halved neither the bracket nor the residual, so no date is
+    slower than bisection by more than a constant factor.  A date stops
+    when its residual is at most tol / 2, when its bracket holds two
+    adjacent floats, or after 200 steps.  u_N = 0 always; for a
+    one-dimensional driver the result is the unique fitting sequence, and
+    the diagonal breaks the tie for several factors.
 
     Raises
     ------
@@ -299,10 +294,7 @@ def fit_term_structure(tenor: TenorStructure, process, x0=None,
     if lanes.size == 0:
         return CalibratedModel(process, x0, tenor, us, residuals, steps)
 
-    direction = np.full(d, 1.0) if direction is None else np.atleast_1d(
-        np.asarray(direction, dtype=float))
-    if direction.shape != (d,) or np.any(direction <= 0.0):
-        raise InvalidParameter("direction must be strictly positive, length d")
+    direction = np.full(d, 1.0)
     horizon = tenor.date(n)
     c_plus, g_plus = _find_direction_scale(process, horizon, x0, direction,
                                            math.log(ratios[0]))

@@ -23,12 +23,15 @@ form in terms of the unique zero of the exercise function
 
 Chi-square route (products of square-root factors, a lone factor being a
 product of one): each factor, tilted to a forward measure, follows a
-scaled non-central chi-square law, so one closed-form row
-(:func:`_closed_row`) prices the caplets of an expiry through the
-survival function of a positive linear combination of non-central
-chi-squares.  With one live factor that is the exact Poisson series;
-Imhof's integral runs only when two or more factors are live.  The
-one-factor swaption reuses the same tilted factor law.
+scaled non-central chi-square law, so P(sum_j b_j X_j > y) under each
+forward measure is the survival function of a positive linear
+combination of non-central chi-squares (:func:`_tilted_tails`, the
+route's one call of ``chisq_mix_sf``).  A closed-form row
+(:func:`_closed_row`) prices the caplets of an expiry from two such
+tails, and the one-factor swaption one per date T_i .. T_m, with b = 1
+and y the exercise root.  With one live factor a tail is the exact
+Poisson series; Imhof's integral runs only when two or more factors are
+live.
 
 Implied volatilities invert Black's futures formula.
 """
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ChiSqMixSpec, chisq_mix_sf, ncchi2_sf
+from .distributions import ChiSqMixSpec, chisq_mix_sf
 from .errors import (AffineLiborError, ConvergenceFailure, DampingOutOfStrip,
                      DomainViolation, InvalidParameter, ModelMismatch,
                      NoSignChange, OutOfBounds, QuadratureFailure)
@@ -251,23 +254,17 @@ def floorlet_fourier(m: CalibratedModel, c: CapletSpec,
     return _floorlet(m, c, caplet_fourier(m, c, rel_tol))
 
 
-def _square_root_factors(process) -> tuple:
-    """The driver's square-root factors; a lone one is a product of one."""
-    if isinstance(process, CirParams):
-        return (process,)
-    if isinstance(process, ProductProcess) and \
-            all(isinstance(f, CirParams) for f in process.factors):
-        return process.factors
-    raise ModelMismatch("no closed-form caplet for "
-                        f"{type(process).__name__}")
-
-
-def _factor_count(m: CalibratedModel, n: int) -> tuple:
-    """The driver's square-root factors, which must number ``n``."""
-    factors = _square_root_factors(m.process)
-    if len(factors) != n:
-        raise ModelMismatch(f"closed form needs {n} square-root factor(s), "
-                            f"got {len(factors)}")
+def _square_root_factors(process, count=None) -> tuple:
+    """The driver's square-root factors (a lone one is a product of one),
+    which must number ``count`` when it is given."""
+    factors = process.factors if isinstance(process, ProductProcess) \
+        else (process,)
+    if not all(isinstance(f, CirParams) for f in factors):
+        raise ModelMismatch("no closed-form caplet for "
+                            f"{type(process).__name__}")
+    if count is not None and len(factors) != count:
+        raise ModelMismatch(f"closed form needs {count} square-root "
+                            f"factor(s), got {len(factors)}")
     return factors
 
 
@@ -302,36 +299,40 @@ def _factor_laws(factors, x0, t: float, thetas):
     return eb / zeta, nu, alpha / zeta
 
 
+def _tilted_tails(factors, x0, t: float, thetas, b, y) -> list:
+    """P(sum_j b_j X_j > y) for the square-root factors X_j at t, started
+    at x0_j, under each measure that tilts X_t by a row of ``thetas``.
+
+    Each live factor contributes its tilted law (:func:`_factor_laws`)
+    scaled by b_j; a factor with b_j = 0, or one pinned at zero, is a
+    point mass and drops out.
+    """
+    live = [j for j, f in enumerate(factors)
+            if b[j] != 0.0 and (f.lam * f.theta > 0.0 or x0[j] > 0.0)]
+    for j in live:
+        _require_positive_dof(factors[j], j)
+    if not live:
+        return [np.where(y < 0.0, 1.0, 0.0)] * len(thetas)
+    sigma, nu, alpha = _factor_laws([factors[j] for j in live], x0[live],
+                                    t, thetas[:, live])
+    return [chisq_mix_sf(y, ChiSqMixSpec(b[live] * s_row, nu, a_row))
+            for s_row, a_row in zip(sigma, alpha)]
+
+
 def _closed_row(m: CalibratedModel, k: int, bold: np.ndarray):
     """Closed-form caplets at expiry T_k for a product of square-root
     factors, one price per bold strike.
 
-    The log-forward price A_k + sum_j B_kj X_j is a shifted positive
-    linear combination of independent non-central chi-squares under both
-    adjacent forward measures; each live factor contributes its tilted
-    law (:func:`_factor_laws`) scaled by B_kj.  A factor with B_kj = 0, or
-    one pinned at zero, is a point mass and drops out.  None of this
-    depends on the strike, so each measure takes one survival-function
-    evaluation over the whole strike row; with one live factor that is
-    the exact Poisson series.
+    The caplet pays when sum_j B_kj X_j exceeds y = log K' - A_k, a
+    tail (:func:`_tilted_tails`) under each adjacent forward measure that
+    takes one survival-function evaluation over the whole strike row.
     """
     factors = _square_root_factors(m.process)
     t_fix = m.tenor.date(k)
     phi, psi = tilt_exponents(m, t_fix, (k, k + 1))
-    b = psi[0] - psi[1]
-    y = np.log(bold) - float(phi[0] - phi[1])
-    live = [j for j, f in enumerate(factors)
-            if b[j] != 0.0 and (f.lam * f.theta > 0.0 or m.x0[j] > 0.0)]
-    for j in live:
-        _require_positive_dof(factors[j], j)
-    if live:
-        # one row each for the T_k- and the T_{k+1}-forward measure
-        sigma, nu, alpha = _factor_laws([factors[j] for j in live],
-                                        m.x0[live], t_fix, psi[:, live])
-        tails = [chisq_mix_sf(y, ChiSqMixSpec(b[live] * s_row, nu, a_row))
-                 for s_row, a_row in zip(sigma, alpha)]
-    else:
-        tails = [np.where(y < 0.0, 1.0, 0.0)] * 2
+    # one tail each for the T_k- and the T_{k+1}-forward measure
+    tails = _tilted_tails(factors, m.x0, t_fix, psi, psi[0] - psi[1],
+                          np.log(bold) - float(phi[0] - phi[1]))
     return np.maximum(m.bond0(k) * tails[0]
                       - bold * m.bond0(k + 1) * tails[1], 0.0)
 
@@ -345,7 +346,7 @@ def caplet_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
 
 def caplet_cir_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
     """Closed-form caplet for the one-factor square-root driver."""
-    _factor_count(m, 1)
+    _square_root_factors(m.process, 1)
     return caplet_closed(m, c)
 
 
@@ -356,7 +357,7 @@ def floorlet_cir_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
 
 def caplet_cir2f_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
     """Closed-form caplet for two independent square-root factors."""
-    _factor_count(m, 2)
+    _square_root_factors(m.process, 2)
     return caplet_closed(m, c)
 
 
@@ -479,17 +480,14 @@ def swaption_cir_closed(m: CalibratedModel, s: SwaptionSpec) -> PriceResult:
     """Closed-form payer swaption for the one-factor square-root driver.
 
     Decomposes the payoff over the exercise region {X_{T_i} >= Y} and
-    evaluates each probability P_{T_k}(X_{T_i} > Y) through the survival
-    function of the factor's law tilted to the T_k-forward measure
-    (:func:`_factor_laws`).
+    evaluates each probability P_{T_k}(X_{T_i} > Y) as the tail of the
+    factor tilted to the T_k-forward measure (:func:`_tilted_tails` with
+    b = 1 and y = Y), the law the caplet rows use.
     """
-    (p,) = _factor_count(m, 1)
+    (p,) = _square_root_factors(m.process, 1)
     _require_positive_dof(p, 0)
     t_ex, psi, _, _, coup, root = _exercise(m, s)
-    sigma, nu, alpha = _factor_laws((p,), m.x0, t_ex, psi[:, None])
-    nu = float(nu[0])
-    tails = [ncchi2_sf(root / s_k, nu, float(a_k))
-             for s_k, a_k in zip(sigma[:, 0], alpha[:, 0])]
+    tails = _tilted_tails((p,), m.x0, t_ex, psi[:, None], np.ones(1), root)
     price = m.bond0(s.start_index) * tails[0]
     for pos, k in enumerate(range(s.start_index + 1, s.end_index + 1)):
         price -= coup[pos] * m.bond0(k) * tails[pos + 1]

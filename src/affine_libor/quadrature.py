@@ -79,9 +79,8 @@ _WG_FULL[1:14:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[-2::-1]])
 # 1/64, ..., 1/2, then 1.
 _HEAD_WIDTH = 64.0
 _HEAD_EDGES = np.concatenate([[0.0], 0.5 ** np.arange(6.0, -1.0, -1.0)])
-# semi_infinite_oscillatory: absolute part of each component's budget,
-# most doublings of the range, and panel cap of each step's refinement.
-_SOI_ABS_TOL = 0.0
+# semi_infinite_oscillatory: most doublings of the range, and panel cap
+# of each step's refinement.
 _SOI_DOUBLINGS = 26
 _SOI_PANELS = 512
 
@@ -308,14 +307,14 @@ def semi_infinite_oscillatory(f, rel_tol: float = 1e-9):
     v = _HEAD_WIDTH
     step = _probe_step(v, ())
     total, qerr, probed, vector = _fused_step(
-        f, v * _HEAD_EDGES, v, step, _SOI_ABS_TOL * 0.1, rel_tol * 0.1,
+        f, v * _HEAD_EDGES, v, step, 0.0, rel_tol * 0.1,
         _SOI_PANELS)
     tail, omega = _tail_by_parts(f, v, step, probed)
     value, err = total + tail, np.full(total.shape, np.inf)
     gap = err
     unsettled = np.ones(total.shape, dtype=bool)
     for _ in range(_SOI_DOUBLINGS):
-        budget = np.maximum(_SOI_ABS_TOL, rel_tol * np.abs(total + tail))
+        budget = rel_tol * np.abs(total + tail)
         fastest = np.max(omega, where=unsettled, initial=0.0)
         n = max(1, int(np.ceil(np.fmin(fastest * v / (2.0 * np.pi),
                                        _SOI_PANELS // 2))))

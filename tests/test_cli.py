@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affine_libor import cli, montecarlo
+from affine_libor import montecarlo
 from affine_libor.cli import (RunConfig, _run_tasks, _strike_grid,
                               build_process, load_tenor_csv, main,
                               parse_config_text)
@@ -541,23 +541,23 @@ class TestValidateTasks:
         assert set(threads) == {threading.get_ident()}
 
     def test_worker_threads_follow_the_usable_cores(self, monkeypatch):
-        started = []
+        # each task holds its thread for 50 ms, so every task submitted
+        # while the pool is busy starts a new thread, up to the pool's
+        # size: one per usable core, at most one per task; with one core
+        # the calling thread runs them all
+        def task():
+            time.sleep(0.05)
+            return threading.get_ident()
 
-        class Counted(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(cli.threading, "Thread", Counted)
-        for cores, workers in ((1, 0), (2, 1), (3, 2), (16, 4)):
+        caller = threading.get_ident()
+        for cores, threads in ((1, 1), (2, 2), (3, 3), (16, 5)):
             with_cores(monkeypatch, cores)
-            started.clear()
-            assert _run_tasks([lambda i=i: i for i in range(5)]) == \
-                list(range(5))
-            assert len(started) == workers
+            idents = set(_run_tasks([task] * 5))
+            assert len(idents) == threads
+            assert (caller in idents) == (cores == 1)
 
     def test_each_task_runs_once_under_contention(self, monkeypatch):
-        # 15 workers plus the caller on 200 tasks, switching threads as
+        # a pool of 16 threads on 200 tasks, switching threads as
         # often as the interpreter allows: a task handed out twice or
         # never shows in ``ran``
         with_cores(monkeypatch, 16)
@@ -665,6 +665,20 @@ class TestEntryPoint:
             capture_output=True, text=True, cwd=REPO)
         assert proc.returncode == 0
         assert "price = " in proc.stdout
+
+    def test_numpy_warnings_stay_off_stderr(self, tmp_path):
+        # from x0 = 1e300 the swaption integrand overflows to nan, which
+        # numpy reports in six RuntimeWarnings; the error line must be
+        # all of stderr.  pytest captures warnings, so a fresh process
+        # runs the command.
+        cfg = bundled_config(tmp_path, "gamma_ou", "process.x0 = 1e300\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "affine_libor.cli", "swaption",
+             "--config", str(cfg), "--method", "fourier"],
+            capture_output=True, text=True, cwd=REPO)
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: QuadratureFailure: swaption "
+                               "quadrature error nan out of control\n")
 
 
 class TestRunConfig:

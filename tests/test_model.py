@@ -165,13 +165,6 @@ class TestFitTermStructure:
                             xtol=1e-15, rtol=8.9e-16)
             assert cir_model.u(k)[0] == pytest.approx(oracle, abs=1e-10)
 
-    def test_one_dimensional_uniqueness(self, tenor, cir_process):
-        # any direction scale must land on the same u-sequence
-        a = fit_term_structure(tenor, cir_process, x0=np.array([1.25]))
-        b = fit_term_structure(tenor, cir_process, x0=np.array([1.25]),
-                               direction=np.array([2.0]))
-        assert np.allclose(a.us, b.us, atol=1e-10)
-
     def test_table1_gamma_ou(self, gou_model, tenor, gou_process):
         us = gou_model.us[:, 0]
         assert np.all(np.diff(us) < 0.0)
@@ -233,31 +226,28 @@ def riccati_copy(process):
 
 class TestVectorFit:
     @pytest.mark.parametrize("case", ["cir", "gamma_ou", "cir_2f",
-                                      "cir_2f_tilted", "riccati_cir"])
+                                      "riccati_cir"])
     def test_matches_brentq_oracle(self, tenor, cir_process, gou_process,
                                    cir2f_model, case):
-        process, x0, direction = {
-            "cir": (cir_process, None, None),
-            "gamma_ou": (gou_process, None, None),
-            "cir_2f": (cir2f_model.process, None, None),
-            "cir_2f_tilted": (cir2f_model.process, [1.3, 0.7], [1.0, 2.5]),
-            "riccati_cir": (riccati_copy(cir_process), None, None),
+        process = {
+            "cir": cir_process,
+            "gamma_ou": gou_process,
+            "cir_2f": cir2f_model.process,
+            "riccati_cir": riccati_copy(cir_process),
         }[case]
-        fitted = fit_term_structure(tenor, process, x0=x0,
-                                    direction=direction)
-        x0 = process.initial_state() if x0 is None else np.asarray(x0)
-        direction = np.ones(process.dim) if direction is None \
-            else np.asarray(direction)
+        fitted = fit_term_structure(tenor, process)
+        x0 = process.initial_state()
+        direction = np.ones(process.dim)
         horizon = tenor.date(10)
 
         def m0(s):
             pair = transform(process, horizon, s * direction, horizon=horizon)
             return math.exp(float(np.real(pair.exponent(x0))))
 
-        # the fit moves along u = s * direction; the oracle solves for s
-        scales = fitted.us[:, 0] / direction[0]
-        assert np.allclose(fitted.us, scales[:, None] * direction,
-                           rtol=1e-15, atol=0.0)
+        # the fit moves along the diagonal u = s * (1, ..., 1); the oracle
+        # solves for s
+        scales = fitted.us[:, 0]
+        assert np.array_equal(fitted.us, scales[:, None] * direction)
         for k in range(1, 10):
             target = tenor.ratios()[k - 1]
             oracle = brentq(lambda s: m0(s) - target, 0.0, 1.01 * scales[0],

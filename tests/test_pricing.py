@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from test_model import DRIVER_ARGS
 
 from affine_libor import pricing
 from affine_libor.cli import RunConfig
+from affine_libor.distributions import ncchi2_sf
 from affine_libor.errors import (DampingOutOfStrip, InvalidParameter,
                                  ModelMismatch, NoSignChange, OutOfBounds)
 from affine_libor.model import (TenorStructure, fit_term_structure,
@@ -472,6 +474,59 @@ class TestSwaptionPricing:
         res = swaption_fourier(cir_model, SwaptionSpec(2, 6, 0.03))
         assert res.root == pytest.approx(
             swaption_root(cir_model, SwaptionSpec(2, 6, 0.03)), rel=1e-12)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(**{key: DRIVER_ARGS[key] for key in ("a", "b", "c", "x0")},
+           start=st.integers(1, 9), length=st.integers(1, 9),
+           strike=st.floats(0.0, 0.08))
+    def test_closed_tails_are_the_per_measure_series(self, tenor, a, b, c,
+                                                     x0, start, length,
+                                                     strike):
+        # The closed swaption takes its tails from the caplet rows' mixture
+        # survival function with b = 1 and y = Y.  Each must be, bit for
+        # bit, the non-central chi-square series of the factor's tilted
+        # law at Y / sigma_k, one call per forward measure.
+        m = fit_term_structure(tenor, CirParams(a, b, c, x0))
+        spec = SwaptionSpec(start, min(start + length, m.n_periods), strike)
+        t_ex, psi, _, _, coup, root = pricing._exercise(m, spec)
+        sigma, nu, alpha = pricing._factor_laws((m.process,), m.x0, t_ex,
+                                                psi[:, None])
+        tails = [ncchi2_sf(root / s_k, float(nu[0]), float(a_k))
+                 for s_k, a_k in zip(sigma[:, 0], alpha[:, 0])]
+        price = m.bond0(spec.start_index) * tails[0]
+        for pos, k in enumerate(range(spec.start_index + 1,
+                                      spec.end_index + 1)):
+            price -= coup[pos] * m.bond0(k) * tails[pos + 1]
+        res = swaption_cir_closed(m, spec)
+        assert (res.price, res.root) == (max(price, 0.0), root)
+
+    @pytest.mark.parametrize("driver", ["gou", "cir_2f", "theta_zero"])
+    def test_driver_errors_come_before_the_exercise_root(
+            self, tenor, gou_model, cir2f_model, driver):
+        # the end index lies past T_N = T_10, which the exercise root
+        # would report as InvalidParameter; the family, the factor count
+        # and the degrees of freedom are checked first
+        m, message = {
+            "gou": (gou_model, "no closed-form caplet for GammaOuParams"),
+            "cir_2f": (cir2f_model, "closed form needs 1 square-root "
+                                    "factor(s), got 2"),
+            "theta_zero": (fit_term_structure(
+                tenor, CirParams(0.5, 0.0, 0.25, 1.25)),
+                "factor 0 needs eta > 0 and lam * theta > 0")}[driver]
+        with pytest.raises(ModelMismatch, match=re.escape(message)):
+            swaption_cir_closed(m, SwaptionSpec(3, 12, 0.03))
+
+    def test_underflowing_dof_fails_as_the_caplet_does(self, tenor):
+        # lam * theta > 0, yet nu = lam theta / eta^2 underflows to 0: the
+        # swaption's tails and the caplet's come from one law record, so
+        # both report its error
+        m = fit_term_structure(tenor, CirParams(0.001, 1e-320, 3.0, 1.25))
+        with pytest.raises(InvalidParameter) as caplet:
+            caplet_cir_closed(m, CapletSpec(2, 0.03))
+        with pytest.raises(InvalidParameter) as swaption:
+            swaption_cir_closed(m, SwaptionSpec(2, 6, 0.03))
+        assert str(caplet.value) == str(swaption.value) == \
+            "need nu > 0 and alpha >= 0 per component"
 
 
 class TestBlack76:

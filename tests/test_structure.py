@@ -243,3 +243,30 @@ def test_closed_caplet_runs_without_scipy():
                          check=True)
     assert "price = " in run.stdout
     assert run.stdout.strip().splitlines()[-1] == "SCIPY [] 0"
+
+
+def test_pricing_has_one_chi_square_call():
+    # caplet rows and the closed swaption share one tilted-tail helper
+    tree = ast.parse((SRC / "pricing.py").read_text())
+    from_distributions = {alias.name for node in ast.walk(tree)
+                          if isinstance(node, ast.ImportFrom)
+                          and node.module == "distributions"
+                          for alias in node.names}
+    assert from_distributions == {"ChiSqMixSpec", "chisq_mix_sf"}
+    assert not hasattr(pricing, "_factor_count")
+
+
+@pytest.mark.parametrize("fn, name", [
+    (model.fit_term_structure, "direction"), (model.estimate_gamma_x, "x0"),
+    (affine_core.check_semiflow, "horizon")])
+def test_settings_no_program_sets_are_not_parameters(fn, name):
+    assert name not in inspect.signature(fn).parameters
+
+
+def test_oscillatory_budget_has_no_absolute_part():
+    assert not hasattr(quadrature, "_SOI_ABS_TOL")
+
+
+def test_validate_pool_is_the_standard_one():
+    # the tasks run on concurrent.futures, imported where they run
+    assert "threading" not in imported_names("cli")
