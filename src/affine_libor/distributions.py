@@ -27,14 +27,16 @@ Three layers:
   the recurrence Q(a + 1, x) = Q(a, x) + D(a, x), run upward for Q and
   downward for P so that only positive terms are added; consecutive D
   follow by the ratio x / (a + 1), re-anchored on a direct D every few
-  rows so that no chain of roundings grows long;
+  rows so that no chain of roundings grows long.  Several laws are one
+  vector pass, each law's window padded with zero weights;
 * positive linear combinations sum_j sigma_j Y_j of independent
   non-central chi-squares (:class:`ChiSqMixSpec`).  With one component
   this is the scaled law, evaluated exactly by the series at x / sigma;
   with more, by numerical inversion of the characteristic function
   (Imhof's integral) with a certified truncation bound on the tail of
   the integrand modulus; all evaluation points of one mixture share one
-  vector-valued integral.
+  vector-valued integral.  A :class:`ChiSqMixSpec` with two-dimensional
+  fields is a batch of such laws, one per row.
 """
 
 from __future__ import annotations
@@ -362,8 +364,10 @@ def _poisson_window(alpha_nc: float):
     side's remaining weight is bounded by a geometric series in its next
     ratio.  The window stops once both bounds together are below
     _SERIES_TOL times the running sum, and the weights are then
-    normalised.
+    normalised.  With alpha = 0 the window is the single index 0.
     """
+    if alpha_nc == 0.0:
+        return 0, np.ones(1)
     a2 = 0.5 * alpha_nc
     j_lo = j_hi = int(a2)
     lo_w, hi_w = [], [1.0]
@@ -398,72 +402,110 @@ def _poisson_window(alpha_nc: float):
                              f"did not converge (alpha={alpha_nc})")
 
 
-def _poisson_gamma_series(x, nu: float, alpha_nc: float, upper: bool):
+def _poisson_gamma_series(x, nu, alpha_nc, upper: bool, law=None):
     """sum_j Poisson(j; alpha/2) * R(nu/2 + j, x/2) with R = Q if ``upper``
     else P, truncated so the residual Poisson mass is below _SERIES_TOL
     (R is bounded by one).
 
-    One module-level ``gammaincc`` call at the lowest shape a_0 (or
-    ``gammainc`` at the highest) serves the whole window: with D_i =
-    D(a_0 + i, x/2) from :func:`_prefactor_ladder`,
-    Q(a_0 + k) = Q(a_0) + sum_{i<k} D_i and P(a_0 + k) = P(a_end)
-    + sum_{k<=i<end} D_i, so the weighted sum is the end value times the
-    total weight plus one vector of partial weight sums against D.  ``x``
-    is positive and finite.
+    ``nu`` and ``alpha_nc`` hold one value per law (floats for one law),
+    and ``law`` the index of each point's law (None: every point has the
+    first).  All laws run as one vector pass, each law's window of Poisson
+    weights padded with zero weights to the longest one.  One module-level
+    ``gammaincc`` call at each law's lowest shape a_0 (or ``gammainc`` at
+    the highest) serves the whole window: with D_i = D(a_0 + i, x/2) from
+    :func:`_prefactor_ladder`, Q(a_0 + k) = Q(a_0) + sum_{i<k} D_i and
+    P(a_0 + k) = P(a_end) + sum_{k<=i<end} D_i, so the weighted sum is the
+    end value times the total weight plus one vector of partial weight
+    sums against D.  ``x`` is positive and finite.
     """
+    nu, alpha_nc = np.atleast_1d(nu), np.atleast_1d(alpha_nc)
+    windows = [_poisson_window(a) for a in alpha_nc.tolist()]
+    size = max(ws.size for _, ws in windows)
+    weights = np.zeros((len(windows), size))
+    for row, (_, ws) in zip(weights, windows):
+        row[:ws.size] = ws
+    a0 = 0.5 * nu + np.array([j0 for j0, _ in windows], dtype=float)
+    one = a0.size == 1
+    if one:  # a float shape: the gamma ratios take their unmasked paths
+        a, law = float(a0[0]), 0
+    else:
+        a = a0[law]
     half_x = 0.5 * x
-    if alpha_nc == 0.0:
-        return (gammaincc if upper else gammainc)(0.5 * nu, half_x)
-    j0, ws = _poisson_window(alpha_nc)
-    a0 = 0.5 * float(nu) + j0
     # Partial sums of the weights run in extended precision where the
     # platform has it: summed in doubles, a few hundred of them drift by
     # several ulps.
     if upper:
-        end = gammaincc(a0, half_x)
-        cum = np.add.accumulate(ws[::-1], dtype=np.longdouble)[::-1].astype(
-            float)
-        total, partial = cum[0], cum[1:]  # weight above each i
+        end = gammaincc(a, half_x)
+        cum = np.add.accumulate(weights[:, ::-1], axis=1,
+                                dtype=np.longdouble)[:, ::-1].astype(float)
+        total, partial = cum[:, 0], cum[:, 1:]  # weight above each i
     else:
-        end = gammainc(a0 + (ws.size - 1), half_x)
-        cum = np.add.accumulate(ws, dtype=np.longdouble).astype(float)
-        total, partial = cum[-1], cum[:-1]  # weight at or below each i
-    if ws.size == 1:
-        return total * end
-    d = _prefactor_ladder(a0, half_x, ws.size - 1,
-                          _gamma_prefactor(a0, half_x))
-    return total * end + partial @ d
+        end = gammainc(a + (size - 1), half_x)
+        cum = np.add.accumulate(weights, axis=1,
+                                dtype=np.longdouble).astype(float)
+        total, partial = cum[:, -1], cum[:, :-1]  # weight at or below each i
+    if size == 1:
+        return total[law] * end
+    d = _prefactor_ladder(a, half_x, size - 1, _gamma_prefactor(a, half_x))
+    if one:
+        return total[0] * end + partial[0] @ d
+    return total[law] * end + np.einsum("pi,ip->p", partial[law], d)
 
 
 def _check_ncchi2_args(nu, alpha_nc):
-    if nu <= 0.0:
-        raise InvalidParameter(f"degrees of freedom must be positive, got {nu}")
-    if not 0.0 <= alpha_nc < math.inf:
-        raise InvalidParameter(
-            f"non-centrality must be finite and non-negative, got {alpha_nc}")
+    """Every law needs nu > 0 and a finite alpha >= 0; the first law
+    that breaks a rule names the error."""
+    for n, a in zip(nu.ravel().tolist(), alpha_nc.ravel().tolist()):
+        if n <= 0.0:
+            raise InvalidParameter(
+                f"degrees of freedom must be positive, got {n}")
+        if not 0.0 <= a < math.inf:
+            raise InvalidParameter(
+                f"non-centrality must be finite and non-negative, got {a}")
 
 
-def _ncchi2(x, nu: float, alpha_nc: float, upper: bool):
+def _ncchi2(x, nu, alpha_nc, upper: bool):
     """Non-central chi-square CDF, or SF with ``upper``, absolute error
-    <= _SERIES_TOL; a scalar x gives a float."""
+    <= _SERIES_TOL.  x, nu and alpha broadcast against each other; each
+    entry of broadcast(nu, alpha) is one law, and all laws are one series
+    pass (:func:`_poisson_gamma_series`).  A scalar x with scalar
+    parameters gives a float."""
+    scalar = np.isscalar(x) and np.ndim(nu) == 0 and np.ndim(alpha_nc) == 0
+    nu = np.asarray(nu, dtype=float)
+    alpha_nc = np.asarray(alpha_nc, dtype=float)
+    if nu.shape != alpha_nc.shape:
+        nu, alpha_nc = np.broadcast_arrays(nu, alpha_nc)
     _check_ncchi2_args(nu, alpha_nc)
-    scalar = np.isscalar(x)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.full_like(x, 1.0 if upper else 0.0)
+    x = np.asarray(x, dtype=float)
+    if x.shape != nu.shape or not x.ndim:
+        x = np.broadcast_to(x, np.broadcast_shapes(x.shape, nu.shape) or (1,))
+    out = np.full(x.shape, 1.0 if upper else 0.0)
     out[x == math.inf] = 0.0 if upper else 1.0
     pos = (x > 0.0) & (x < math.inf)
     if np.count_nonzero(pos):
-        out[pos] = _poisson_gamma_series(x[pos], nu, alpha_nc, upper)
+        if nu.size == 1:
+            out[pos] = _poisson_gamma_series(x[pos], nu.ravel(),
+                                             alpha_nc.ravel(), upper)
+        else:
+            law = np.broadcast_to(np.arange(nu.size).reshape(nu.shape),
+                                  x.shape)[pos]
+            # only the laws of points inside the support open a window
+            used = np.bincount(law, minlength=nu.size) > 0
+            out[pos] = _poisson_gamma_series(
+                x[pos], nu.ravel()[used], alpha_nc.ravel()[used], upper,
+                (np.cumsum(used) - 1)[law])
     return float(out[0]) if scalar else out
 
 
-def ncchi2_cdf(x, nu: float, alpha_nc: float):
-    """CDF of the non-central chi-square law, absolute error <= 1e-13."""
+def ncchi2_cdf(x, nu, alpha_nc):
+    """CDF of the non-central chi-square law, absolute error <= 1e-13;
+    x, nu and alpha broadcast as in scipy's ``ncx2.cdf``."""
     return _ncchi2(x, nu, alpha_nc, False)
 
 
-def ncchi2_sf(x, nu: float, alpha_nc: float):
-    """Survival function 1 - CDF, computed directly for tail accuracy."""
+def ncchi2_sf(x, nu, alpha_nc):
+    """Survival function 1 - CDF, computed directly for tail accuracy;
+    x, nu and alpha broadcast as in scipy's ``ncx2.sf``."""
     return _ncchi2(x, nu, alpha_nc, True)
 
 
@@ -472,7 +514,9 @@ class ChiSqMixSpec:
     """sum_j sigma_j Y_j with independent Y_j ~ chi2(nu_j, alpha_j).
 
     The one chi-square law record: a single component is the scaled law,
-    Y / sigma ~ chi2(nu, alpha).
+    Y / sigma ~ chi2(nu, alpha).  Two-dimensional fields hold a batch of
+    laws, one per row and one column per component; the fields broadcast
+    against each other.
     """
 
     sigmas: np.ndarray
@@ -480,16 +524,22 @@ class ChiSqMixSpec:
     alphas: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "sigmas", np.atleast_1d(
-            np.asarray(self.sigmas, dtype=float)))
-        object.__setattr__(self, "nus", np.atleast_1d(
-            np.asarray(self.nus, dtype=float)))
-        object.__setattr__(self, "alphas", np.atleast_1d(
-            np.asarray(self.alphas, dtype=float)))
-        n = self.sigmas.size
-        if n < 1 or self.nus.size != n or self.alphas.size != n:
+        sigmas, nus, alphas = (np.atleast_1d(np.asarray(v, dtype=float))
+                               for v in (self.sigmas, self.nus, self.alphas))
+        n = sigmas.shape[-1]
+        if n < 1 or max(sigmas.ndim, nus.ndim, alphas.ndim) > 2 \
+                or nus.shape[-1] != n or alphas.shape[-1] != n:
             raise InvalidParameter("sigma, nu, alpha vectors must share "
                                    "one length >= 1")
+        if not sigmas.shape == nus.shape == alphas.shape:
+            try:
+                sigmas, nus, alphas = np.broadcast_arrays(sigmas, nus, alphas)
+            except ValueError:
+                raise InvalidParameter("sigma, nu, alpha batches must "
+                                       "share one number of laws") from None
+        object.__setattr__(self, "sigmas", sigmas)
+        object.__setattr__(self, "nus", nus)
+        object.__setattr__(self, "alphas", alphas)
         if np.any(self.sigmas <= 0.0):
             raise InvalidParameter("mixture scales must be strictly positive")
         if np.any(self.nus <= 0.0) or np.any(self.alphas < 0.0):
@@ -584,25 +634,32 @@ def _imhof_integral(ys: np.ndarray, m: ChiSqMixSpec):
 
 def _chisq_mix(x, m: ChiSqMixSpec, upper: bool):
     """P(sum_j sigma_j Y_j <= x), or with ``upper`` the complement,
-    absolute error <= _MIX_TOL.
+    absolute error <= _MIX_TOL; a batch of laws takes one row of x per
+    law.
 
     A single component is the scaled law: the series at x / sigma,
-    through the public :func:`ncchi2_cdf` and :func:`ncchi2_sf`.  The
-    general case inverts the characteristic function.
+    through the public :func:`ncchi2_cdf` and :func:`ncchi2_sf`, one pass
+    over every law of a batch (the component axis of length one meets
+    the points of each row).  The general case inverts the
+    characteristic function, law by law.
     """
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if m.sigmas.size == 1:
+    if m.sigmas.shape[-1] == 1:
         out = (ncchi2_sf if upper else ncchi2_cdf)(
-            xs / m.sigmas[0], float(m.nus[0]),
-            float(m.alphas[0]))
+            xs / m.sigmas, m.nus, m.alphas)
     else:
-        out = np.full_like(xs, 1.0 if upper else 0.0)
-        above = xs > 0.0
-        if above.any():
-            integral = _imhof_integral(xs[above], m)
-            out[above] = np.clip(0.5 + integral if upper else 0.5 - integral,
-                                 0.0, 1.0)
+        out = np.full(xs.shape, 1.0 if upper else 0.0)
+        rows = len(m.sigmas) if m.sigmas.ndim == 2 else 1
+        for i, (x_row, out_row) in enumerate(zip(xs.reshape(rows, -1),
+                                                 out.reshape(rows, -1))):
+            above = x_row > 0.0
+            if above.any():
+                law = m if m.sigmas.ndim == 1 else ChiSqMixSpec(
+                    m.sigmas[i], m.nus[i], m.alphas[i])
+                integral = _imhof_integral(x_row[above], law)
+                out_row[above] = np.clip(
+                    0.5 + integral if upper else 0.5 - integral, 0.0, 1.0)
     return float(out[0]) if scalar else out
 
 

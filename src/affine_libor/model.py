@@ -424,9 +424,13 @@ def forward_log_mgf(m: CalibratedModel, t: float, phi, psi, v):
     returns the exponent, without the prefactor's log.  ``phi`` and ``psi``
     hold the tilts of u_k and u_{k+1} at T_N - t (rows 0 and 1, as
     :func:`tilt_exponents` returns them); v may be complex.  The Fourier
-    caplet rows integrate exp of this against the payoff transform.
+    caplets integrate exp of this against the payoff transform.
+
+    w(v) is formed as psi(u_{k+1}) + v (psi(u_k) - psi(u_{k+1})): when the
+    two tilts are equal (a zero-rate period) it is then exactly that tilt,
+    where the weighted sum could round above the domain's supremum.
     """
-    blend = v[:, None] * psi[0][None, :] + (1.0 - v[:, None]) * psi[1][None, :]
+    blend = psi[1][None, :] + v[:, None] * (psi[0] - psi[1])[None, :]
     phi_in, psi_in = phi_psi_batch(m.process, t, blend)
     return (v * phi[0] + (1.0 - v) * phi[1] + phi_in
             + psi_in @ m.x0.astype(psi_in.dtype))

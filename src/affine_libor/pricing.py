@@ -12,9 +12,10 @@ bond-price quotient exp(A_k + <B_k, X_{T_k}>), priced as
 with K' = 1 + delta K, damping R > 1 inside the strip where the
 forward-price moment generating function is finite.  E[(e^Z)^z] is the
 model's forward-price MGF (:func:`affine_libor.model.forward_log_mgf`).
-Only the factor K'^{-(R-iv)} depends on the strike, so the caplets of one
-expiry are one vector-valued integral with one damping
-(:func:`vol_surface`); a single caplet is the one-strike case.  Cap-floor
+Only the factor K'^{-(R-iv)} depends on the strike, so a vol surface is
+one vector-valued integral with one component per (expiry, strike) cell,
+each expiry on its own contour (:func:`_fourier_cells`); a single caplet
+is the one-cell case.  Cap-floor
 parity is model-free, so on either route a floorlet is its caplet less
 the period's forward value (:func:`_floorlet`).  A payer swaption on
 [T_i, T_m] is a put on a coupon bond; its payoff transform has a closed
@@ -26,14 +27,16 @@ product of one): each factor, tilted to a forward measure, follows a
 scaled non-central chi-square law, so P(sum_j b_j X_j > y) under each
 forward measure is the survival function of a positive linear
 combination of non-central chi-squares (:func:`_tilted_tails`, the
-route's one call of ``chisq_mix_sf``).  A closed-form row
-(:func:`_closed_row`) prices the caplets of an expiry from two such
-tails, and the one-factor swaption one per date T_i .. T_m, with b = 1
-and y the exercise root.  With one live factor a tail is the exact
+route's one call of ``chisq_mix_sf``).  A closed-form caplet takes two
+such tails, one per adjacent forward measure, and a surface evaluates the
+laws of all its expiries as one batch (:func:`_closed_cells`); the
+one-factor swaption takes one tail per date T_i .. T_m, each alone, with
+b = 1 and y the exercise root.  With one live factor a tail is the exact
 Poisson series; Imhof's integral runs only when two or more factors are
 live.
 
-Implied volatilities invert Black's futures formula.
+Implied volatilities invert Black's futures formula, all cells of a
+surface at once as numpy lanes (:func:`_implied_vols`).
 """
 
 from __future__ import annotations
@@ -175,47 +178,73 @@ def _choose_damping(hi: float, magnitudes):
     return candidates[int(np.argmin(worst))]
 
 
-def _fourier_row(m: CalibratedModel, k: int, bold: np.ndarray,
-                 rel_tol: float):
-    """Caplets at expiry T_k for the bold strikes ``bold`` (floorlets
-    follow from them by parity, :func:`_floorlet`).
+def _integrands(m: CalibratedModel, rows, log_bold: np.ndarray, z):
+    """Caplet integrands K'^{-z} E[(e^Z)^z] / (z (z - 1)) at contour points
+    z, one row of nodes and one column per expiry, for every strike:
+    shape (nodes, expiries, strikes).
 
-    Only the factor K'^{-z} of the integrand depends on the strike, so the
-    whole row is one vector-valued integral: the transform is evaluated
-    once per node, and each strike is one component with its own error
-    budget.  Returns (prices, error estimates, damping).
+    ``rows`` holds (t_fix, phi, psi) per expiry.  Only the factor K'^{-z}
+    depends on the strike, so each expiry takes one forward-price MGF
+    evaluation per node; those are done, and their temporaries freed,
+    before the one (nodes, expiries, strikes) buffer is allocated and
+    updated in place.
     """
+    log_mgf = np.empty(z.shape, dtype=complex)
+    for e, (t_fix, phi, psi) in enumerate(rows):
+        log_mgf[:, e] = forward_log_mgf(m, t_fix, phi, psi, z[:, e])
+    out = np.multiply.outer(z, -log_bold.astype(complex))
+    out += log_mgf[:, :, None]
+    np.exp(out, out=out)
+    return np.divide(out, (z * (z - 1.0))[:, :, None], out=out)
+
+
+def _contour(m: CalibratedModel, k: int, log_bold: np.ndarray):
+    """The Fourier contour of the caplets at expiry T_k for the log bold
+    strikes ``log_bold``: (t_fix, phi, psi, damping), with the tilts of
+    u_k and u_{k+1} at T_N - T_k and the damping of
+    :func:`_choose_damping`."""
     t_fix = m.tenor.date(k)
     phi, psi = tilt_exponents(m, t_fix, (k, k + 1))
     # phi of u_k is rebuilt as A_k + phi of u_{k+1}: the recorded Fourier
     # prices depend on this order of operations.
     phi_k1 = float(phi[1])
-    phi = (phi[0] - phi[1] + phi_k1, phi_k1)
+    row = (t_fix, (phi[0] - phi[1] + phi_k1, phi_k1), psi)
     sup = np.atleast_1d(m.process.domain_sup(t_fix)) if t_fix > 0.0 else \
         np.full(m.process.dim, np.inf)
     # Re(z) is constant along the contour, so the strip bounds decide
     # admissibility once and for all nodes.
     hi = _strip_upper_end(psi[1], psi[0] - psi[1], sup)
-    log_bold = np.log(bold)
-
-    def strike_integrands(z):
-        """Integrand at contour points z (rows) for every strike (columns)."""
-        # one (nodes, strikes) buffer, updated in place: a refinement
-        # round can evaluate thousands of nodes at once
-        out = z[:, None] * -log_bold[None, :]
-        out += forward_log_mgf(m, t_fix, phi, psi, z)[:, None]
-        np.exp(out, out=out)
-        return np.divide(out, (z * (z - 1.0))[:, None], out=out)
 
     def magnitudes(candidates):
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.abs(strike_integrands(candidates + 0j))
+            return np.abs(_integrands(m, [row], log_bold,
+                                      candidates[:, None] + 0j)[:, 0])
 
-    damping = _choose_damping(hi, magnitudes)
+    return row + (_choose_damping(hi, magnitudes),)
+
+
+def _fourier_cells(m: CalibratedModel, contours, bold: np.ndarray,
+                   rel_tol: float):
+    """Caplets on the given contours (one per expiry, from
+    :func:`_contour`) for the bold strikes ``bold``; floorlets follow
+    from them by parity (:func:`_floorlet`).
+
+    Every (expiry, strike) cell is one component of a single
+    vector-valued integral, with its own error budget; each expiry keeps
+    its own damping.  Returns prices and error estimates, one row per
+    expiry and one column per strike.
+    """
+    rows = [c[:3] for c in contours]
+    dampings = np.array([c[3] for c in contours])
+    log_bold = np.log(bold)
     integral, err = semi_infinite_oscillatory(
-        lambda v: strike_integrands(damping - 1j * v), rel_tol=rel_tol)
+        lambda v: _integrands(m, rows, log_bold,
+                              dampings - 1j * v[:, None]).reshape(v.size, -1),
+        rel_tol=rel_tol)
+    shape = (len(contours), bold.size)
     pref = m.bond0(m.n_periods) * bold / (2.0 * math.pi)
-    return pref * 2.0 * np.real(integral), pref * 2.0 * np.abs(err), damping
+    return (pref * 2.0 * np.real(integral).reshape(shape),
+            pref * 2.0 * np.abs(err).reshape(shape))
 
 
 def _checked(what: str, price: float, err: float, damping, root=None):
@@ -242,10 +271,12 @@ def _floorlet(m: CalibratedModel, c: CapletSpec,
 
 def caplet_fourier(m: CalibratedModel, c: CapletSpec,
                    rel_tol: float = 1e-9) -> PriceResult:
-    """Caplet price by Fourier inversion of the forward-price MGF."""
-    prices, errs, damping = _fourier_row(
-        m, c.period_index, np.array([c.with_model(m)]), rel_tol)
-    return _checked("caplet", prices[0], errs[0], damping)
+    """Caplet price by Fourier inversion of the forward-price MGF: the
+    one-cell case of :func:`_fourier_cells`."""
+    bold = np.array([c.with_model(m)])
+    contour = _contour(m, c.period_index, np.log(bold))
+    prices, errs = _fourier_cells(m, [contour], bold, rel_tol)
+    return _checked("caplet", prices[0, 0], errs[0, 0], contour[3])
 
 
 def floorlet_fourier(m: CalibratedModel, c: CapletSpec,
@@ -276,12 +307,13 @@ def _require_positive_dof(f: CirParams, j: int):
                             "(positive degrees of freedom)")
 
 
-def _factor_laws(factors, x0, t: float, thetas):
+def _factor_laws(factors, x0, t, thetas):
     """Laws of the square-root factors X_j at t, started at x0_j, under
     the measures that tilt X_t by the rows of ``thetas``: arrays
     (sigma, nu, alpha) with X_j / sigma_j non-central chi-square with nu_j
     degrees of freedom and non-centrality alpha_j; sigma and alpha have
-    one row per measure and one column per factor.
+    one row per measure and one column per factor.  ``t`` is one time, or
+    one per measure.
 
     Under the terminal measure X_t / (eta^2 b(t)) is non-central
     chi-square with nu = lam theta / eta^2 and non-centrality
@@ -289,9 +321,11 @@ def _factor_laws(factors, x0, t: float, thetas):
     tilts by theta = psi_{T_N - t}(u_k)) keeps the family: scale and
     non-centrality divide by zeta = 1 - 2 eta^2 b(t) theta.
     """
-    eb = np.array([f.eta ** 2 * f.b(t) for f in factors])
+    times = [t] * len(thetas) if np.ndim(t) == 0 else t
+    eb = np.array([[f.eta ** 2 * f.b(s) for f in factors] for s in times])
     nu = np.array([f.lam * f.theta / f.eta ** 2 for f in factors])
-    alpha = np.array([x * f.a(t) for f, x in zip(factors, x0)]) / eb
+    alpha = np.array([[x * f.a(s) for f, x in zip(factors, x0)]
+                      for s in times]) / eb
     zeta = 1.0 - 2.0 * eb * thetas
     if not np.all(zeta > 0.0):
         raise DomainViolation("forward-measure tilt outside the moment "
@@ -299,48 +333,79 @@ def _factor_laws(factors, x0, t: float, thetas):
     return eb / zeta, nu, alpha / zeta
 
 
-def _tilted_tails(factors, x0, t: float, thetas, b, y) -> list:
-    """P(sum_j b_j X_j > y) for the square-root factors X_j at t, started
-    at x0_j, under each measure that tilts X_t by a row of ``thetas``.
+def _tilted_tails(factors, x0, times, thetas, b, y,
+                  alone: bool = False) -> np.ndarray:
+    """P(sum_j b_lj X_j > y_l) for the square-root factors X_j at
+    ``times[l]``, started at x0_j, under the measure that tilts X_t by
+    ``thetas[l]``: one row per law l, one column per point of ``y[l]``.
 
     Each live factor contributes its tilted law (:func:`_factor_laws`)
-    scaled by b_j; a factor with b_j = 0, or one pinned at zero, is a
-    point mass and drops out.
+    scaled by b_lj; a factor with b_lj = 0, or one pinned at zero, is a
+    point mass and drops out.  Laws with the same live factors are one
+    batch of ``chisq_mix_sf``, or with ``alone`` one call each: a single
+    quote's few laws are faster that way, since one law's series keeps
+    float shapes and needs no masks.
     """
-    live = [j for j, f in enumerate(factors)
-            if b[j] != 0.0 and (f.lam * f.theta > 0.0 or x0[j] > 0.0)]
-    for j in live:
+    batches = {}  # live factors -> laws
+    for law, row in enumerate(b.tolist()):
+        live = tuple(j for j, f in enumerate(factors) if row[j] != 0.0
+                     and (f.lam * f.theta > 0.0 or x0[j] > 0.0))
+        batches.setdefault(live, []).append(law)
+    for j in sorted(set().union(*batches)):
         _require_positive_dof(factors[j], j)
-    if not live:
-        return [np.where(y < 0.0, 1.0, 0.0)] * len(thetas)
-    sigma, nu, alpha = _factor_laws([factors[j] for j in live], x0[live],
-                                    t, thetas[:, live])
-    return [chisq_mix_sf(y, ChiSqMixSpec(b[live] * s_row, nu, a_row))
-            for s_row, a_row in zip(sigma, alpha)]
+    tails = np.where(y < 0.0, 1.0, 0.0)
+    for live, laws in batches.items():
+        if not live:
+            continue
+        cols = list(live)
+        sigma, nu, alpha = _factor_laws(
+            [factors[j] for j in cols], x0[cols], times[laws],
+            thetas[laws][:, cols])
+        sigma *= b[laws][:, cols]
+        if alone:
+            for i, law in enumerate(laws):
+                tails[law:law + 1] = chisq_mix_sf(y[law:law + 1], ChiSqMixSpec(
+                    sigma[i:i + 1], nu[None, :], alpha[i:i + 1]))
+        else:
+            tails[laws] = chisq_mix_sf(y[laws],
+                                       ChiSqMixSpec(sigma, nu, alpha))
+    return tails
 
 
-def _closed_row(m: CalibratedModel, k: int, bold: np.ndarray):
-    """Closed-form caplets at expiry T_k for a product of square-root
-    factors, one price per bold strike.
+def _closed_cells(m: CalibratedModel, ks, bold: np.ndarray):
+    """Closed-form caplets at the expiries T_k, k in ``ks``, for a product
+    of square-root factors: one row of prices per expiry, one column per
+    bold strike.
 
-    The caplet pays when sum_j B_kj X_j exceeds y = log K' - A_k, a
-    tail (:func:`_tilted_tails`) under each adjacent forward measure that
-    takes one survival-function evaluation over the whole strike row.
+    The caplet pays when sum_j B_kj X_j exceeds y = log K' - A_k, a tail
+    (:func:`_tilted_tails`) under each adjacent forward measure.  Each
+    expiry takes one tilt, and one tail evaluation serves the two laws of
+    every expiry (a lone expiry, a single quote, evaluates its two laws
+    one by one).
     """
     factors = _square_root_factors(m.process)
-    t_fix = m.tenor.date(k)
-    phi, psi = tilt_exponents(m, t_fix, (k, k + 1))
-    # one tail each for the T_k- and the T_{k+1}-forward measure
-    tails = _tilted_tails(factors, m.x0, t_fix, psi, psi[0] - psi[1],
-                          np.log(bold) - float(phi[0] - phi[1]))
-    return np.maximum(m.bond0(k) * tails[0]
-                      - bold * m.bond0(k + 1) * tails[1], 0.0)
+    times, thetas, b, y = [], [], [], []
+    for k in ks:
+        t_fix = m.tenor.date(k)
+        phi, psi = tilt_exponents(m, t_fix, (k, k + 1))
+        # one law each for the T_k- and the T_{k+1}-forward measure
+        times += [t_fix, t_fix]
+        thetas.append(psi)
+        b += [psi[0] - psi[1]] * 2
+        y += [np.log(bold) - float(phi[0] - phi[1])] * 2
+    tails = _tilted_tails(factors, m.x0, np.array(times), np.vstack(thetas),
+                          np.array(b), np.array(y),
+                          alone=len(ks) == 1).reshape(len(ks), 2, -1)
+    below = np.array([m.bond0(k) for k in ks])[:, None]
+    above = np.array([m.bond0(k + 1) for k in ks])[:, None]
+    return np.maximum(below * tails[:, 0] - bold * above * tails[:, 1], 0.0)
 
 
 def caplet_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
-    """Closed-form caplet for any product of square-root factors (see
-    :func:`_closed_row`)."""
-    price = _closed_row(m, c.period_index, np.array([c.with_model(m)]))[0]
+    """Closed-form caplet for any product of square-root factors: the
+    one-cell case of :func:`_closed_cells`."""
+    price = _closed_cells(m, [c.period_index],
+                          np.array([c.with_model(m)]))[0, 0]
     return PriceResult(float(price), 0.0, None)
 
 
@@ -482,32 +547,55 @@ def swaption_cir_closed(m: CalibratedModel, s: SwaptionSpec) -> PriceResult:
     Decomposes the payoff over the exercise region {X_{T_i} >= Y} and
     evaluates each probability P_{T_k}(X_{T_i} > Y) as the tail of the
     factor tilted to the T_k-forward measure (:func:`_tilted_tails` with
-    b = 1 and y = Y), the law the caplet rows use.
+    b = 1 and y = Y), the law the caplets use.
     """
     (p,) = _square_root_factors(m.process, 1)
     _require_positive_dof(p, 0)
     t_ex, psi, _, _, coup, root = _exercise(m, s)
-    tails = _tilted_tails((p,), m.x0, t_ex, psi[:, None], np.ones(1), root)
+    # one law per forward measure, each tail the series of that law alone
+    n = psi.size
+    tails = _tilted_tails((p,), m.x0, np.full(n, t_ex), psi[:, None],
+                          np.ones((n, 1)), np.full((n, 1), root),
+                          alone=True)[:, 0].tolist()
     price = m.bond0(s.start_index) * tails[0]
     for pos, k in enumerate(range(s.start_index + 1, s.end_index + 1)):
         price -= coup[pos] * m.bond0(k) * tails[pos + 1]
     return PriceResult(max(price, 0.0), 0.0, None, root=root)
 
 
-def _norm_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / _SQRT2))
+# Python's math log, exp and erf as numpy ufuncs (over object arrays):
+# numpy has no erf, and its own log and exp can round differently from
+# the C library's in the last bit, which would move recorded vols.
+_LOG, _EXP, _ERF = (np.frompyfunc(f, 1, 1)
+                    for f in (math.log, math.exp, math.erf))
 
 
-def black76_price(forward: float, strike: float, expiry: float, vol: float,
-                  annuity: float) -> float:
+def _norm_cdf(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + _ERF(x / _SQRT2).astype(float))
+
+
+def _black_call(forward, strike, log_moneyness, total, annuity):
+    """Black's call value as numpy lanes at total vol ``total`` =
+    vol sqrt(T) > 0, with ``log_moneyness`` = log(forward / strike), and
+    its d1."""
+    d1 = (log_moneyness + 0.5 * total * total) / total
+    return annuity * (forward * _norm_cdf(d1)
+                      - strike * _norm_cdf(d1 - total)), d1
+
+
+def black76_price(forward, strike, expiry, vol, annuity):
     """Black's futures formula for a caplet: the forward-measure
-    expectation of the call payoff times ``annuity``."""
-    if vol <= 0.0 or expiry <= 0.0 or strike <= 0.0 or forward <= 0.0:
-        return annuity * max(forward - strike, 0.0)
-    total = vol * math.sqrt(expiry)
-    d1 = (math.log(forward / strike) + 0.5 * total * total) / total
-    d2 = d1 - total
-    return annuity * (forward * _norm_cdf(d1) - strike * _norm_cdf(d2))
+    expectation of the call payoff times ``annuity``.  The arguments
+    broadcast as numpy lanes; scalars give a float."""
+    lanes = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in
+                                  (forward, strike, expiry, vol, annuity)))
+    f, k, t, v, a = (np.atleast_1d(x) for x in lanes)
+    out = a * np.maximum(f - k, 0.0)
+    live = ~((v <= 0.0) | (t <= 0.0) | (k <= 0.0) | (f <= 0.0))
+    f, k = f[live], k[live]
+    out[live] = _black_call(f, k, _LOG(f / k).astype(float),
+                            v[live] * np.sqrt(t[live]), a[live])[0]
+    return float(out[0]) if lanes[0].ndim == 0 else out
 
 
 # Slack of the static bounds that black76_implied_vol checks a price
@@ -515,65 +603,104 @@ def black76_price(forward: float, strike: float, expiry: float, vol: float,
 _VOL_BOUND_SLACK = 1e-10
 
 
+def _implied_vols(price, forward, strike, expiry, annuity):
+    """Black-76 implied vols of numpy lanes (1-d arrays of one length):
+    the vols, NaN where a lane failed, and {lane: its error}.
+
+    Every lane takes the steps of :func:`black76_implied_vol` with its
+    stop tests in the same order, on the same arithmetic; the arrays of
+    the lanes still iterating shrink as lanes stop.
+    """
+    vols = np.full(price.size, math.nan)
+    errors = {}
+    for i in np.flatnonzero((annuity <= 0.0) | (forward <= 0.0)
+                            | (strike <= 0.0)):
+        errors[i] = OutOfBounds("need positive annuity, forward and strike")
+    intrinsic = annuity * np.maximum(forward - strike, 0.0)
+    upper = annuity * forward
+    tol = _VOL_BOUND_SLACK
+    for i in np.flatnonzero((price < intrinsic - tol) | (price > upper + tol)):
+        errors.setdefault(i, OutOfBounds(
+            f"price {float(price[i])} outside [{float(intrinsic[i])}, "
+            f"{float(upper[i])}]"))
+    flat = (price <= intrinsic + tol * 1e-2) | (expiry <= 0.0)
+    late = flat & (expiry <= 0.0) & (price > intrinsic + tol)
+    for i in np.flatnonzero(late):
+        errors.setdefault(i, OutOfBounds("positive time value at zero "
+                                         "expiry"))
+    pending = np.ones(price.size, dtype=bool)
+    pending[list(errors)] = False
+    vols[pending & flat] = 0.0
+    lane = np.flatnonzero(pending & ~flat)
+    p, f, k, a, t = (x[lane] for x in (price, forward, strike, annuity,
+                                       expiry))
+    hi = np.ones(lane.size)
+    lo = np.zeros(lane.size)
+    for _ in range(200):
+        short = ~(black76_price(f, k, t, hi, a) >= p)
+        if not short.any():
+            break
+        lo = np.where(short, hi, lo)
+        hi = np.where(short, 2.0 * hi, hi)
+    else:
+        for i in lane[short]:
+            errors[i] = ConvergenceFailure("implied vol bracket expansion "
+                                           "failed")
+    # per lane: the price residual that stops it, and the vega's factor
+    # annuity * forward * sqrt(T) (the scalar code's order of products)
+    sqrt_t = np.sqrt(t)
+    state = [x[~short] for x in (lane, p, f, k, a, sqrt_t,
+                                 _LOG(f / k).astype(float), lo, hi,
+                                 4.0 * np.spacing(p), a * f * sqrt_t)]
+    vol = 0.5 * (state[7] + state[8])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            lane, p, f, k, a, sqrt_t, log_fk, lo, hi, resolved, scale = state
+            if not lane.size:
+                break
+            value, d1 = _black_call(f, k, log_fk, vol * sqrt_t, a)
+            diff = value - p
+            stop = np.abs(diff) <= resolved
+            above = diff > 0.0
+            lo, hi = np.where(above, lo, vol), np.where(above, vol, hi)
+            state[7:9] = lo, hi
+            vega = scale * _EXP(-0.5 * d1 * d1).astype(float) \
+                / math.sqrt(2.0 * math.pi)
+            step = np.where(vega > 1e-300, vol - diff / vega, math.nan)
+            inside = (lo < step) & (step < hi)
+            new = np.where(inside, step, 0.5 * (lo + hi))
+            done = stop | (inside & (np.abs(step - vol) <= 1e-12 * vol)) \
+                | (hi - lo <= 1e-12 * hi)
+            if done.any():
+                # a lane stopped by its residual keeps the vol it tried
+                vols[lane[done]] = np.where(stop, vol, new)[done]
+                state = [x[~done] for x in state]
+                new = new[~done]
+            vol = new
+    for i in state[0]:
+        errors[i] = ConvergenceFailure("implied vol iteration did not settle")
+    return vols, errors
+
+
 def black76_implied_vol(price: float, forward_rate: float, strike: float,
                         expiry: float, annuity: float) -> float:
-    """Volatility reproducing ``price`` in Black's formula.
+    """Volatility reproducing ``price`` in Black's formula: the one-lane
+    case of the surfaces' inversion.
 
-    Newton iteration safeguarded by a maintained bracket.  It stops when a
-    Newton step moves the vol by at most 1e-12 relative, when the price
-    residual is within a few ulps of the price, or when the bracket has
-    shrunk to 1e-12 relative; so the vol is resolved however small the
-    vega.  Prices outside [intrinsic, annuity * forward] by more than
+    Newton iteration safeguarded by a maintained bracket, found by
+    doubling from [0, 1].  It stops when the price residual is within
+    four ulps of the price, when a Newton step moves the vol by at most
+    1e-12 relative, or when the bracket has shrunk to 1e-12 relative,
+    tested in that order; so the vol is resolved however small the vega.
+    Prices outside [intrinsic, annuity * forward] by more than
     ``_VOL_BOUND_SLACK`` raise OutOfBounds, and a time value below a
     hundredth of it gives vol zero.
     """
-    if annuity <= 0.0 or forward_rate <= 0.0 or strike <= 0.0:
-        raise OutOfBounds("need positive annuity, forward and strike")
-    intrinsic = annuity * max(forward_rate - strike, 0.0)
-    upper = annuity * forward_rate
-    tol = _VOL_BOUND_SLACK
-    if price < intrinsic - tol or price > upper + tol:
-        raise OutOfBounds(
-            f"price {price} outside [{intrinsic}, {upper}]")
-    if price <= intrinsic + tol * 1e-2 or expiry <= 0.0:
-        if expiry <= 0.0 and price > intrinsic + tol:
-            raise OutOfBounds("positive time value at zero expiry")
-        return 0.0
-
-    def value(v):
-        return black76_price(forward_rate, strike, expiry, v, annuity)
-
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if value(hi) >= price:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise ConvergenceFailure("implied vol bracket expansion failed")
-    vol = 0.5 * (lo + hi)
-    sqrt_t = math.sqrt(expiry)
-    for _ in range(100):
-        diff = value(vol) - price
-        if abs(diff) <= 4.0 * math.ulp(price):
-            return vol
-        if diff > 0.0:
-            hi = vol
-        else:
-            lo = vol
-        total = vol * sqrt_t
-        d1 = (math.log(forward_rate / strike) + 0.5 * total * total) / total
-        vega = annuity * forward_rate * sqrt_t * \
-            math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
-        step = vol - diff / vega if vega > 1e-300 else math.nan
-        if lo < step < hi:
-            if abs(step - vol) <= 1e-12 * vol:
-                return step
-            vol = step
-        else:
-            vol = 0.5 * (lo + hi)
-        if hi - lo <= 1e-12 * hi:
-            return vol
-    raise ConvergenceFailure("implied vol iteration did not settle")
+    vols, errors = _implied_vols(*(np.array([v], dtype=float) for v in (
+        price, forward_rate, strike, expiry, annuity)))
+    if errors:
+        raise errors[0]
+    return float(vols[0])
 
 
 @dataclass(frozen=True)
@@ -592,86 +719,109 @@ class SurfaceCell:
     error_estimate: float = 0.0
 
 
-def _row_quotes(row, m: CalibratedModel, k: int, strikes) -> dict:
-    """Per strike of expiry T_k: its PriceResult, or the error that
-    stopped it.  Invalid strikes fail alone; a failure of the shared row
-    (transform, damping) fails every strike of the row."""
-    quotes, priced, bolds = {}, [], []
-    for strike in strikes:
-        try:
-            bolds.append(CapletSpec(k, strike).with_model(m))
-            priced.append(strike)
-        except AffineLiborError as exc:
-            quotes[strike] = exc
-    if not priced:
-        return quotes
-    try:
-        prices, errs, damping = row(k, np.array(bolds))
-    except AffineLiborError as exc:
-        quotes.update((strike, exc) for strike in priced)
-        return quotes
-    for strike, price, err in zip(priced, prices, errs):
-        try:
-            quotes[strike] = _checked("caplet", price, err, damping)
-        except QuadratureFailure as exc:
-            quotes[strike] = exc
-    return quotes
+def _by_expiry(price, ks) -> dict:
+    """{k: (prices, error estimates)} over the strikes of each expiry k in
+    ``ks``, or {k: the error that stopped it}.
 
-
-def _surface_cell(expiry: float, strike: float, fwd: float, annuity: float,
-                  quote) -> SurfaceCell:
-    if isinstance(quote, PriceResult):
-        intrinsic = annuity * max(fwd - strike, 0.0)
+    ``price(group)`` prices a group of expiries at once.  All of ``ks``
+    are one group; should that raise, or leave a cell without a finite
+    price or error estimate, each expiry is priced alone, so that a
+    failure stays with its own expiry's cells.
+    """
+    if len(ks) > 1:
         try:
-            # Time value below the quadrature resolution is genuinely zero
-            # (drivers with rare jumps floor the rate, making low strikes
-            # intrinsic); inverting the noise would fabricate a vol, so
-            # such cells are snapped to zero instead.
-            if quote.price <= intrinsic + max(3.0 * quote.error_estimate,
-                                              1e-12):
-                vol = 0.0
-            else:
-                vol = black76_implied_vol(quote.price, fwd, strike, expiry,
-                                          annuity)
-            return SurfaceCell(expiry, strike, quote.price, vol,
-                               error_estimate=quote.error_estimate)
+            prices, errs = price(ks)
+            if np.isfinite(prices).all() and np.isfinite(errs).all():
+                return dict(zip(ks, zip(prices, errs)))
+        except AffineLiborError:
+            pass
+    rows = {}
+    for k in ks:
+        try:
+            prices, errs = price([k])
+            rows[k] = prices[0], errs[0]
         except AffineLiborError as exc:
-            quote = exc
-    return SurfaceCell(expiry, strike, math.nan, math.nan,
-                       error=type(quote).__name__, error_estimate=math.nan)
+            rows[k] = exc
+    return rows
 
 
 def vol_surface(m: CalibratedModel, strikes, method: str = "fourier",
                 rel_tol: float = 1e-9):
     """Caplet prices and Black-76 implied vols over expiries x strikes.
 
-    One row per caplet expiry T_k (k = 1 .. N-1, expiry-major) and strike
-    (ascending).  Each expiry row is priced at once: the Fourier route
-    evaluates one vector-valued integral whose damping is chosen once per
-    expiry (least worst-strike magnitude at the origin), so a row's
-    prices depend on which strikes share it, within their error
-    estimates; the closed forms evaluate each forward measure's series
-    once over the strike row.  Rows are independent of each other.
-    Cells where pricing or inversion fails are emitted with NaN entries
-    and the error category, never silently clamped.
+    One cell per caplet expiry T_k (k = 1 .. N-1, expiry-major) and strike
+    (ascending).  The whole surface is one batch per route: the Fourier
+    route evaluates one vector-valued integral over all cells, each
+    expiry on its own contour whose damping is chosen for its strikes
+    (least worst-strike magnitude at the origin), so a cell's price
+    depends on which cells share the surface, within their error
+    estimates; the closed forms evaluate the tails of every (expiry,
+    forward measure) law in one pass.  All cells are then inverted at
+    once, as numpy lanes.  Invalid strikes fail alone, and a failure of
+    an expiry (transform, damping) fails that expiry's cells; failed
+    cells are emitted with NaN entries and the error category, never
+    silently clamped.
     """
-    strikes = sorted(float(s) for s in np.atleast_1d(strikes))
+    strikes = np.array(sorted(float(s) for s in np.atleast_1d(strikes)))
+    ks = list(range(1, m.n_periods))
+    valid = (strikes >= 0.0) & (strikes < math.inf)
+    bold = 1.0 + m.delta * strikes[valid]
     if method == "fourier":
-        def row(k, bold):
-            return _fourier_row(m, k, bold, rel_tol)
+        rows, contours = {}, {}
+        for k in ks if bold.size else ():
+            try:
+                contours[k] = _contour(m, k, np.log(bold))
+            except AffineLiborError as exc:
+                rows[k] = exc
+        rows.update(_by_expiry(lambda group: _fourier_cells(
+            m, [contours[k] for k in group], bold, rel_tol), list(contours)))
     elif method == "closed":
         _square_root_factors(m.process)
-
-        def row(k, bold):
-            return _closed_row(m, k, bold), np.zeros(bold.size), None
+        rows = _by_expiry(lambda group: (
+            _closed_cells(m, group, bold), np.zeros((len(group), bold.size))),
+            ks if bold.size else [])
     else:
         raise InvalidParameter(f"unknown method {method!r}")
-    cells = []
-    for k in range(1, m.n_periods):
-        expiry = m.tenor.date(k)
-        fwd = m.tenor.initial_libor(k)
-        annuity = m.delta * m.bond0(k + 1)
-        quotes = _row_quotes(row, m, k, strikes)
-        cells.extend(_surface_cell(expiry, strike, fwd, annuity,
-                                   quotes[strike]) for strike in strikes)
-    return cells
+    shape = (len(ks), strikes.size)
+    price, err = np.full(shape, math.nan), np.full(shape, math.nan)
+    priced = np.zeros(shape, dtype=bool)
+    failed = {}  # (row, column) -> error category
+    for r, k in enumerate(ks):
+        row = rows.get(k)
+        for c in range(strikes.size):
+            if not valid[c]:
+                failed[r, c] = InvalidParameter.__name__
+            elif isinstance(row, AffineLiborError):
+                failed[r, c] = type(row).__name__
+        if isinstance(row, tuple):
+            price[r, valid], err[r, valid] = row
+            priced[r, valid] = True
+    # the rule of _checked on every priced cell
+    bad = priced & ~(err <= 1e-3 * np.maximum(np.abs(price), 1e-6))
+    failed.update(((r, c), QuadratureFailure.__name__)
+                  for r, c in zip(*np.nonzero(bad)))
+    price = np.maximum(price, 0.0)
+    expiry, fwd, annuity, strike = np.broadcast_arrays(*(
+        np.array([value(k) for k in ks]).reshape(-1, 1) for value in (
+            m.tenor.date, m.tenor.initial_libor,
+            lambda k: m.delta * m.bond0(k + 1))), strikes)
+    # Time value below the quadrature resolution is genuinely zero
+    # (drivers with rare jumps floor the rate, making low strikes
+    # intrinsic); inverting the noise would fabricate a vol, so such
+    # cells are snapped to zero instead.
+    snap = price <= annuity * np.maximum(fwd - strike, 0.0) \
+        + np.maximum(3.0 * err, 1e-12)
+    vol = np.where(snap, 0.0, math.nan)
+    lanes = priced & ~bad & ~snap
+    vol[lanes], errors = _implied_vols(price[lanes], fwd[lanes],
+                                       strike[lanes], expiry[lanes],
+                                       annuity[lanes])
+    cells = list(zip(*np.nonzero(lanes)))
+    failed.update((cells[i], type(exc).__name__) for i, exc in errors.items())
+    rows = zip(expiry[:, 0].tolist(), price.tolist(), vol.tolist(),
+               err.tolist())
+    return [SurfaceCell(t, s, math.nan, math.nan, error=failed[r, c],
+                        error_estimate=math.nan) if (r, c) in failed else
+            SurfaceCell(t, s, p_row[c], v_row[c], error_estimate=e_row[c])
+            for r, (t, p_row, v_row, e_row) in enumerate(rows)
+            for c, s in enumerate(strikes.tolist())]

@@ -25,7 +25,10 @@ their abscissae, such as one Fourier integrand per strike sharing one
 transform evaluation per node.  A scalar integrand is a batch of one
 component; results have the integrand's shape (a scalar, or m values and
 m error estimates).  Component j meets its own budget
-``max(abs_tol_j, rel_tol * |I_j|)``.
+``max(abs_tol_j, rel_tol * |I_j|)``.  Once m is known, a batch of panels
+whose n abscissae would return more than ``_CALL_VALUES`` values n * m is
+split into calls of whole panels, so that no call's buffer outgrows that
+bound however many components share the abscissae.
 
 Refinement runs only when the first evaluation of the starting panels
 misses a component's budget, and then in rounds.  For every component
@@ -83,6 +86,12 @@ _HEAD_EDGES = np.concatenate([[0.0], 0.5 ** np.arange(6.0, -1.0, -1.0)])
 # of each step's refinement.
 _SOI_DOUBLINGS = 26
 _SOI_PANELS = 512
+# Most values (abscissae times components) one call to an integrand
+# returns; larger batches of panels are split into several calls.  A vol
+# surface integrates a hundred components at once: unsplit, a segment's
+# call returned 600 x 90 complex values (0.85 MB), and the resident set of
+# a process pricing surfaces grew by 2 MB.
+_CALL_VALUES = 1 << 13
 
 
 def _components(values, n: int) -> np.ndarray:
@@ -91,23 +100,35 @@ def _components(values, n: int) -> np.ndarray:
 
 
 def _panels_eval(f: Callable, lows: np.ndarray, highs: np.ndarray,
-                 extra=()):
+                 extra=(), width: int = 1):
     """GK15 values and 7-vs-15 discrepancies, shape (panels, components),
-    on a batch of panels with one call to f; plus whether f is
-    vector-valued and f at the ``extra`` abscissae, which ride along the
-    same call."""
+    on a batch of panels; plus whether f is vector-valued and f at the
+    ``extra`` abscissae, which ride along the batch's last call to f.
+
+    A batch whose values (abscissae times ``width``, the number of
+    components when known) would exceed ``_CALL_VALUES`` is evaluated in
+    calls of whole panels that stay within it.
+    """
     mid = 0.5 * (lows + highs)
     half = 0.5 * (highs - lows)
-    pts = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
-    n = pts.size
-    if len(extra):
-        pts = np.concatenate([pts, extra])
-    raw = f(pts)
-    comps = _components(raw, pts.size)
-    vals = comps[:n].reshape(lows.size, 15, -1)
-    k15 = half[:, None] * (_WK_FULL @ vals)
-    g7 = half[:, None] * (_WG_FULL @ vals)
-    return k15, np.abs(k15 - g7), np.ndim(raw) == 2, comps[n:]
+    per_call = max(1, _CALL_VALUES // (15 * width))
+    k15, g7 = [], []
+    for start in range(0, lows.size, per_call):
+        part = slice(start, start + per_call)
+        pts = (mid[part, None] + half[part, None] * _NODES[None, :]).ravel()
+        n = pts.size
+        last = start + per_call >= lows.size
+        if last and len(extra):
+            pts = np.concatenate([pts, extra])
+        raw = f(pts)
+        comps = _components(raw, pts.size)
+        vals = comps[:n].reshape(-1, 15, comps.shape[1])
+        k15.append(half[part, None] * (_WK_FULL @ vals))
+        g7.append(half[part, None] * (_WG_FULL @ vals))
+    k15, g7 = (np.concatenate(v) if len(v) > 1 else v[0] for v in (k15, g7))
+    # the extra rows are copied out, so the call's (abscissae, components)
+    # buffer is freed before refinement evaluates the next one
+    return k15, np.abs(k15 - g7), np.ndim(raw) == 2, comps[n:].copy()
 
 
 def _covering_split(errs: np.ndarray, excess: np.ndarray,
@@ -156,7 +177,7 @@ def _refined(f, lo, hi, vals, errs, abs_tol, rel_tol, max_panels):
         keep[idx] = False
         new_lo = np.concatenate([lo[idx], mid[idx]])
         new_hi = np.concatenate([mid[idx], hi[idx]])
-        v2, e2, _, _ = _panels_eval(f, new_lo, new_hi)
+        v2, e2, _, _ = _panels_eval(f, new_lo, new_hi, width=errs.shape[1])
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
         vals = np.concatenate([vals[keep], v2])
@@ -259,15 +280,16 @@ def _tail_by_parts(f, v: float, step: float, probed):
 
 
 def _fused_step(f, edges, v: float, step: float, abs_tol, rel_tol: float,
-                max_panels: int):
+                max_panels: int, width: int = 1):
     """Integral of f over the panels between ``edges`` and f at the tail
-    probe v - step, v, v + step, all in one call to f; the panels are
-    refined (by :func:`_refined`) only where that call misses a budget.
-    Returns (values, error estimates, probe values, whether f is
-    vector-valued)."""
+    probe v - step, v, v + step, all in one call to f (or, past
+    ``_CALL_VALUES`` values for ``width`` components, in calls of whole
+    panels); the panels are refined (by :func:`_refined`) only where that
+    evaluation misses a budget.  Returns (values, error estimates, probe
+    values, whether f is vector-valued)."""
     lo, hi = edges[:-1], edges[1:]
     vals, errs, vector, probed = _panels_eval(
-        f, lo, hi, np.array([v - step, v, v + step]))
+        f, lo, hi, np.array([v - step, v, v + step]), width)
     value, err = _refined(f, lo, hi, vals, errs, abs_tol, rel_tol,
                           max_panels)
     return value, err, probed, vector
@@ -326,7 +348,7 @@ def semi_infinite_oscillatory(f, rel_tol: float = 1e-9):
         seg, serr, probed, _ = _fused_step(
             f, edges, 2.0 * v, step,
             np.where(unsettled, budget * 0.05, np.inf), rel_tol * 0.1,
-            _SOI_PANELS)
+            _SOI_PANELS, total.size)
         tail_next, omega = _tail_by_parts(f, 2.0 * v, step, probed)
         gap = np.abs(tail - (seg + tail_next))
         total = total + seg

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammainc
@@ -146,6 +146,38 @@ class TestGammaRatios:
                              - ncx2.sf(x, nu, alpha))) <= 1e-13
         assert np.max(np.abs(ncchi2_cdf(x, nu, alpha)
                              - ncx2.cdf(x, nu, alpha))) <= 1e-13
+
+
+class TestBatchedSeries:
+    """Several non-central chi-square laws as one series pass: each law's
+    Poisson window padded with zero weights to the longest."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(laws=st.lists(st.tuples(
+        st.floats(1e-3, 50.0),
+        st.one_of(st.sampled_from([0.0, 1e-14]), st.floats(0.0, 3000.0))),
+        min_size=1, max_size=6),
+        zs=st.lists(st.floats(-12.0, 14.0), min_size=1, max_size=4),
+        upper=st.booleans())
+    # alpha = 0 and alpha = 1e-14 have windows of length one
+    @example(laws=[(2.0, 0.0), (3.0, 1e-14), (0.5, 40.0), (7.0, 2500.0)],
+             zs=[-1.0, 0.0, 3.0], upper=True)
+    def test_laws_match_each_law_alone(self, laws, zs, upper):
+        nu = np.array([law[0] for law in laws])
+        alpha = np.array([law[1] for law in laws])
+        sd = np.sqrt(2.0 * (nu + 2.0 * alpha))
+        x = np.maximum((nu + alpha)[:, None] + sd[:, None] * np.array(zs),
+                       1e-300)
+        ratio = ncchi2_sf if upper else ncchi2_cdf
+        batch = ratio(x, nu[:, None], alpha[:, None])
+        for i, (n, a) in enumerate(zip(nu, alpha)):
+            alone = ratio(x[i], float(n), float(a))
+            assert np.max(np.abs(batch[i] - alone)) <= 1e-13
+        # the one law record carries a batch too: one row per law
+        mix = (chisq_mix_sf if upper else chisq_mix_cdf)(
+            2.0 * x, ChiSqMixSpec(np.full((nu.size, 1), 2.0), nu[:, None],
+                                  alpha[:, None]))
+        assert np.max(np.abs(mix - batch)) <= 1e-13
 
 
 class TestNcChi2:

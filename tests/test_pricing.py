@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_model import DRIVER_ARGS
+from test_model import DRIVER_ARGS, admissible_driver
 
 from affine_libor import pricing
 from affine_libor.cli import RunConfig
 from affine_libor.distributions import ncchi2_sf
-from affine_libor.errors import (DampingOutOfStrip, InvalidParameter,
-                                 ModelMismatch, NoSignChange, OutOfBounds)
+from affine_libor.errors import (AffineLiborError, DampingOutOfStrip,
+                                 InvalidParameter, ModelMismatch,
+                                 NoSignChange, OutOfBounds)
 from affine_libor.model import (TenorStructure, fit_term_structure,
                                 forward_log_mgf, tilt_exponents)
 from affine_libor.montecarlo import RngStream, mc_caplet, mc_swaption
@@ -126,6 +127,35 @@ class TestCapletFourier:
         caplet_fourier(cfg.calibrate(), spec, rel_tol=cfg.rel_tol)
         assert 0 < len(calls) <= most
 
+    # Integrand calls and nodes of the bundled surfaces (configs/*.cfg,
+    # Fourier route): every cell is one component of one integral, whose
+    # steps are one call each unless the call would return more than
+    # quadrature._CALL_VALUES values.
+    @pytest.mark.parametrize("family, calls_most, nodes_most", [
+        ("cir", 20, 1155), ("gamma_ou", 32, 2184), ("cir_2f", 35, 2136)])
+    def test_bundled_surface_integrand_calls(self, monkeypatch, family,
+                                             calls_most, nodes_most):
+        integrals, calls = [], []
+        inner = pricing.semi_infinite_oscillatory
+
+        def counted(f, **kwargs):
+            integrals.append(1)
+
+            def g(v):
+                calls.append(v.size)
+                return f(v)
+            return inner(g, **kwargs)
+
+        monkeypatch.setattr(pricing, "semi_infinite_oscillatory", counted)
+        cfg = RunConfig.from_file(str(CONFIGS / f"{family}.cfg"),
+                                  method="fourier")
+        cells = vol_surface(cfg.calibrate(), cfg.strikes, method="fourier",
+                            rel_tol=cfg.rel_tol)
+        assert all(c.error is None for c in cells)
+        assert len(integrals) == 1
+        assert 0 < len(calls) <= calls_most
+        assert sum(calls) <= nodes_most
+
     @pytest.mark.parametrize("damping", [None, 989.3])
     def test_strongly_damped_contour_stays_in_control(self, tenor, damping):
         # An admissible driver whose strip reaches Re z = 1e6.  On the
@@ -205,6 +235,30 @@ class TestDampingStrip:
             ["DampingOutOfStrip"] * 2
         # the caplet itself exists: the closed form prices it
         assert caplet_closed(m, CapletSpec(9, 0.01)).price > 0.0
+
+    def test_zero_rate_periods_price_by_fourier(self):
+        # The forward rates of periods 1 .. 8 are zero, so u_k = u_{k+1}
+        # and the forward-price MGF's tilt is that one value for every v.
+        # Blended as v psi_k + (1 - v) psi_{k+1}, it rounded above the
+        # domain's supremum and these caplets raised DomainViolation
+        # ("Re(u)=11.39120360725883 not inside domain sup
+        # 11.391203607258827"); the closed form prices them at 0.
+        tenor = TenorStructure.from_curve(0.5 * np.arange(1, 11),
+                                          self.EDGE_CURVE)
+        m = fit_term_structure(tenor, CirParams(0.1, 0.0005122039128950935,
+                                                0.3, 1e-300))
+        for k in range(1, 9):
+            res = caplet_fourier(m, CapletSpec(k, 0.01))
+            assert res.price == caplet_closed(m, CapletSpec(k, 0.01)).price \
+                == 0.0
+            assert res.error_estimate <= 2e-13
+        # the last expiry's strip is still too narrow, and fails alone:
+        # every other cell of the surface is priced
+        cells = vol_surface(m, [0.01, 0.02])
+        assert [c.error for c in cells] == [None] * 16 \
+            + ["DampingOutOfStrip"] * 2
+        assert all(c.price == 0.0 and c.implied_vol == 0.0
+                   for c in cells[:16])
 
 
 class TestFloorlet:
@@ -529,7 +583,66 @@ class TestSwaptionPricing:
             "need nu > 0 and alpha >= 0 per component"
 
 
+def scalar_implied_vol(price, fwd, strike, expiry, annuity):
+    """Reference: the scalar safeguarded Newton loop that the lanes
+    replaced, on Python floats and the math module."""
+    def norm_cdf(x):
+        return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+    def value(v):
+        total = v * math.sqrt(expiry)
+        d1 = (math.log(fwd / strike) + 0.5 * total * total) / total
+        return annuity * (fwd * norm_cdf(d1) - strike * norm_cdf(d1 - total))
+
+    lo, hi = 0.0, 1.0
+    while value(hi) < price:
+        lo, hi = hi, 2.0 * hi
+    vol = 0.5 * (lo + hi)
+    sqrt_t = math.sqrt(expiry)
+    for _ in range(100):
+        diff = value(vol) - price
+        if abs(diff) <= 4.0 * math.ulp(price):
+            return vol
+        if diff > 0.0:
+            hi = vol
+        else:
+            lo = vol
+        total = vol * sqrt_t
+        d1 = (math.log(fwd / strike) + 0.5 * total * total) / total
+        vega = annuity * fwd * sqrt_t * \
+            math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+        step = vol - diff / vega if vega > 1e-300 else math.nan
+        if lo < step < hi:
+            if abs(step - vol) <= 1e-12 * vol:
+                return step
+            vol = step
+        else:
+            vol = 0.5 * (lo + hi)
+        if hi - lo <= 1e-12 * hi:
+            return vol
+    raise AssertionError("reference did not settle")
+
+
 class TestBlack76:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(lanes=st.lists(st.tuples(
+        st.floats(0.001, 0.1), st.floats(0.001, 0.1), st.floats(0.05, 10.0),
+        st.floats(0.01, 3.0), st.floats(0.1, 1.0)), min_size=1, max_size=40))
+    def test_lanes_are_the_scalar_loop(self, lanes):
+        # the arithmetic is the scalar loop's, so every lane's vol is its
+        # result bit for bit, whatever lanes share the inversion
+        fwd, strike, expiry, vol, annuity = np.array(lanes).T.copy()
+        price = black76_price(fwd, strike, expiry, vol, annuity)
+        intrinsic = annuity * np.maximum(fwd - strike, 0.0)
+        keep = price > intrinsic + 1e-12
+        vols, errors = pricing._implied_vols(
+            price[keep], fwd[keep], strike[keep], expiry[keep],
+            annuity[keep])
+        assert not errors
+        for got, args in zip(vols, zip(price[keep], fwd[keep], strike[keep],
+                                       expiry[keep], annuity[keep])):
+            assert got == scalar_implied_vol(*map(float, args))
+
     def test_intrinsic_price_gives_zero_vol(self):
         assert black76_implied_vol(0.01 * 0.48, 0.04, 0.03, 2.0,
                                    0.48) == 0.0
@@ -705,6 +818,108 @@ class TestVolSurface:
         for a, b in zip(fourier, closed):
             assert a.error is None
             assert abs(a.price - b.price) <= 1e-6 * b.price + 1e-13
+
+    @staticmethod
+    def assert_cells_match_expiries_alone(m, strikes, rel_tol=1e-9):
+        """Each Fourier surface cell against its expiry priced alone (the
+        same integral over that expiry's cells only), within the sum of
+        the two error estimates."""
+        strikes = np.sort(np.asarray(strikes, dtype=float))
+        cells = vol_surface(m, strikes, method="fourier", rel_tol=rel_tol)
+        bold = 1.0 + m.delta * strikes
+        for k in range(1, m.n_periods):
+            contour = pricing._contour(m, k, np.log(bold))
+            prices, errs = pricing._fourier_cells(m, [contour], bold, rel_tol)
+            row = cells[(k - 1) * strikes.size:k * strikes.size]
+            for cell, price, err in zip(row, prices[0], errs[0]):
+                assert cell.error is None
+                assert abs(cell.price - max(price, 0.0)) <= \
+                    cell.error_estimate + err
+
+    @pytest.mark.parametrize("family", ["cir", "gamma_ou", "cir_2f"])
+    def test_bundled_cells_match_their_expiry_alone(self, family):
+        cfg = RunConfig.from_file(str(CONFIGS / f"{family}.cfg"),
+                                  method="fourier")
+        self.assert_cells_match_expiries_alone(cfg.calibrate(), cfg.strikes,
+                                               cfg.rel_tol)
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(**DRIVER_ARGS)
+    def test_cells_match_their_expiry_alone(self, tenor, family, a, b, c, x0,
+                                            second):
+        m = fit_term_structure(tenor, admissible_driver(family, a, b, c, x0,
+                                                        second))
+        self.assert_cells_match_expiries_alone(m, CIR_GRID)
+
+    @pytest.mark.parametrize("fault", ["raises", "nan"])
+    def test_a_failing_expiry_fails_alone(self, fault):
+        # the whole surface is one batch; should it raise, or leave a cell
+        # without a finite price, each expiry is priced alone
+        def price(group):
+            out = np.ones((len(group), 2))
+            if 3 in group and fault == "raises":
+                raise DampingOutOfStrip("expiry 3")
+            if 3 in group and len(group) > 1:
+                out[group.index(3), 0] = math.nan
+            return out, np.zeros((len(group), 2))
+
+        rows = pricing._by_expiry(price, [1, 2, 3, 4])
+        if fault == "raises":
+            assert isinstance(rows.pop(3), DampingOutOfStrip)
+        assert {k: r[0].tolist() for k, r in rows.items()} == \
+            dict.fromkeys(rows, [1.0, 1.0])
+
+    @pytest.mark.parametrize("method", ["fourier", "closed"])
+    def test_lane_vols_are_the_one_lane_inversion(self, cir_model, gou_model,
+                                                  cir2f_model, method):
+        models = [(cir_model, CIR_GRID), (cir2f_model, CIR_GRID)]
+        if method == "fourier":
+            models.append((gou_model, GOU_GRID))
+        for model, grid in models:
+            inverted = 0
+            for c in vol_surface(model, grid, method=method):
+                k = round(c.expiry / model.delta)
+                fwd = model.tenor.initial_libor(k)
+                annuity = model.delta * model.bond0(k + 1)
+                intrinsic = annuity * max(fwd - c.strike, 0.0)
+                if c.price <= intrinsic + max(3.0 * c.error_estimate, 1e-12):
+                    assert c.implied_vol == 0.0  # snapped, not inverted
+                    continue
+                inverted += 1
+                assert c.implied_vol == black76_implied_vol(
+                    c.price, fwd, c.strike, c.expiry, annuity)
+            assert inverted
+
+    def test_lanes_fail_alone_as_the_one_lane_case_does(self):
+        # price, forward, strike, expiry, annuity per lane: a good lane,
+        # a price above its bound, one below intrinsic, a zero expiry with
+        # time value, a zero annuity, an intrinsic price, a tiny vega
+        lanes = np.array([
+            [0.006, 0.04, 0.03, 2.0, 0.48],
+            [0.5, 0.04, 0.03, 2.0, 0.48],
+            [0.001, 0.04, 0.01, 2.0, 0.48],
+            [0.01, 0.04, 0.03, 0.0, 0.48],
+            [0.001, 0.04, 0.05, 2.0, 0.0],
+            [0.0048, 0.04, 0.03, 2.0, 0.48],
+            [1e-9, 0.04, 0.09, 0.5, 0.48],
+            [0.02, 0.05, 0.045, 9.0, 0.45]])
+        vols, errors = pricing._implied_vols(*lanes.T.copy())
+        for i, lane in enumerate(lanes):
+            try:
+                alone = black76_implied_vol(*lane)
+            except AffineLiborError as exc:
+                assert type(errors[i]) is type(exc)
+                assert str(errors[i]) == str(exc)
+                assert math.isnan(vols[i])
+            else:
+                assert i not in errors
+                assert vols[i] == alone
+        assert sorted(errors) == [1, 2, 3, 4]
+        # the checks come in the scalar code's order: the zero annuity's
+        # price is also above its bound, and the zero expiry's above
+        # intrinsic
+        assert str(errors[4]) == "need positive annuity, forward and strike"
+        assert str(errors[3]) == "positive time value at zero expiry"
 
     def test_closed_method_requires_square_root_family(self, gou_model):
         with pytest.raises(ModelMismatch):

@@ -198,7 +198,7 @@ def test_put_contour_and_duplicate_checks_are_gone(name):
     assert not hasattr(pricing, name)
 
 
-@pytest.mark.parametrize("fn", ["_fourier_row", "_choose_damping"])
+@pytest.mark.parametrize("fn", ["_fourier_cells", "_choose_damping"])
 def test_contour_takes_no_call_put_flag(fn):
     params = inspect.signature(getattr(pricing, fn)).parameters
     assert "want_call" not in params
@@ -270,3 +270,19 @@ def test_oscillatory_budget_has_no_absolute_part():
 def test_validate_pool_is_the_standard_one():
     # the tasks run on concurrent.futures, imported where they run
     assert "threading" not in imported_names("cli")
+
+
+# A vol surface is one batch per route: no per-row pricer, per-row quote
+# table or scalar inversion loop is left beside it.
+@pytest.mark.parametrize("name", ["_row_quotes", "_fourier_row",
+                                  "_closed_row", "_surface_cell"])
+def test_surface_rows_are_one_batch(name):
+    assert not hasattr(pricing, name)
+
+
+def test_chi_square_laws_have_one_record():
+    # a batch of laws is a ChiSqMixSpec with one row per law
+    records = [name for name, value in vars(distributions).items()
+               if dataclasses.is_dataclass(value)
+               and value.__module__ == distributions.__name__]
+    assert records == ["ChiSqMixSpec"]
