@@ -26,7 +26,7 @@ from .montecarlo import (MartingaleReport, PathBatch, RngStream, agrees,
                          model_states, simulate_cir, simulate_gamma_ou,
                          simulate_process)
 from .pricing import (CapletSpec, PriceResult, SurfaceCell, SwaptionSpec,
-                      black76_implied_vol, black76_price, caplet_cir2f_closed,
+                      black76_implied_vol, caplet_cir2f_closed,
                       caplet_cir_closed, caplet_closed, caplet_fourier,
                       floorlet_cir_closed, floorlet_fourier,
                       swaption_cir_closed, swaption_fourier, swaption_root,

@@ -10,12 +10,12 @@ with (phi, psi) solving the generalized Riccati system
     d/dt phi_t(u) = F(psi_t(u)),   phi_0(u) = 0,
     d/dt psi_t(u) = R(psi_t(u)),   psi_0(u) = u.
 
-One evaluator, :func:`phi_psi_batch`, takes a batch of arguments: it
-checks the horizon and the domain, then uses the family's closed form when
-one exists, else one batched :func:`riccati_solve`, an embedded
-Dormand-Prince 5(4) integrator with domain-crossing (blow-up) detection.
-:func:`transform` is a batch of one.  Complex u with admissible real part
-is supported throughout; this is what the Fourier pricers consume.
+One evaluator, :func:`phi_psi_batch`, takes a batch of arguments at one
+horizon or one per expiry: it checks horizons and domain, then uses the
+family's closed form when one exists, else a batched :func:`riccati_solve`
+per horizon, an embedded Dormand-Prince 5(4) integrator with blow-up
+detection.  :func:`transform` is a batch of one.  Complex u with
+admissible real part is supported throughout (the Fourier pricers).
 """
 
 from __future__ import annotations
@@ -65,31 +65,42 @@ class RiccatiRhs:
                                    "F(0) = 0 and R(0) = 0")
 
 
-def phi_psi_batch(process, t: float, u_batch) -> tuple:
+def phi_psi_batch(process, t, u_batch) -> tuple:
     """(phi_t(u), psi_t(u)) over a batch of arguments of shape (..., d).
 
-    The one transform evaluator: :func:`transform` is a batch of one and
-    the Fourier pricers drive it with complex batches.  Every argument is
-    checked against the domain at horizon t, then the batch goes to the
-    family's closed form when it has one, else to one batched Riccati
-    solve.  phi has shape (...), psi the shape of ``u_batch``.
+    The one transform evaluator (:func:`transform` is a batch of one).
+    ``t`` is one horizon, or one per slot of the expiry axis (axis -2 of
+    ``u_batch``), each slot getting the bits of its own one-horizon call.
+    Every argument is checked against the domain at its horizon, then
+    the batch goes to the family's closed form, else to one batched
+    Riccati solve per horizon; a zero horizon is the identity (0, u).
+    phi has shape (...), psi that of ``u_batch``.
 
     Raises
     ------
     HorizonViolation
-        if t < 0.
+        if a horizon is negative.
     InvalidParameter
-        if the domain supremum at t is not positive in every factor.
+        if a domain supremum is not positive in every factor.
     DomainViolation
-        if some Re(u) is not strictly below the domain supremum at t; the
-        message names the first lane and factor outside it.
+        if some Re(u) is not below the supremum at its horizon, naming the
+        first such lane (counted over positive horizons), factor and horizon.
     """
-    if t < 0.0:
-        raise HorizonViolation(f"t={t} is negative")
     u_batch = np.asarray(u_batch)
-    if t == 0.0:
+    # the horizons
+    each = np.atleast_1d(t).tolist() if isinstance(t, np.ndarray) else [t]
+    if min(each) < 0.0:
+        raise HorizonViolation(f"t={t} is negative")
+    if 0.0 in each:
+        live = np.array(each) > 0.0
         u_batch = u_batch.astype(np.result_type(u_batch, float))
-        return np.zeros(u_batch.shape[:-1], u_batch.dtype), u_batch
+        phi = np.zeros(u_batch.shape[:-1], u_batch.dtype)
+        if live.any():
+            phi[..., live], u_batch[..., live, :] = phi_psi_batch(
+                process, np.array(each)[live], u_batch[..., live, :])
+        return phi, u_batch
+    # slots that share one horizon take the families' one-horizon form
+    t = each[0] if each.count(each[0]) == len(each) else np.array(each)
     sup = process.domain_sup(t)
     if sup.min() <= 0.0:
         raise InvalidParameter(
@@ -97,14 +108,20 @@ def phi_psi_batch(process, t: float, u_batch) -> tuple:
     outside = u_batch.real >= sup
     if outside.any():
         lane, j = divmod(int(np.argmax(outside)), process.dim)
+        slot = lane % len(each)
         raise DomainViolation(
             f"lane {lane}, factor {j}: Re(u)="
             f"{np.real(u_batch.reshape(-1, process.dim)[lane, j])} not "
-            f"inside domain sup {sup[j]} for horizon {t}")
+            f"inside domain sup {sup.reshape(-1, process.dim)[slot, j]} "
+            f"for horizon {each[slot]}")
     if getattr(process, "has_closed_form", False):
         return process.phi_psi(t, u_batch)
-    return riccati_solve(process.riccati_rhs(), t, u_batch,
-                         domain_sup=process.domain_sup)
+    if not isinstance(t, np.ndarray):
+        return riccati_solve(process.riccati_rhs(), t, u_batch,
+                             domain_sup=process.domain_sup)
+    phi, psi = zip(*(phi_psi_batch(process, s, u_batch[..., e:e + 1, :])
+                     for e, s in enumerate(each)))
+    return np.concatenate(phi, axis=-1), np.concatenate(psi, axis=-2)
 
 
 def transform(process, t: float, u, horizon: float | None = None

@@ -175,7 +175,10 @@ def _gamma_prefactor(a, x, x_max=None):
     direct = a < _DIRECT_SHAPE
     if np.count_nonzero(direct):
         ad, xd = a[direct], x[direct]
-        shapes, inverse = np.unique(ad, return_inverse=True)
+        # one shape, as the windows of small non-centralities share, needs
+        # no sort
+        shapes, inverse = (ad[:1], 0) if ad.min() == ad.max() else \
+            np.unique(ad, return_inverse=True)
         inv_gamma = 1.0 / np.array([math.gamma(v + 1.0) for v in shapes])
         near = np.minimum(xd, _EXP_ARG_MAX)
         d[direct] = np.where(xd < _EXP_ARG_MAX,
@@ -282,7 +285,7 @@ def _upper_quadrature(a, x, d):
     return (a * d) * (h * (g @ _LAGUERRE_WEIGHTS))
 
 
-def _live_ratio(a, x, upper: bool, x_max: float):
+def _live_ratio(a, x, upper: bool, x_max: float, d=None):
     """P(a, x), or Q(a, x) with ``upper``, for a, x > 0 and finite, where
     ``x_max`` is the largest x.
 
@@ -293,7 +296,8 @@ def _live_ratio(a, x, upper: bool, x_max: float):
     than splitting and reassembling the points.
     """
     scalar = isinstance(a, float)
-    d = _gamma_prefactor(a, x, x_max)
+    if d is None:
+        d = _gamma_prefactor(a, x, x_max)
     bound = a + 1.0 + 3.0 * (math.sqrt(a) if scalar else np.sqrt(a))
     if scalar and x_max < bound:  # every point below: no mask needed
         n_lower = x.size
@@ -355,7 +359,8 @@ def gammaincc(a, x):
 
 def _poisson_window(alpha_nc: float):
     """Lowest Poisson(alpha/2) index of a window around the mode covering
-    all but at most _SERIES_TOL of the mass, and the window's weights.
+    all but at most _SERIES_TOL of the mass, the window's weights relative
+    to the modal one (a list), and their sum, which normalises them.
 
     Weights are summed relative to the modal one: the absolute modal
     weight exp(-a + j0 log a - lgamma(j0 + 1)) carries a rounding error
@@ -363,11 +368,11 @@ def _poisson_window(alpha_nc: float):
     mode consecutive weights fall by ratios that keep falling, so each
     side's remaining weight is bounded by a geometric series in its next
     ratio.  The window stops once both bounds together are below
-    _SERIES_TOL times the running sum, and the weights are then
-    normalised.  With alpha = 0 the window is the single index 0.
+    _SERIES_TOL times the running sum.  With alpha = 0 the window is the
+    single index 0.
     """
     if alpha_nc == 0.0:
-        return 0, np.ones(1)
+        return 0, [1.0], 1.0
     a2 = 0.5 * alpha_nc
     j_lo = j_hi = int(a2)
     lo_w, hi_w = [], [1.0]
@@ -382,7 +387,7 @@ def _poisson_window(alpha_nc: float):
     rest_down = w_lo * q_down / (1.0 - q_down) if q_down < 1.0 else math.inf
     for _ in range(_MAX_SERIES_TERMS):
         if rest_up + rest_down <= _SERIES_TOL * total:
-            return j_lo, np.array(lo_w[::-1] + hi_w) / total
+            return j_lo, lo_w[::-1] + hi_w, total
         w_up, w_down = w_hi * q_up, w_lo * q_down
         if w_up >= w_down:  # extend the side with the larger next weight
             j_hi += 1
@@ -410,32 +415,34 @@ def _poisson_gamma_series(x, nu, alpha_nc, upper: bool, law=None):
     ``nu`` and ``alpha_nc`` hold one value per law (floats for one law),
     and ``law`` the index of each point's law (None: every point has the
     first).  All laws run as one vector pass, each law's window of Poisson
-    weights padded with zero weights to the longest one.  One module-level
-    ``gammaincc`` call at each law's lowest shape a_0 (or ``gammainc`` at
-    the highest) serves the whole window: with D_i = D(a_0 + i, x/2) from
+    weights padded with zero weights to the longest one.  One gamma ratio
+    at each law's lowest shape a_0 (Q, from the D(a_0, x/2) that also
+    starts the ladder; or ``gammainc`` at the highest) serves the whole
+    window: with D_i = D(a_0 + i, x/2) from
     :func:`_prefactor_ladder`, Q(a_0 + k) = Q(a_0) + sum_{i<k} D_i and
     P(a_0 + k) = P(a_end) + sum_{k<=i<end} D_i, so the weighted sum is the
     end value times the total weight plus one vector of partial weight
     sums against D.  ``x`` is positive and finite.
     """
     nu, alpha_nc = np.atleast_1d(nu), np.atleast_1d(alpha_nc)
-    windows = [_poisson_window(a) for a in alpha_nc.tolist()]
-    size = max(ws.size for _, ws in windows)
-    weights = np.zeros((len(windows), size))
-    for row, (_, ws) in zip(weights, windows):
-        row[:ws.size] = ws
-    a0 = 0.5 * nu + np.array([j0 for j0, _ in windows], dtype=float)
+    j0, ws, totals = zip(*(_poisson_window(a) for a in alpha_nc.tolist()))
+    size = max(map(len, ws))
+    weights = np.array([w + [0.0] * (size - len(w)) for w in ws]) \
+        / np.array(totals)[:, None]
+    a0 = 0.5 * nu + np.array(j0, dtype=float)
     one = a0.size == 1
     if one:  # a float shape: the gamma ratios take their unmasked paths
         a, law = float(a0[0]), 0
     else:
         a = a0[law]
     half_x = 0.5 * x
+    d0 = _gamma_prefactor(a, half_x) if upper or size > 1 else None
     # Partial sums of the weights run in extended precision where the
     # platform has it: summed in doubles, a few hundred of them drift by
     # several ulps.
-    if upper:
-        end = gammaincc(a, half_x)
+    if upper:  # Q(a_0) from the D(a_0) that also starts the ladder
+        end = _live_ratio(a, half_x, True, float(np.maximum.reduce(half_x)),
+                          d0)
         cum = np.add.accumulate(weights[:, ::-1], axis=1,
                                 dtype=np.longdouble)[:, ::-1].astype(float)
         total, partial = cum[:, 0], cum[:, 1:]  # weight above each i
@@ -446,7 +453,7 @@ def _poisson_gamma_series(x, nu, alpha_nc, upper: bool, law=None):
         total, partial = cum[:, -1], cum[:, :-1]  # weight at or below each i
     if size == 1:
         return total[law] * end
-    d = _prefactor_ladder(a, half_x, size - 1, _gamma_prefactor(a, half_x))
+    d = _prefactor_ladder(a, half_x, size - 1, d0)
     if one:
         return total[0] * end + partial[0] @ d
     return total[law] * end + np.einsum("pi,ip->p", partial[law], d)

@@ -17,12 +17,12 @@ them share the horizon T_N, so one vectorised, bracketed secant solves
 them together (:func:`fit_term_structure`).  The change to the
 T_k-forward measure is an exponential tilt by psi_{T_N - t}(u_k), so the
 model stays affine under every forward measure.  One kernel,
-:func:`tilt_exponents`, evaluates these tilts for a set of tenor indices
-with one batched transform; the forward-price exponents, the
-forward-price MGF of the Fourier rows (:func:`forward_log_mgf`) and every
-pricer and Monte Carlo weight take their tilts from it.  Every batched
-transform is one call of :func:`~affine_libor.affine_core.phi_psi_batch`:
-the closed form, or one batched Riccati solve for drivers without one.
+:func:`tilt_exponents`, evaluates these tilts for tenor indices, each at
+its own time, with one batched transform; the forward-price exponents,
+the forward-price MGF of the Fourier caplets (:func:`forward_log_mgf`)
+and every pricer and Monte Carlo weight take their tilts from it.  Every
+batched transform is one call of
+:func:`~affine_libor.affine_core.phi_psi_batch` (one horizon per expiry).
 """
 
 from __future__ import annotations
@@ -366,26 +366,32 @@ def fit_term_structure(tenor: TenorStructure, process, x0=None,
     return CalibratedModel(process, x0, tenor, us, residuals, steps)
 
 
-def tilt_exponents(m: CalibratedModel, t: float, ks):
+def tilt_exponents(m: CalibratedModel, t, ks):
     """(phi, psi) of the martingale parameters u_k at horizon T_N - t.
 
     These are the exponents of M_t^{u_k}, and psi is the exponential tilt
-    that moves the terminal measure to the T_k-forward measure.  One
-    ``phi_psi_batch`` call serves every index in ``ks``; the results are
-    real, with phi of shape (len(ks),) and psi of shape (len(ks), d).
+    that moves the terminal measure to the T_k-forward measure.  ``ks``
+    is an array of tenor indices and ``t`` one time, or one per entry of
+    its last axis; one ``phi_psi_batch`` call serves every index.  The
+    results are real: phi has the shape of ``ks``, psi a last axis of d.
 
     Raises
     ------
     IndexError
         for an index outside 1..N.
     HorizonViolation
-        if t lies outside [0, T_N].
+        if a time lies outside [0, T_N].
     """
-    us = np.stack([m.u(k) for k in ks])  # validates the indices
-    hrz = m.horizon - t
-    if hrz < 0.0 or hrz > m.horizon + 1e-12:
-        raise HorizonViolation(f"t={t} outside [0, {m.horizon}]")
-    phi, psi = phi_psi_batch(m.process, hrz, us)
+    ks, n, t_n = np.asarray(ks), m.n_periods, m.horizon
+    idx = ks.ravel().tolist()
+    if not 1 <= min(idx) <= max(idx) <= n:
+        raise IndexError(f"index outside 1..{n} in {idx}")
+    hrz = t_n - np.asarray(t, dtype=float)
+    each = hrz.ravel().tolist()
+    if not 0.0 <= min(each) <= max(each) <= t_n + 1e-12:
+        raise HorizonViolation(f"t={t} outside [0, {t_n}]")
+    phi, psi = phi_psi_batch(m.process, hrz if hrz.ndim else each[0],
+                             m.us[ks - 1])
     return np.real(phi), np.real(psi)
 
 
@@ -412,25 +418,33 @@ def libor_rate(m: CalibratedModel, k: int, t: float, x) -> float:
         / m.delta
 
 
-def forward_log_mgf(m: CalibratedModel, t: float, phi, psi, v):
-    """Exponent of the forward-price MGF at a 1-d array of v.
+def forward_log_mgf(m: CalibratedModel, t, phi, psi):
+    """Exponent of the forward-price MGF, as a function of an array v.
 
     E under P_{T_{k+1}} of exp(v * (A_k + <B_k, X_t>)) is
 
         (B(0,T_N)/B(0,T_{k+1})) * exp( v phi_{T_N-t}(u_k)
             + (1-v) phi_{T_N-t}(u_{k+1}) + phi_t(w(v)) + <psi_t(w(v)), x0> ),
 
-    with w(v) = v psi_{T_N-t}(u_k) + (1-v) psi_{T_N-t}(u_{k+1}); this
-    returns the exponent, without the prefactor's log.  ``phi`` and ``psi``
-    hold the tilts of u_k and u_{k+1} at T_N - t (rows 0 and 1, as
-    :func:`tilt_exponents` returns them); v may be complex.  The Fourier
-    caplets integrate exp of this against the payoff transform.
+    with w(v) = v psi_{T_N-t}(u_k) + (1-v) psi_{T_N-t}(u_{k+1}); this is
+    the exponent, without the prefactor's log.  ``phi`` and ``psi`` hold
+    the tilts of u_k and u_{k+1} at T_N - t (axis -1 of phi, -2 of psi),
+    one pair per expiry when ``t`` holds one time per expiry, v then one
+    column per expiry.  v may be complex; each call is one
+    ``phi_psi_batch`` call.
 
     w(v) is formed as psi(u_{k+1}) + v (psi(u_k) - psi(u_{k+1})): when the
     two tilts are equal (a zero-rate period) it is then exactly that tilt,
     where the weighted sum could round above the domain's supremum.
     """
-    blend = psi[1][None, :] + v[:, None] * (psi[0] - psi[1])[None, :]
-    phi_in, psi_in = phi_psi_batch(m.process, t, blend)
-    return (v * phi[0] + (1.0 - v) * phi[1] + phi_in
-            + psi_in @ m.x0.astype(psi_in.dtype))
+    low, slope = psi[..., 1, :], psi[..., 0, :] - psi[..., 1, :]
+    phi_k, phi_k1, x0 = phi[..., 0], phi[..., 1], m.x0
+
+    def log_mgf(v):
+        phi_in, psi_in = phi_psi_batch(m.process, t,
+                                       low + v[..., None] * slope)
+        state = psi_in.reshape(-1, x0.size) @ x0.astype(psi_in.dtype)
+        return (v * phi_k + (1.0 - v) * phi_k1 + phi_in
+                + state.reshape(phi_in.shape))
+
+    return log_mgf

@@ -249,10 +249,9 @@ def forward_measure_weights(m: CalibratedModel, k: int, t: float,
                             x: np.ndarray) -> np.ndarray:
     """Radon-Nikodym weights dP_{T_k}/dP_{T_N} on F_t: M_t^{u_k}/M_0^{u_k}
     over an (n_paths, d) state array."""
-    phi_t, psi_t = tilt_exponents(m, t, (k,))
-    phi_0, psi_0 = tilt_exponents(m, 0.0, (k,))
-    w = _exp_affine(float(phi_t[0]), psi_t[0], x, np.empty(len(x)))
-    w /= math.exp(float(phi_0[0] + np.dot(psi_0[0], m.x0)))
+    phi, psi = tilt_exponents(m, [t, 0.0], [k, k])
+    w = _exp_affine(float(phi[0]), psi[0], x, np.empty(len(x)))
+    w /= math.exp(float(phi[1] + np.dot(psi[1], m.x0)))
     return w
 
 
@@ -296,10 +295,8 @@ def mc_swaption(m: CalibratedModel, start: int, end: int, strike: float,
     t_ex = m.tenor.date(start)
     coupons = np.full(end - start, m.delta * strike)
     coupons[-1] += 1.0
-    pairs = [forward_exponents(m, k, start, t_ex)
-             for k in range(start + 1, end + 1)]
-    A = np.array([fe.A for fe in pairs])
-    B = np.stack([fe.B for fe in pairs])
+    phi, psi = tilt_exponents(m, t_ex, range(start, end + 1))
+    A, B = phi[1:] - phi[0], psi[1:] - psi[0]
 
     def payoff(x):
         bonds = np.exp(A[None, :] + x @ B.T)
@@ -342,8 +339,8 @@ def martingale_checks(m: CalibratedModel, ks, t: float, n_paths: int,
                       rng: RngStream) -> list[MartingaleReport]:
     """Weighted-mean tests of the martingale property of M^{u_k} at time t.
 
-    One simulation to time t serves every index k in ``ks``, and two
-    ``tilt_exponents`` calls (at t and at 0) serve every index; the
+    One simulation to time t serves every index k in ``ks``, and one
+    ``tilt_exponents`` call (at t and at 0) serves every index; the
     reports come back in the order of ``ks``.
     """
     _require_paths(n_paths)
@@ -352,11 +349,10 @@ def martingale_checks(m: CalibratedModel, ks, t: float, n_paths: int,
     x = model_states(m, grid_t, n_paths, rng)
     if not ks:
         return []
-    phi_t, psi_t = tilt_exponents(m, t, ks)
-    phi_0, psi_0 = tilt_exponents(m, 0.0, ks)
+    phi, psi = tilt_exponents(m, [t, 0.0], [[k, k] for k in ks])
     reports = []
     vals = np.empty(n_paths)
-    for k, a_t, b_t, a_0, b_0 in zip(ks, phi_t, psi_t, phi_0, psi_0):
+    for k, (a_t, a_0), (b_t, b_0) in zip(ks, phi, psi):
         _exp_affine(float(a_t), b_t, x, vals)
         m0 = math.exp(float(a_0 + np.dot(b_0, m.x0)))
         mean = float(vals.mean())

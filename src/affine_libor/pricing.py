@@ -14,10 +14,11 @@ forward-price moment generating function is finite.  E[(e^Z)^z] is the
 model's forward-price MGF (:func:`affine_libor.model.forward_log_mgf`).
 Only the factor K'^{-(R-iv)} depends on the strike, so a vol surface is
 one vector-valued integral with one component per (expiry, strike) cell,
-each expiry on its own contour (:func:`_fourier_cells`); a single caplet
-is the one-cell case.  Cap-floor
-parity is model-free, so on either route a floorlet is its caplet less
-the period's forward value (:func:`_floorlet`).  A payer swaption on
+each expiry on its own contour, and each integrand call is one transform
+call for all nodes and expiries (:func:`_fourier_cells`); a single caplet
+is the one-cell case.  Cap-floor parity is model-free, so on either route
+a floorlet is its caplet less the period's forward value
+(:func:`_floorlet`).  A payer swaption on
 [T_i, T_m] is a put on a coupon bond; its payoff transform has a closed
 form in terms of the unique zero of the exercise function
 (:func:`swaption_root`).
@@ -28,12 +29,12 @@ scaled non-central chi-square law, so P(sum_j b_j X_j > y) under each
 forward measure is the survival function of a positive linear
 combination of non-central chi-squares (:func:`_tilted_tails`, the
 route's one call of ``chisq_mix_sf``).  A closed-form caplet takes two
-such tails, one per adjacent forward measure, and a surface evaluates the
-laws of all its expiries as one batch (:func:`_closed_cells`); the
-one-factor swaption takes one tail per date T_i .. T_m, each alone, with
-b = 1 and y the exercise root.  With one live factor a tail is the exact
-Poisson series; Imhof's integral runs only when two or more factors are
-live.
+such tails, one per adjacent forward measure, and a surface takes the
+tilts of all its expiries in one call and their laws as one batch
+(:func:`_closed_cells`); the one-factor swaption takes one tail per date
+T_i .. T_m, each alone, with b = 1 and y the exercise root.  With one
+live factor a tail is the exact Poisson series; Imhof's integral runs
+only when two or more factors are live.
 
 Implied volatilities invert Black's futures formula, all cells of a
 surface at once as numpy lanes (:func:`_implied_vols`).
@@ -178,55 +179,63 @@ def _choose_damping(hi: float, magnitudes):
     return candidates[int(np.argmin(worst))]
 
 
-def _integrands(m: CalibratedModel, rows, log_bold: np.ndarray, z):
-    """Caplet integrands K'^{-z} E[(e^Z)^z] / (z (z - 1)) at contour points
-    z, one row of nodes and one column per expiry, for every strike:
-    shape (nodes, expiries, strikes).
+def _integrands(m: CalibratedModel, t, phi, psi, log_bold: np.ndarray):
+    """Caplet integrands K'^{-z} E[(e^Z)^z] / (z (z - 1)) as a function of
+    contour points z, with a strike axis appended to z's shape.  z has a
+    row of nodes and, when ``t`` holds one fixing time per expiry (and
+    ``phi``, ``psi`` one pair of tilts per expiry), a column per expiry.
+    One forward-price MGF call serves all expiries and strikes, and its
+    temporaries are freed before the one output buffer is allocated and
+    updated in place."""
+    log_mgf = forward_log_mgf(m, t, phi, psi)
+    neg_log_bold = -log_bold.astype(complex)
 
-    ``rows`` holds (t_fix, phi, psi) per expiry.  Only the factor K'^{-z}
-    depends on the strike, so each expiry takes one forward-price MGF
-    evaluation per node; those are done, and their temporaries freed,
-    before the one (nodes, expiries, strikes) buffer is allocated and
-    updated in place.
-    """
-    log_mgf = np.empty(z.shape, dtype=complex)
-    for e, (t_fix, phi, psi) in enumerate(rows):
-        log_mgf[:, e] = forward_log_mgf(m, t_fix, phi, psi, z[:, e])
-    out = np.multiply.outer(z, -log_bold.astype(complex))
-    out += log_mgf[:, :, None]
-    np.exp(out, out=out)
-    return np.divide(out, (z * (z - 1.0))[:, :, None], out=out)
+    def integrands(z):
+        exponent = log_mgf(z)
+        out = np.multiply.outer(z, neg_log_bold)
+        out += exponent[..., None]
+        np.exp(out, out=out)
+        return np.divide(out, (z * (z - 1.0))[..., None], out=out)
+
+    return integrands
 
 
-def _contour(m: CalibratedModel, k: int, log_bold: np.ndarray):
-    """The Fourier contour of the caplets at expiry T_k for the log bold
-    strikes ``log_bold``: (t_fix, phi, psi, damping), with the tilts of
-    u_k and u_{k+1} at T_N - T_k and the damping of
-    :func:`_choose_damping`."""
-    t_fix = m.tenor.date(k)
-    phi, psi = tilt_exponents(m, t_fix, (k, k + 1))
-    # phi of u_k is rebuilt as A_k + phi of u_{k+1}: the recorded Fourier
-    # prices depend on this order of operations.
-    phi_k1 = float(phi[1])
-    row = (t_fix, (phi[0] - phi[1] + phi_k1, phi_k1), psi)
-    sup = np.atleast_1d(m.process.domain_sup(t_fix)) if t_fix > 0.0 else \
-        np.full(m.process.dim, np.inf)
-    # Re(z) is constant along the contour, so the strip bounds decide
-    # admissibility once and for all nodes.
-    hi = _strip_upper_end(psi[1], psi[0] - psi[1], sup)
-
-    def magnitudes(candidates):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.abs(_integrands(m, [row], log_bold,
-                                      candidates[:, None] + 0j)[:, 0])
-
-    return row + (_choose_damping(hi, magnitudes),)
+def _contours(m: CalibratedModel, ks, log_bold: np.ndarray) -> dict:
+    """{k: (t_fix, phi, psi, damping) or the error that stopped it}: the
+    Fourier contours at the expiries T_k, k in ``ks``, for the log bold
+    strikes, with the tilts of u_k and u_{k+1} at T_N - T_k from one call
+    (should it raise, one per expiry) and :func:`_choose_damping`'s
+    damping, whose probe is one transform call per expiry."""
+    dates = [m.tenor.date(k) for k in ks]
+    try:
+        phi, psi = tilt_exponents(m, dates, [ks, [k + 1 for k in ks]])
+    except AffineLiborError as exc:
+        return {ks[0]: exc} if len(ks) == 1 else {
+            k: _contours(m, [k], log_bold)[k] for k in ks}
+    contours = {}
+    for k, t_fix, phi_e, psi_e in zip(ks, dates, phi.T, psi.swapaxes(0, 1)):
+        # phi of u_k is rebuilt as A_k + phi of u_{k+1}: the recorded
+        # Fourier prices depend on this order of operations.
+        phi_e = np.array([phi_e[0] - phi_e[1] + float(phi_e[1]), phi_e[1]])
+        sup = m.process.domain_sup(t_fix) if t_fix > 0.0 \
+            else np.full(m.process.dim, np.inf)
+        probe = _integrands(m, t_fix, phi_e, psi_e, log_bold)
+        try:
+            # Re(z) is constant along the contour, so the strip bounds
+            # decide admissibility once and for all nodes.
+            hi = _strip_upper_end(psi_e[1], psi_e[0] - psi_e[1], sup)
+            with np.errstate(over="ignore", invalid="ignore"):
+                contours[k] = (t_fix, phi_e, psi_e, _choose_damping(
+                    hi, lambda c: np.abs(probe(c + 0j))))
+        except AffineLiborError as exc:
+            contours[k] = exc
+    return contours
 
 
 def _fourier_cells(m: CalibratedModel, contours, bold: np.ndarray,
                    rel_tol: float):
     """Caplets on the given contours (one per expiry, from
-    :func:`_contour`) for the bold strikes ``bold``; floorlets follow
+    :func:`_contours`) for the bold strikes ``bold``; floorlets follow
     from them by parity (:func:`_floorlet`).
 
     Every (expiry, strike) cell is one component of a single
@@ -234,12 +243,15 @@ def _fourier_cells(m: CalibratedModel, contours, bold: np.ndarray,
     its own damping.  Returns prices and error estimates, one row per
     expiry and one column per strike.
     """
-    rows = [c[:3] for c in contours]
-    dampings = np.array([c[3] for c in contours])
-    log_bold = np.log(bold)
+    # A lone expiry (a single quote) takes no expiry axis: its transform
+    # calls then see two-dimensional lane arrays, which numpy runs faster.
+    t, phi, psi, dampings = contours[0] if len(contours) == 1 else (
+        np.array(x) for x in zip(*contours))
+    integrands = _integrands(m, t, phi, psi, np.log(bold))
+    lanes = (-1,) + (1,) * np.ndim(dampings)  # a column per expiry, if any
     integral, err = semi_infinite_oscillatory(
-        lambda v: _integrands(m, rows, log_bold,
-                              dampings - 1j * v[:, None]).reshape(v.size, -1),
+        lambda v: integrands(dampings - 1j * v.reshape(lanes)).reshape(
+            v.size, -1),
         rel_tol=rel_tol)
     shape = (len(contours), bold.size)
     pref = m.bond0(m.n_periods) * bold / (2.0 * math.pi)
@@ -274,7 +286,9 @@ def caplet_fourier(m: CalibratedModel, c: CapletSpec,
     """Caplet price by Fourier inversion of the forward-price MGF: the
     one-cell case of :func:`_fourier_cells`."""
     bold = np.array([c.with_model(m)])
-    contour = _contour(m, c.period_index, np.log(bold))
+    contour = _contours(m, [c.period_index], np.log(bold))[c.period_index]
+    if isinstance(contour, AffineLiborError):
+        raise contour
     prices, errs = _fourier_cells(m, [contour], bold, rel_tol)
     return _checked("caplet", prices[0, 0], errs[0, 0], contour[3])
 
@@ -346,18 +360,19 @@ def _tilted_tails(factors, x0, times, thetas, b, y,
     quote's few laws are faster that way, since one law's series keeps
     float shapes and needs no masks.
     """
+    live = (b != 0.0) & [f.lam * f.theta > 0.0 or x > 0.0
+                         for f, x in zip(factors, x0)]
     batches = {}  # live factors -> laws
-    for law, row in enumerate(b.tolist()):
-        live = tuple(j for j, f in enumerate(factors) if row[j] != 0.0
-                     and (f.lam * f.theta > 0.0 or x0[j] > 0.0))
-        batches.setdefault(live, []).append(law)
+    for law, row in enumerate(live.tolist()):
+        batches.setdefault(tuple(j for j, on in enumerate(row) if on),
+                           []).append(law)
     for j in sorted(set().union(*batches)):
         _require_positive_dof(factors[j], j)
     tails = np.where(y < 0.0, 1.0, 0.0)
-    for live, laws in batches.items():
-        if not live:
+    for cols, laws in batches.items():
+        if not cols:
             continue
-        cols = list(live)
+        cols = list(cols)
         sigma, nu, alpha = _factor_laws(
             [factors[j] for j in cols], x0[cols], times[laws],
             thetas[laws][:, cols])
@@ -367,8 +382,8 @@ def _tilted_tails(factors, x0, times, thetas, b, y,
                 tails[law:law + 1] = chisq_mix_sf(y[law:law + 1], ChiSqMixSpec(
                     sigma[i:i + 1], nu[None, :], alpha[i:i + 1]))
         else:
-            tails[laws] = chisq_mix_sf(y[laws],
-                                       ChiSqMixSpec(sigma, nu, alpha))
+            tails[laws] = chisq_mix_sf(y[laws], ChiSqMixSpec(
+                sigma, np.broadcast_to(nu, sigma.shape), alpha))
     return tails
 
 
@@ -378,27 +393,24 @@ def _closed_cells(m: CalibratedModel, ks, bold: np.ndarray):
     bold strike.
 
     The caplet pays when sum_j B_kj X_j exceeds y = log K' - A_k, a tail
-    (:func:`_tilted_tails`) under each adjacent forward measure.  Each
-    expiry takes one tilt, and one tail evaluation serves the two laws of
+    (:func:`_tilted_tails`) under each adjacent forward measure.  One tilt
+    call serves every expiry, and one tail evaluation the two laws of
     every expiry (a lone expiry, a single quote, evaluates its two laws
     one by one).
     """
     factors = _square_root_factors(m.process)
-    times, thetas, b, y = [], [], [], []
-    for k in ks:
-        t_fix = m.tenor.date(k)
-        phi, psi = tilt_exponents(m, t_fix, (k, k + 1))
-        # one law each for the T_k- and the T_{k+1}-forward measure
-        times += [t_fix, t_fix]
-        thetas.append(psi)
-        b += [psi[0] - psi[1]] * 2
-        y += [np.log(bold) - float(phi[0] - phi[1])] * 2
-    tails = _tilted_tails(factors, m.x0, np.array(times), np.vstack(thetas),
-                          np.array(b), np.array(y),
+    ks = np.array(ks)
+    dates = m.tenor.dates[ks]
+    phi, psi = tilt_exponents(m, dates, [ks, ks + 1])
+    # one law each for the T_k- and the T_{k+1}-forward measure
+    b = (psi[0] - psi[1]).repeat(2, axis=0)
+    y = (np.log(bold) - (phi[0] - phi[1])[:, None]).repeat(2, axis=0)
+    tails = _tilted_tails(factors, m.x0, dates.repeat(2),
+                          psi.swapaxes(0, 1).reshape(b.shape), b, y,
                           alone=len(ks) == 1).reshape(len(ks), 2, -1)
-    below = np.array([m.bond0(k) for k in ks])[:, None]
-    above = np.array([m.bond0(k + 1) for k in ks])[:, None]
-    return np.maximum(below * tails[:, 0] - bold * above * tails[:, 1], 0.0)
+    bonds = m.tenor.discounts[:, None]  # B(0, T_k) in row k - 1
+    return np.maximum(bonds[ks - 1] * tails[:, 0]
+                      - bold * bonds[ks] * tails[:, 1], 0.0)
 
 
 def caplet_closed(m: CalibratedModel, c: CapletSpec) -> PriceResult:
@@ -563,15 +575,16 @@ def swaption_cir_closed(m: CalibratedModel, s: SwaptionSpec) -> PriceResult:
     return PriceResult(max(price, 0.0), 0.0, None, root=root)
 
 
-# Python's math log, exp and erf as numpy ufuncs (over object arrays):
-# numpy has no erf, and its own log and exp can round differently from
-# the C library's in the last bit, which would move recorded vols.
-_LOG, _EXP, _ERF = (np.frompyfunc(f, 1, 1)
-                    for f in (math.log, math.exp, math.erf))
+# Python's math log, exp and erf over 1-d float arrays: numpy has no
+# erf, and its own log and exp can round differently from the C
+# library's in the last bit, which would move recorded vols.
+_LOG, _EXP, _ERF = (
+    lambda x, f=f: np.fromiter(map(f, x.tolist()), float, x.size)
+    for f in (math.log, math.exp, math.erf))
 
 
 def _norm_cdf(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + _ERF(x / _SQRT2).astype(float))
+    return 0.5 * (1.0 + _ERF(x / _SQRT2))
 
 
 def _black_call(forward, strike, log_moneyness, total, annuity):
@@ -581,21 +594,6 @@ def _black_call(forward, strike, log_moneyness, total, annuity):
     d1 = (log_moneyness + 0.5 * total * total) / total
     return annuity * (forward * _norm_cdf(d1)
                       - strike * _norm_cdf(d1 - total)), d1
-
-
-def black76_price(forward, strike, expiry, vol, annuity):
-    """Black's futures formula for a caplet: the forward-measure
-    expectation of the call payoff times ``annuity``.  The arguments
-    broadcast as numpy lanes; scalars give a float."""
-    lanes = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in
-                                  (forward, strike, expiry, vol, annuity)))
-    f, k, t, v, a = (np.atleast_1d(x) for x in lanes)
-    out = a * np.maximum(f - k, 0.0)
-    live = ~((v <= 0.0) | (t <= 0.0) | (k <= 0.0) | (f <= 0.0))
-    f, k = f[live], k[live]
-    out[live] = _black_call(f, k, _LOG(f / k).astype(float),
-                            v[live] * np.sqrt(t[live]), a[live])[0]
-    return float(out[0]) if lanes[0].ndim == 0 else out
 
 
 # Slack of the static bounds that black76_implied_vol checks a price
@@ -634,10 +632,14 @@ def _implied_vols(price, forward, strike, expiry, annuity):
     lane = np.flatnonzero(pending & ~flat)
     p, f, k, a, t = (x[lane] for x in (price, forward, strike, annuity,
                                        expiry))
+    sqrt_t, log_fk = np.sqrt(t), _LOG(f / k)
     hi = np.ones(lane.size)
     lo = np.zeros(lane.size)
+    short = np.ones(lane.size, dtype=bool)
     for _ in range(200):
-        short = ~(black76_price(f, k, t, hi, a) >= p)
+        s = np.flatnonzero(short)  # a lane at or above its price stays
+        short[s] = ~(_black_call(f[s], k[s], log_fk[s], hi[s] * sqrt_t[s],
+                                 a[s])[0] >= p[s])
         if not short.any():
             break
         lo = np.where(short, hi, lo)
@@ -646,26 +648,25 @@ def _implied_vols(price, forward, strike, expiry, annuity):
         for i in lane[short]:
             errors[i] = ConvergenceFailure("implied vol bracket expansion "
                                            "failed")
-    # per lane: the price residual that stops it, and the vega's factor
-    # annuity * forward * sqrt(T) (the scalar code's order of products)
-    sqrt_t = np.sqrt(t)
-    state = [x[~short] for x in (lane, p, f, k, a, sqrt_t,
-                                 _LOG(f / k).astype(float), lo, hi,
-                                 4.0 * np.spacing(p), a * f * sqrt_t)]
-    vol = 0.5 * (state[7] + state[8])
+    # One column per lane still iterating, one row per quantity: among
+    # them the price residual that stops it, and the vega's factor
+    # annuity * forward * sqrt(T) (the scalar code's order of products).
+    # The names bound to the rows are views: writing a row updates them.
+    state = np.array([p, f, k, a, sqrt_t, log_fk, 4.0 * np.spacing(p),
+                      a * f * sqrt_t, lo, hi, 0.5 * (lo + hi),
+                      lane])[:, ~short]
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(100):
-            lane, p, f, k, a, sqrt_t, log_fk, lo, hi, resolved, scale = state
-            if not lane.size:
+            if not state.shape[1]:
                 break
+            p, f, k, a, sqrt_t, log_fk, resolved, scale, lo, hi, vol, lane \
+                = state
             value, d1 = _black_call(f, k, log_fk, vol * sqrt_t, a)
             diff = value - p
             stop = np.abs(diff) <= resolved
             above = diff > 0.0
-            lo, hi = np.where(above, lo, vol), np.where(above, vol, hi)
-            state[7:9] = lo, hi
-            vega = scale * _EXP(-0.5 * d1 * d1).astype(float) \
-                / math.sqrt(2.0 * math.pi)
+            state[8:10] = np.where(above, lo, vol), np.where(above, vol, hi)
+            vega = scale * _EXP(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
             step = np.where(vega > 1e-300, vol - diff / vega, math.nan)
             inside = (lo < step) & (step < hi)
             new = np.where(inside, step, 0.5 * (lo + hi))
@@ -673,11 +674,10 @@ def _implied_vols(price, forward, strike, expiry, annuity):
                 | (hi - lo <= 1e-12 * hi)
             if done.any():
                 # a lane stopped by its residual keeps the vol it tried
-                vols[lane[done]] = np.where(stop, vol, new)[done]
-                state = [x[~done] for x in state]
-                new = new[~done]
-            vol = new
-    for i in state[0]:
+                vols[lane[done].astype(int)] = np.where(stop, vol, new)[done]
+            state[10] = new
+            state = state[:, ~done]
+    for i in state[11].astype(int):
         errors[i] = ConvergenceFailure("implied vol iteration did not settle")
     return vols, errors
 
@@ -703,7 +703,7 @@ def black76_implied_vol(price: float, forward_rate: float, strike: float,
     return float(vols[0])
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SurfaceCell:
     """One (expiry, strike) entry of a caplet vol surface.
 
@@ -767,14 +767,11 @@ def vol_surface(m: CalibratedModel, strikes, method: str = "fourier",
     valid = (strikes >= 0.0) & (strikes < math.inf)
     bold = 1.0 + m.delta * strikes[valid]
     if method == "fourier":
-        rows, contours = {}, {}
-        for k in ks if bold.size else ():
-            try:
-                contours[k] = _contour(m, k, np.log(bold))
-            except AffineLiborError as exc:
-                rows[k] = exc
+        # each expiry's contour, or its error, until priced
+        rows = _contours(m, ks, np.log(bold)) if bold.size and ks else {}
         rows.update(_by_expiry(lambda group: _fourier_cells(
-            m, [contours[k] for k in group], bold, rel_tol), list(contours)))
+            m, [rows[k] for k in group], bold, rel_tol),
+            [k for k, c in rows.items() if isinstance(c, tuple)]))
     elif method == "closed":
         _square_root_factors(m.process)
         rows = _by_expiry(lambda group: (
@@ -784,44 +781,40 @@ def vol_surface(m: CalibratedModel, strikes, method: str = "fourier",
         raise InvalidParameter(f"unknown method {method!r}")
     shape = (len(ks), strikes.size)
     price, err = np.full(shape, math.nan), np.full(shape, math.nan)
-    priced = np.zeros(shape, dtype=bool)
-    failed = {}  # (row, column) -> error category
+    failed = np.full(shape, None)  # error category per cell
+    failed[:, ~valid] = InvalidParameter.__name__
     for r, k in enumerate(ks):
         row = rows.get(k)
-        for c in range(strikes.size):
-            if not valid[c]:
-                failed[r, c] = InvalidParameter.__name__
-            elif isinstance(row, AffineLiborError):
-                failed[r, c] = type(row).__name__
-        if isinstance(row, tuple):
+        if isinstance(row, AffineLiborError):
+            failed[r, valid] = type(row).__name__
+        elif row is not None:
             price[r, valid], err[r, valid] = row
-            priced[r, valid] = True
+    priced = np.equal(failed, None)
     # the rule of _checked on every priced cell
     bad = priced & ~(err <= 1e-3 * np.maximum(np.abs(price), 1e-6))
-    failed.update(((r, c), QuadratureFailure.__name__)
-                  for r, c in zip(*np.nonzero(bad)))
+    failed[bad] = QuadratureFailure.__name__
     price = np.maximum(price, 0.0)
-    expiry, fwd, annuity, strike = np.broadcast_arrays(*(
-        np.array([value(k) for k in ks]).reshape(-1, 1) for value in (
-            m.tenor.date, m.tenor.initial_libor,
-            lambda k: m.delta * m.bond0(k + 1))), strikes)
+    # T_k, the initial rate of period k and delta B(0, T_{k+1}), one row
+    # per expiry k, as TenorStructure computes them
+    disc, expiry = m.tenor.discounts[:, None], m.tenor.dates[1:-1, None]
+    fwd, annuity = (disc[:-1] / disc[1:] - 1.0) / m.delta, m.delta * disc[1:]
     # Time value below the quadrature resolution is genuinely zero
     # (drivers with rare jumps floor the rate, making low strikes
     # intrinsic); inverting the noise would fabricate a vol, so such
     # cells are snapped to zero instead.
-    snap = price <= annuity * np.maximum(fwd - strike, 0.0) \
+    snap = price <= annuity * np.maximum(fwd - strikes, 0.0) \
         + np.maximum(3.0 * err, 1e-12)
     vol = np.where(snap, 0.0, math.nan)
     lanes = priced & ~bad & ~snap
-    vol[lanes], errors = _implied_vols(price[lanes], fwd[lanes],
-                                       strike[lanes], expiry[lanes],
-                                       annuity[lanes])
-    cells = list(zip(*np.nonzero(lanes)))
-    failed.update((cells[i], type(exc).__name__) for i, exc in errors.items())
-    rows = zip(expiry[:, 0].tolist(), price.tolist(), vol.tolist(),
-               err.tolist())
-    return [SurfaceCell(t, s, math.nan, math.nan, error=failed[r, c],
-                        error_estimate=math.nan) if (r, c) in failed else
-            SurfaceCell(t, s, p_row[c], v_row[c], error_estimate=e_row[c])
-            for r, (t, p_row, v_row, e_row) in enumerate(rows)
-            for c, s in enumerate(strikes.tolist())]
+    r, c = np.nonzero(lanes)
+    vol[lanes], errors = _implied_vols(price[lanes], fwd[r, 0], strikes[c],
+                                       expiry[r, 0], annuity[r, 0])
+    for i, exc in errors.items():
+        failed[r[i], c[i]] = type(exc).__name__
+    strike_list = strikes.tolist()
+    return [SurfaceCell(t, s, p, v, None, e) if f is None else
+            SurfaceCell(t, s, math.nan, math.nan, f, math.nan)
+            for t, p_row, v_row, e_row, f_row in zip(
+                expiry[:, 0].tolist(), price.tolist(), vol.tolist(),
+                err.tolist(), failed.tolist())
+            for s, p, v, e, f in zip(strike_list, p_row, v_row, e_row, f_row)]

@@ -20,7 +20,9 @@ domain:
   transforms go through the ODE integrator.
 
 ``phi_psi(t, u)`` is vectorised: ``u`` has shape (..., d) and may be
-complex with admissible real part.
+complex with admissible real part; ``t`` is one horizon or one per slot
+of u's axis -2 (``domain_sup`` then has one row per horizon), each
+horizon's coefficients from ``math`` as for that horizon alone.
 """
 
 from __future__ import annotations
@@ -33,6 +35,14 @@ import numpy as np
 
 from .affine_core import RiccatiRhs
 from .errors import InvalidParameter
+
+
+def _per_horizon(formula):
+    """A method of one horizon, called once per entry of an array of them."""
+    def method(self, t):
+        return np.array([formula(self, s) for s in t.tolist()]) \
+            if isinstance(t, np.ndarray) else formula(self, t)
+    return method
 
 
 @dataclass(frozen=True)
@@ -59,9 +69,11 @@ class CirParams:
             raise InvalidParameter(
                 f"CIR eta = {self.eta} has no finite, normal square")
 
+    @_per_horizon
     def a(self, t: float) -> float:
         return math.exp(-self.lam * t)
 
+    @_per_horizon
     def b(self, t: float) -> float:
         # expm1 keeps (1 - exp(-lam t)) / lam accurate for lam*t -> 0;
         # the lam == 0 branch is an exact parameter test.
@@ -72,11 +84,12 @@ class CirParams:
     def initial_state(self) -> np.ndarray:
         return np.array([self.x0])
 
+    @_per_horizon
     def domain_sup(self, t: float) -> np.ndarray:
         denom = 2.0 * self.eta ** 2 * self.b(t)
         return np.array([np.inf if denom == 0.0 else 1.0 / denom])
 
-    def phi_psi(self, t: float, u: np.ndarray):
+    def phi_psi(self, t, u: np.ndarray):
         v = u[..., 0]
         a, b = self.a(t), self.b(t)
         if self.eta == 0.0:
@@ -128,12 +141,17 @@ class GammaOuParams:
     def initial_state(self) -> np.ndarray:
         return np.array([self.x0])
 
+    @_per_horizon
     def domain_sup(self, t: float) -> np.ndarray:
         return np.array([self.alpha])
 
-    def phi_psi(self, t: float, u: np.ndarray):
+    @_per_horizon
+    def decay(self, t: float) -> float:
+        return math.exp(-self.lam * t)
+
+    def phi_psi(self, t, u: np.ndarray):
         v = u[..., 0]
-        s = math.exp(-self.lam * t)
+        s = self.decay(t)
         # Both alpha - s v and alpha - v stay in the right half-plane for
         # Re v < alpha, so the principal logs are branch-safe.
         phi = self.beta * (np.log(self.alpha - s * v) - np.log(self.alpha - v))
@@ -176,10 +194,11 @@ class LevySubordinatorSpec:
     def initial_state(self) -> np.ndarray:
         return np.array([self.x0])
 
+    @_per_horizon
     def domain_sup(self, t: float) -> np.ndarray:
         return np.array([self.domain_sup_value])
 
-    def phi_psi(self, t: float, u: np.ndarray):
+    def phi_psi(self, t, u: np.ndarray):
         v = u[..., 0]
         return t * self.kappa(v), u.copy()
 
@@ -218,6 +237,7 @@ class RiccatiProcess:
         return np.broadcast_to(np.asarray(self.x0_value, dtype=float),
                                (self.dim,)).copy()
 
+    @_per_horizon
     def domain_sup(self, t: float) -> np.ndarray:
         if self.domain_sup_fn is None:
             return np.full(self.dim, np.inf)
@@ -257,10 +277,10 @@ class ProductProcess:
     def initial_state(self) -> np.ndarray:
         return np.concatenate([f.initial_state() for f in self.factors])
 
-    def domain_sup(self, t: float) -> np.ndarray:
-        return np.concatenate([f.domain_sup(t) for f in self.factors])
+    def domain_sup(self, t) -> np.ndarray:
+        return np.concatenate([f.domain_sup(t) for f in self.factors], -1)
 
-    def phi_psi(self, t: float, u: np.ndarray):
+    def phi_psi(self, t, u: np.ndarray):
         phi = 0.0
         psi = np.empty_like(u)
         for j, f in enumerate(self.factors):

@@ -9,8 +9,9 @@ from affine_libor.affine_core import (RiccatiRhs, TransformPair,
                                       riccati_solve, transform)
 from affine_libor.errors import (BlowUp, DomainViolation, HorizonViolation,
                                  InvalidParameter, StepUnderflow)
-from affine_libor.processes import RiccatiProcess, two_factor_cir
-from test_model import DRIVER_ARGS, admissible_driver
+from affine_libor.processes import (CirParams, GammaOuParams,
+                                    RiccatiProcess, two_factor_cir)
+from test_model import DRIVER_ARGS, admissible_driver, bounded_subordinator
 
 
 def scipy_riccati_oracle(rhs, t, u, dim=1):
@@ -199,6 +200,79 @@ class TestBatch:
         ref_phi, ref_psi = cir_process.phi_psi(2.0, u)
         assert np.max(np.abs(psi - ref_psi)) < 1e-11
         assert np.max(np.abs(phi - ref_phi)) < 1e-11
+
+
+def horizon_batch_driver(kind, family, a, b, c, x0, second):
+    """A driver of the sweep: an admissible driver of ``family``, a
+    degenerate closed form (eta = 0, beta = 0), a subordinator, or the
+    Riccati-only copy of the admissible driver."""
+    proc = admissible_driver(family, a, b, c, x0, second)
+    return {"closed form": proc,
+            "cir eta = 0": CirParams(a, b, 0.0, x0),
+            "gamma-OU beta = 0": GammaOuParams(a, 0.5 + 4.5 * b, 0.0, x0),
+            "subordinator": bounded_subordinator(2.0 * c, 0.2 + b),
+            "riccati": RiccatiProcess(proc.riccati_rhs(), proc.domain_sup,
+                                      proc.initial_state())}[kind]
+
+
+class TestHorizonBatch:
+    """``phi_psi_batch`` with one horizon per slot of the expiry axis."""
+
+    @pytest.mark.parametrize("kind", ["closed form", "cir eta = 0",
+                                      "gamma-OU beta = 0", "subordinator",
+                                      "riccati"])
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(**DRIVER_ARGS,
+           horizons=st.lists(st.one_of(st.just(0.0), st.floats(0.05, 5.0)),
+                             min_size=1, max_size=6),
+           lanes=st.lists(st.tuples(st.floats(-1.0, 0.8),
+                                    st.floats(-20.0, 20.0)),
+                          min_size=1, max_size=3))
+    def test_slots_are_their_own_horizon_calls(self, family, a, b, c, x0,
+                                               second, kind, horizons,
+                                               lanes):
+        proc = horizon_batch_driver(kind, family, a, b, c, x0, second)
+        t = np.array(horizons)
+        # lane i, slot e: Re u = frac_i * min(sup at horizon e, 1.5) in
+        # every factor, Im u rolled across the factors
+        cap = np.stack([np.minimum(proc.domain_sup(s), 1.5) if s > 0.0
+                        else np.full(proc.dim, 1.5) for s in horizons])
+        re = np.array([frac for frac, _ in lanes])[:, None, None] * cap
+        im = np.array([[lanes[(i + j) % len(lanes)][1]
+                        for j in range(proc.dim)]
+                       for i in range(len(lanes))])[:, None, :]
+        u = re + 1j * im
+        phi, psi = phi_psi_batch(proc, t, u)
+        assert phi.shape == u.shape[:-1] and psi.shape == u.shape
+        for e, s in enumerate(horizons):
+            ref_phi, ref_psi = phi_psi_batch(proc, s, u[:, e])
+            assert np.array_equal(phi[:, e], ref_phi)
+            assert np.array_equal(psi[:, e], ref_psi)
+            if s == 0.0:
+                assert np.all(phi[:, e] == 0.0)
+                assert np.array_equal(psi[:, e], u[:, e])
+
+    def test_scalar_horizon_keeps_the_shapes(self, cir_process):
+        u = np.array([[0.1], [0.2 - 3.0j]])
+        phi, psi = phi_psi_batch(cir_process, 1.5, u)
+        assert phi.shape == (2,) and psi.shape == (2, 1)
+        phi, psi = phi_psi_batch(cir_process, 1.5, np.stack([u, u], axis=1))
+        assert phi.shape == (2, 2) and psi.shape == (2, 2, 1)
+        phi, psi = phi_psi_batch(cir_process, 0.0, u)
+        assert np.all(phi == 0.0) and np.array_equal(psi, u)
+
+    def test_domain_violation_names_lane_factor_and_horizon(self):
+        proc = two_factor_cir(0.5, 0.6, 0.25, 1.2, 0.4, 0.3)
+        u = np.full((2, 3, 2), 0.1)
+        u[1, 2, 1] = 50.0  # lane 5: node 1 at the slot of horizon 2.5
+        with pytest.raises(DomainViolation,
+                           match=r"^lane 5, factor 1: .* horizon 2\.5$"):
+            phi_psi_batch(proc, np.array([0.5, 1.0, 2.5]), u)
+
+    def test_negative_horizon_in_a_slot(self, cir_process):
+        with pytest.raises(HorizonViolation):
+            phi_psi_batch(cir_process, np.array([1.0, -0.5]),
+                          np.full((1, 2, 1), 0.1))
 
 
 class TestSemiflow:

@@ -124,7 +124,8 @@ class TestGammaRatios:
         nu = nu_steps / 1024.0
         sd = math.sqrt(2.0 * (nu + 2.0 * alpha))
         x = np.maximum(nu + alpha + sd * np.array(zs), 1e-3)
-        j0, ws = distributions._poisson_window(alpha)
+        j0, ws, total = distributions._poisson_window(alpha)
+        ws = np.array(ws) / total
         shapes = 0.5 * nu + j0 + np.arange(ws.size)
         ratio = distributions.gammaincc if upper else distributions.gammainc
         per_shape = ws @ ratio(shapes[:, None], 0.5 * x[None, :])

@@ -305,7 +305,7 @@ def forward_price_mgf(m, k, t, v):
     prefactor B(0,T_N)/B(0,T_{k+1}) times exp of ``forward_log_mgf``."""
     phi, psi = tilt_exponents(m, t, (k, k + 1))
     return (m.bond0(m.n_periods) / m.bond0(k + 1)) \
-        * np.exp(forward_log_mgf(m, t, phi, psi, np.atleast_1d(v)))
+        * np.exp(forward_log_mgf(m, t, phi, psi)(np.atleast_1d(v)))
 
 
 class TestTiltKernel:

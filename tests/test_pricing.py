@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_model import DRIVER_ARGS, admissible_driver
 
-from affine_libor import pricing
+from affine_libor import affine_core, model, pricing
 from affine_libor.cli import RunConfig
 from affine_libor.distributions import ncchi2_sf
 from affine_libor.errors import (AffineLiborError, DampingOutOfStrip,
@@ -18,7 +18,7 @@ from affine_libor.model import (TenorStructure, fit_term_structure,
                                 forward_log_mgf, tilt_exponents)
 from affine_libor.montecarlo import RngStream, mc_caplet, mc_swaption
 from affine_libor.pricing import (CapletSpec, SwaptionSpec,
-                                  black76_implied_vol, black76_price,
+                                  black76_implied_vol,
                                   caplet_cir2f_closed, caplet_cir_closed,
                                   caplet_closed, caplet_fourier,
                                   floorlet_cir_closed, floorlet_fourier,
@@ -45,7 +45,7 @@ def contour_caplet(model, k, strike, damping):
 
     def integrand(v):
         z = damping - 1j * v
-        return np.exp(forward_log_mgf(model, t, phi, psi, z)
+        return np.exp(forward_log_mgf(model, t, phi, psi)(z)
                       - z * math.log(bold)) / (z * (z - 1.0))
 
     integral, err = semi_infinite_oscillatory(integrand, rel_tol=1e-9)
@@ -130,12 +130,14 @@ class TestCapletFourier:
     # Integrand calls and nodes of the bundled surfaces (configs/*.cfg,
     # Fourier route): every cell is one component of one integral, whose
     # steps are one call each unless the call would return more than
-    # quadrature._CALL_VALUES values.
+    # quadrature._CALL_VALUES values.  Every expiry is a slot of one
+    # transform call per integrand call; besides those, each expiry's
+    # damping probe is one call and the tilts of all expiries one more.
     @pytest.mark.parametrize("family, calls_most, nodes_most", [
         ("cir", 20, 1155), ("gamma_ou", 32, 2184), ("cir_2f", 35, 2136)])
     def test_bundled_surface_integrand_calls(self, monkeypatch, family,
                                              calls_most, nodes_most):
-        integrals, calls = [], []
+        integrals, calls, transforms = [], [], []
         inner = pricing.semi_infinite_oscillatory
 
         def counted(f, **kwargs):
@@ -146,15 +148,32 @@ class TestCapletFourier:
                 return f(v)
             return inner(g, **kwargs)
 
-        monkeypatch.setattr(pricing, "semi_infinite_oscillatory", counted)
         cfg = RunConfig.from_file(str(CONFIGS / f"{family}.cfg"),
                                   method="fourier")
-        cells = vol_surface(cfg.calibrate(), cfg.strikes, method="fourier",
+        m = cfg.calibrate()
+        monkeypatch.setattr(pricing, "semi_infinite_oscillatory", counted)
+        monkeypatch.setattr(model, "phi_psi_batch", lambda *args: (
+            transforms.append(1), affine_core.phi_psi_batch(*args))[1])
+        cells = vol_surface(m, cfg.strikes, method="fourier",
                             rel_tol=cfg.rel_tol)
         assert all(c.error is None for c in cells)
         assert len(integrals) == 1
         assert 0 < len(calls) <= calls_most
         assert sum(calls) <= nodes_most
+        assert len(transforms) <= len(calls) + (m.n_periods - 1) + 1
+
+    @pytest.mark.parametrize("family", ["cir", "cir_2f"])
+    def test_bundled_closed_surface_takes_one_tilt_call(self, monkeypatch,
+                                                        family):
+        tilts = []
+        cfg = RunConfig.from_file(str(CONFIGS / f"{family}.cfg"),
+                                  method="closed")
+        m = cfg.calibrate()
+        monkeypatch.setattr(pricing, "tilt_exponents", lambda *args: (
+            tilts.append(1), tilt_exponents(*args))[1])
+        cells = vol_surface(m, cfg.strikes, method="closed")
+        assert all(c.error is None for c in cells)
+        assert len(tilts) == 1
 
     @pytest.mark.parametrize("damping", [None, 989.3])
     def test_strongly_damped_contour_stays_in_control(self, tenor, damping):
@@ -583,16 +602,25 @@ class TestSwaptionPricing:
             "need nu > 0 and alpha >= 0 per component"
 
 
-def scalar_implied_vol(price, fwd, strike, expiry, annuity):
-    """Reference: the scalar safeguarded Newton loop that the lanes
-    replaced, on Python floats and the math module."""
+def black_price(fwd, strike, expiry, vol, annuity):
+    """Black's futures formula for a caplet on Python floats and the math
+    module, in the library's order of operations; intrinsic at vol 0."""
+    if vol <= 0.0:
+        return annuity * max(fwd - strike, 0.0)
+
     def norm_cdf(x):
         return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
+    total = vol * math.sqrt(expiry)
+    d1 = (math.log(fwd / strike) + 0.5 * total * total) / total
+    return annuity * (fwd * norm_cdf(d1) - strike * norm_cdf(d1 - total))
+
+
+def scalar_implied_vol(price, fwd, strike, expiry, annuity):
+    """Reference: the scalar safeguarded Newton loop that the lanes
+    replaced, on Python floats and the math module."""
     def value(v):
-        total = v * math.sqrt(expiry)
-        d1 = (math.log(fwd / strike) + 0.5 * total * total) / total
-        return annuity * (fwd * norm_cdf(d1) - strike * norm_cdf(d1 - total))
+        return black_price(fwd, strike, expiry, v, annuity)
 
     lo, hi = 0.0, 1.0
     while value(hi) < price:
@@ -632,7 +660,8 @@ class TestBlack76:
         # the arithmetic is the scalar loop's, so every lane's vol is its
         # result bit for bit, whatever lanes share the inversion
         fwd, strike, expiry, vol, annuity = np.array(lanes).T.copy()
-        price = black76_price(fwd, strike, expiry, vol, annuity)
+        price = np.array([black_price(*map(float, args)) for args in
+                          zip(fwd, strike, expiry, vol, annuity)])
         intrinsic = annuity * np.maximum(fwd - strike, 0.0)
         keep = price > intrinsic + 1e-12
         vols, errors = pricing._implied_vols(
@@ -655,11 +684,11 @@ class TestBlack76:
             expiry = rng.uniform(0.1, 5.0)
             vol = rng.uniform(0.05, 1.5)
             annuity = rng.uniform(0.3, 0.5)
-            price = black76_price(fwd, strike, expiry, vol, annuity)
+            price = black_price(fwd, strike, expiry, vol, annuity)
             if price <= annuity * max(fwd - strike, 0.0) + 1e-13:
                 continue  # numerically indistinguishable from intrinsic
             implied = black76_implied_vol(price, fwd, strike, expiry, annuity)
-            back = black76_price(fwd, strike, expiry, implied, annuity)
+            back = black_price(fwd, strike, expiry, implied, annuity)
             assert abs(back - price) <= 1e-10
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -671,9 +700,9 @@ class TestBlack76:
         # The vol is resolved to about 1e-12 relative whatever the vega,
         # so the price comes back to within the rounding of Black's
         # formula, not to within the bound-check slack of 1e-10.
-        price = black76_price(fwd, strike, expiry, vol, annuity)
+        price = black_price(fwd, strike, expiry, vol, annuity)
         implied = black76_implied_vol(price, fwd, strike, expiry, annuity)
-        back = black76_price(fwd, strike, expiry, implied, annuity)
+        back = black_price(fwd, strike, expiry, implied, annuity)
         total = vol * math.sqrt(expiry)
         d1 = (math.log(fwd / strike) + 0.5 * total * total) / total
         vega = annuity * fwd * math.sqrt(expiry) \
@@ -828,7 +857,7 @@ class TestVolSurface:
         cells = vol_surface(m, strikes, method="fourier", rel_tol=rel_tol)
         bold = 1.0 + m.delta * strikes
         for k in range(1, m.n_periods):
-            contour = pricing._contour(m, k, np.log(bold))
+            contour = pricing._contours(m, [k], np.log(bold))[k]
             prices, errs = pricing._fourier_cells(m, [contour], bold, rel_tol)
             row = cells[(k - 1) * strikes.size:k * strikes.size]
             for cell, price, err in zip(row, prices[0], errs[0]):

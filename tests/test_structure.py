@@ -105,7 +105,7 @@ def test_spec_records_hold_no_derived_or_unused_fields(cls, fields):
 @pytest.mark.parametrize("fn, name", [
     (distributions.ncchi2_cdf, "tol"), (distributions.ncchi2_sf, "tol"),
     (distributions.chisq_mix_cdf, "tol"), (distributions.chisq_mix_sf, "tol"),
-    (pricing.black76_implied_vol, "tol"), (pricing.black76_price, "call")])
+    (pricing.black76_implied_vol, "tol")])
 def test_tolerance_and_branch_are_not_knobs(fn, name):
     assert name not in inspect.signature(fn).parameters
 
