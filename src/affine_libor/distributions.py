@@ -173,17 +173,25 @@ def _gamma_prefactor(a, x, x_max=None):
         a = np.full(x.shape, a)
     d = np.empty_like(x)
     direct = a < _DIRECT_SHAPE
-    if np.count_nonzero(direct):
-        ad, xd = a[direct], x[direct]
+    n_direct = np.count_nonzero(direct)
+    if n_direct:
+        every = n_direct == a.size
+        ad, xd = (a, x) if every else (a[direct], x[direct])
         # one shape, as the windows of small non-centralities share, needs
         # no sort
         shapes, inverse = (ad[:1], 0) if ad.min() == ad.max() else \
             np.unique(ad, return_inverse=True)
         inv_gamma = 1.0 / np.array([math.gamma(v + 1.0) for v in shapes])
-        near = np.minimum(xd, _EXP_ARG_MAX)
-        d[direct] = np.where(xd < _EXP_ARG_MAX,
-                             np.power(near, ad) * np.exp(-near),
-                             np.exp(ad * np.log(xd) - xd)) * inv_gamma[inverse]
+        if xd.max() < _EXP_ARG_MAX:  # the pow-and-exp form at every point
+            form = np.power(xd, ad) * np.exp(-xd)
+        else:
+            near = np.minimum(xd, _EXP_ARG_MAX)
+            form = np.where(xd < _EXP_ARG_MAX,
+                            np.power(near, ad) * np.exp(-near),
+                            np.exp(ad * np.log(xd) - xd))
+        if every:
+            return form * inv_gamma[inverse]
+        d[direct] = form * inv_gamma[inverse]
     big = ~direct
     if np.count_nonzero(big):
         ab = a[big]
@@ -216,6 +224,18 @@ _SHORT_SERIES_ARGS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 _SHORT_SERIES_TERMS = tuple(_series_length(0.0, x) for x in _SHORT_SERIES_ARGS)
 
 
+def _chain_rows(a) -> tuple:
+    """(c, step) of :func:`_prefactor_ladder` for the shapes ``a``: its
+    first c rows follow one chain of ratios from D(a, x), and from there
+    D is evaluated afresh every ``step`` rows."""
+    a_min, a_max = (a, a) if isinstance(a, float) else (float(a.min()),
+                                                        float(a.max()))
+    direct = a_max < _DIRECT_SHAPE
+    step = int(min(_LADDER, max(2.0, math.sqrt(
+        a_min + (_DIRECT_LADDER if direct else 0.0)))))
+    return (_DIRECT_LADDER if direct else step), step
+
+
 def _prefactor_ladder(a, x, count: int, first):
     """D(a + i, x) for i < count as a (count, len(x)) array, ``first``
     being D(a, x).
@@ -227,14 +247,12 @@ def _prefactor_ladder(a, x, count: int, first):
     a rlog(x / a), about (i - (x - a))^2 / (2a) at row i, so from it D is
     evaluated afresh every sqrt(a) rows (2 to _LADDER): the chain feeding
     any row near the peak of D then starts where the exponent is small.
+    Within the first chain (:func:`_chain_rows`) a point's rows depend
+    only on its own a, x and first, and not on ``count``.
     """
-    scalar = isinstance(a, float)
-    a_row = a if scalar else a[None, :]
-    a_min, a_max = (a, a) if scalar else (float(a.min()), float(a.max()))
-    direct = a_max < _DIRECT_SHAPE
-    step = int(min(_LADDER, max(2.0, math.sqrt(
-        a_min + (_DIRECT_LADDER if direct else 0.0)))))
-    head = min(_DIRECT_LADDER if direct else step, count)
+    a_row = a if isinstance(a, float) else a[None, :]
+    chain, step = _chain_rows(a)
+    head = min(chain, count)
     rows = head + -(-(count - head) // step) * step
     d = np.empty((rows, x.size))
     d[0] = first
@@ -254,38 +272,50 @@ def _prefactor_ladder(a, x, count: int, first):
     return d[:count]
 
 
-def _lower_series(a, x, d, x_max: float):
+def _lower_series(a, x, d, x_max: float, ladder=None):
     """P(a, x) = sum_{n>=0} D(a + n, x), with as many terms as certify
-    every point up to ``x_max``; ``d`` is D(a, x)."""
+    every point up to ``x_max``; ``d`` is D(a, x).  When ``ladder`` holds
+    D(a + i, x) for at least that many rows i of its first chain, the
+    terms are its leading rows."""
     i = bisect.bisect_left(_SHORT_SERIES_ARGS, x_max)
     if i < len(_SHORT_SERIES_ARGS):
         n = _SHORT_SERIES_TERMS[i]
     else:
         n = _series_length(a if isinstance(a, float) else float(a.min()),
                            x_max)
+    if ladder is not None and n < min(len(ladder), _chain_rows(a)[0]):
+        return np.add.reduce(ladder[:n + 1], axis=0)
     return np.add.reduce(_prefactor_ladder(a, x, n + 1, d), axis=0)
 
 
-def _upper_quadrature(a, x, d):
-    """Q(a, x) for x >= a + 1 + 3 sqrt(a) by Gauss-Laguerre.
+def _upper_quadrature(a, x, d, needed=None):
+    """Q(a, x) for x >= a + 1 + 3 sqrt(a) by Gauss-Laguerre; with the
+    mask ``needed``, only at those points (the others read 0).
 
     Gamma(a, x) = x^(a-1) e^-x int_0^inf e^-s (1 + s/x)^(a-1) ds; with
     s = u x h, h = 1 / (x - a + 1), the integrand becomes
     e^-u exp((a - 1)(log1p(u h) - u h)), smooth on [0, inf) with its
     branch point at u = -1/h <= -2, so Q = a D h sum_j w_j g(u_j).
     Capping h at 1/2 changes nothing there and keeps the value finite
-    at any other point.
+    at any other point.  The weighted sums are one matrix-vector product
+    over every point, needed or not: a point's sum then does not depend
+    on which others are needed.
     """
     h = 1.0 / np.maximum(x + (1.0 - a), 2.0)
-    t = np.multiply.outer(h, _LAGUERRE_NODES)
+    rows = slice(None) if needed is None else needed
+    t = np.multiply.outer(h[rows], _LAGUERRE_NODES)
     g = np.log1p(t)
     g -= t
-    g *= (a if isinstance(a, float) else a[:, None]) - 1.0
+    g *= (a if isinstance(a, float) else a[rows, None]) - 1.0
     np.exp(g, out=g)
+    if needed is not None:
+        every = np.zeros((x.size, _LAGUERRE_NODES.size))
+        every[needed] = g
+        g = every
     return (a * d) * (h * (g @ _LAGUERRE_WEIGHTS))
 
 
-def _live_ratio(a, x, upper: bool, x_max: float, d=None):
+def _live_ratio(a, x, upper: bool, x_max: float, d=None, ladder=None):
     """P(a, x), or Q(a, x) with ``upper``, for a, x > 0 and finite, where
     ``x_max`` is the largest x.
 
@@ -293,7 +323,10 @@ def _live_ratio(a, x, upper: bool, x_max: float, d=None):
     quadrature.  When both kinds occur, both forms run on every point
     (the series with x capped at that bound, where its length stays
     short) and the result picks per point: two vector passes cost less
-    than splitting and reassembling the points.
+    than splitting and reassembling the points.  ``ladder``, if given,
+    holds D(a + i, x) (:func:`_prefactor_ladder`), which the series may
+    read its terms from (:func:`_lower_series`): at the points below the
+    bound, where the capped x is x itself, they are its own terms.
     """
     scalar = isinstance(a, float)
     if d is None:
@@ -305,14 +338,15 @@ def _live_ratio(a, x, upper: bool, x_max: float, d=None):
         lower = x < bound
         n_lower = np.count_nonzero(lower)
     if n_lower == x.size:
-        p = _lower_series(a, x, d, x_max)
+        p = _lower_series(a, x, d, x_max, ladder)
         return 1.0 - p if upper else p
-    q = _upper_quadrature(a, x, d)
+    q = _upper_quadrature(a, x, d, ~lower if n_lower else None)
     if not n_lower:
         return q if upper else 1.0 - q
     x_low = np.minimum(x, bound)
     p = _lower_series(a, x_low, d,
-                      min(x_max, bound) if scalar else float(x_low.max()))
+                      min(x_max, bound) if scalar else float(x_low.max()),
+                      ladder)
     if upper:
         return np.where(lower, 1.0 - p, q)
     return np.where(lower, p, 1.0 - q)
@@ -368,41 +402,44 @@ def _poisson_window(alpha_nc: float):
     mode consecutive weights fall by ratios that keep falling, so each
     side's remaining weight is bounded by a geometric series in its next
     ratio.  The window stops once both bounds together are below
-    _SERIES_TOL times the running sum.  With alpha = 0 the window is the
-    single index 0.
+    _SERIES_TOL times the running sum.  With alpha = 0 (or so small that
+    alpha/2 is 0) the window is the single index 0.
     """
-    if alpha_nc == 0.0:
-        return 0, [1.0], 1.0
     a2 = 0.5 * alpha_nc
+    if a2 == 0.0:  # alpha = 0, or below twice the least subnormal
+        return 0, [1.0], 1.0
     j_lo = j_hi = int(a2)
     lo_w, hi_w = [], [1.0]
-    w_lo = w_hi = total = 1.0
+    total = 1.0
     q_up = a2 / (j_hi + 1)  # below one: j_hi + 1 > a2
     if q_up >= 1.0:  # a2 past 2**53, where j_hi + 1 rounds to a2
         raise ConvergenceFailure(
             "Poisson window for the non-central chi-square cannot close: "
             f"non-centrality alpha={alpha_nc} is beyond double precision")
     q_down = j_lo / a2
-    rest_up = w_hi * q_up / (1.0 - q_up)
-    rest_down = w_lo * q_down / (1.0 - q_down) if q_down < 1.0 else math.inf
+    # each side's next weight, and the bound on all weights past it
+    w_up, w_down = q_up, q_down
+    rest_up = w_up / (1.0 - q_up)
+    rest_down = w_down / (1.0 - q_down) if q_down < 1.0 else math.inf
+    tol = _SERIES_TOL
     for _ in range(_MAX_SERIES_TERMS):
-        if rest_up + rest_down <= _SERIES_TOL * total:
-            return j_lo, lo_w[::-1] + hi_w, total
-        w_up, w_down = w_hi * q_up, w_lo * q_down
+        if rest_up + rest_down <= tol * total:
+            lo_w.reverse()
+            return j_lo, lo_w + hi_w, total
         if w_up >= w_down:  # extend the side with the larger next weight
             j_hi += 1
-            w_hi = w_up
-            hi_w.append(w_hi)
-            total += w_hi
+            hi_w.append(w_up)
+            total += w_up
             q_up = a2 / (j_hi + 1)
-            rest_up = w_hi * q_up / (1.0 - q_up)
+            w_up *= q_up
+            rest_up = w_up / (1.0 - q_up)
         else:
             j_lo -= 1
-            w_lo = w_down
-            lo_w.append(w_lo)
-            total += w_lo
+            lo_w.append(w_down)
+            total += w_down
             q_down = j_lo / a2
-            rest_down = w_lo * q_down / (1.0 - q_down)
+            w_down *= q_down
+            rest_down = w_down / (1.0 - q_down)
     raise ConvergenceFailure("Poisson window for the non-central chi-square "
                              f"did not converge (alpha={alpha_nc})")
 
@@ -440,9 +477,11 @@ def _poisson_gamma_series(x, nu, alpha_nc, upper: bool, law=None):
     # Partial sums of the weights run in extended precision where the
     # platform has it: summed in doubles, a few hundred of them drift by
     # several ulps.
+    # D_i, i < size - 1, whose first rows may also serve Q(a_0)'s series
+    d = _prefactor_ladder(a, half_x, size - 1, d0) if size > 1 else None
     if upper:  # Q(a_0) from the D(a_0) that also starts the ladder
         end = _live_ratio(a, half_x, True, float(np.maximum.reduce(half_x)),
-                          d0)
+                          d0, d)
         cum = np.add.accumulate(weights[:, ::-1], axis=1,
                                 dtype=np.longdouble)[:, ::-1].astype(float)
         total, partial = cum[:, 0], cum[:, 1:]  # weight above each i
@@ -453,7 +492,6 @@ def _poisson_gamma_series(x, nu, alpha_nc, upper: bool, law=None):
         total, partial = cum[:, -1], cum[:, :-1]  # weight at or below each i
     if size == 1:
         return total[law] * end
-    d = _prefactor_ladder(a, half_x, size - 1, d0)
     if one:
         return total[0] * end + partial[0] @ d
     return total[law] * end + np.einsum("pi,ip->p", partial[law], d)
@@ -486,9 +524,14 @@ def _ncchi2(x, nu, alpha_nc, upper: bool):
     x = np.asarray(x, dtype=float)
     if x.shape != nu.shape or not x.ndim:
         x = np.broadcast_to(x, np.broadcast_shapes(x.shape, nu.shape) or (1,))
+    pos = (x > 0.0) & (x < math.inf)
+    if nu.size > 1 and x.size and pos.all():  # every law, every point
+        return _poisson_gamma_series(
+            x.ravel(), nu.ravel(), alpha_nc.ravel(), upper,
+            np.broadcast_to(np.arange(nu.size).reshape(nu.shape),
+                            x.shape).ravel()).reshape(x.shape)
     out = np.full(x.shape, 1.0 if upper else 0.0)
     out[x == math.inf] = 0.0 if upper else 1.0
-    pos = (x > 0.0) & (x < math.inf)
     if np.count_nonzero(pos):
         if nu.size == 1:
             out[pos] = _poisson_gamma_series(x[pos], nu.ravel(),

@@ -42,7 +42,7 @@ _RATIO_SLACK = 1e-13
 
 @dataclass(frozen=True)
 class TenorStructure:
-    """Tenor dates T_0 < ... < T_N with discounts B(0, T_k), k = 1..N.
+    """Tenor dates 0 <= T_0 < ... < T_N with discounts B(0, T_k), k = 1..N.
 
     ``dates`` has length N + 1 (it includes T_0), ``discounts`` length N.
     Spacing must equal ``delta`` throughout.
@@ -69,8 +69,15 @@ class TenorStructure:
         gaps = np.diff(dates)
         if np.any(gaps <= 0.0):
             raise InvalidParameter("tenor dates must be strictly increasing")
-        if np.any(np.abs(gaps - self.delta) > 1e-9 * max(1.0, self.delta)):
+        tol = 1e-9 * max(1.0, self.delta)
+        if np.any(np.abs(gaps - self.delta) > tol):
             raise InvalidParameter("tenor dates must be spaced by delta")
+        # A curve whose first maturity is below delta puts T_0 before
+        # today and its first fixing T_1 at or before time 0.
+        if dates[0] < -tol:
+            raise InvalidParameter(
+                f"tenor date T_0 = {dates[0]:.12g} is negative: the first "
+                f"maturity must be at least delta = {self.delta:.12g}")
 
     @classmethod
     def from_curve(cls, maturities, discounts, delta: float | None = None):

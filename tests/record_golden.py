@@ -14,7 +14,10 @@ leaves out, so the surface is priced again in process): the line gives
 the largest price shift of a moved cell as a multiple of that cell's
 estimate, and counts the moved cells whose shift exceeds it.
 
-    PYTHONPATH=src python tests/record_golden.py
+    PYTHONPATH=src python tests/record_golden.py [--check]
+
+With ``--check`` nothing is written: the summary is printed as above and
+the exit status is 1 when any line of any recording moved.
 """
 
 import contextlib
@@ -117,8 +120,9 @@ def summarise(name: str, old: str, new: str, tenor, certificates=()) -> str:
     return f"{name}: " + ", ".join(parts)
 
 
-def record(family, command, method, tenor):
-    """Run one case in a scratch directory; write its recordings."""
+def record(family, command, method, tenor, write: bool = True) -> bool:
+    """Run one case in a scratch directory; print how its recordings
+    moved and, with ``write``, write them.  Returns whether any moved."""
     name = case_name(family, command, method)
     with tempfile.TemporaryDirectory() as tmp:
         here = os.getcwd()
@@ -141,18 +145,23 @@ def record(family, command, method, tenor):
                     Path(tmp) / f"{family}.cfg", method)
         finally:
             os.chdir(here)
+    moved = False
     for fname, text in files.items():
         path = GOLDEN / fname
         old = path.read_text() if path.exists() else ""
         print(summarise(fname, old, text, tenor, certificates))
-        path.write_text(text)
+        moved |= old != text
+        if write:
+            path.write_text(text)
+    return moved
 
 
-def run():
+def run(argv=()):
+    check = "--check" in argv
     tenor = load_tenor_csv(str(CURVE))
-    for case in CASES:
-        record(*case, tenor)
+    moved = [record(*case, tenor, write=not check) for case in CASES]
+    return int(check and any(moved))
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    sys.exit(run(sys.argv[1:]))

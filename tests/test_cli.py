@@ -317,6 +317,23 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("method", ["fourier", "closed"])
+    def test_curve_from_maturity_zero_fails_on_both_routes(
+            self, tmp_path, capsys, method):
+        # T_0 = -delta: the first caplet would fix at time 0, which the
+        # Fourier route priced and the closed route failed on
+        curve = write(tmp_path, "zero.csv", "maturity,discount\n0.0,1.0\n"
+                      "0.5,0.98\n1.0,0.96\n1.5,0.94\n2.0,0.92\n")
+        cfg = write(tmp_path, "c.cfg", CIR_CFG_TEMPLATE.format(tenor=curve)
+                    .replace("caplet.index = 2", "caplet.index = 1"))
+        assert main(["caplet", "--config", str(cfg),
+                     "--method", method]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: InvalidParameter: tenor date T_0 = -0.5 is negative: "
+            "the first maturity must be at least delta = 0.5\n")
+
     def test_error_category_on_bad_curve(self, tmp_path, capsys):
         bad = write(tmp_path, "bad.csv",
                     "maturity,discount\n0.5,0.9\n1.0,0.95\n")

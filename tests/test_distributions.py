@@ -181,7 +181,152 @@ class TestBatchedSeries:
         assert np.max(np.abs(mix - batch)) <= 1e-13
 
 
+def direct_prefactor(a, x):
+    """D(a, x) for shapes a < 1 as the prefactor computed it before its
+    fast path: both branches at every point, the normal one picked."""
+    shapes, inverse = np.unique(a, return_inverse=True)
+    inv_gamma = 1.0 / np.array([math.gamma(v + 1.0) for v in shapes])
+    near = np.minimum(x, 700.0)
+    return np.where(x < 700.0, np.power(near, a) * np.exp(-near),
+                    np.exp(a * np.log(x) - x)) * inv_gamma[inverse]
+
+
+class TestSharedSeriesWork:
+    """Work the series shares or skips, pinned bit for bit against the
+    separate computation it replaced."""
+
+    POINTS = dict(
+        shapes=st.lists(st.one_of(st.floats(1e-4, 0.99),
+                                  st.floats(1.0, 400.0)),
+                        min_size=1, max_size=3),
+        xs=st.lists(st.floats(1e-3, 900.0), min_size=1, max_size=40))
+
+    @staticmethod
+    def points(shapes, xs):
+        x = np.array(xs)
+        return np.resize(np.array(shapes), x.size), x
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(**POINTS, rows=st.integers(1, 80), one=st.booleans(),
+           upper=st.booleans())
+    @example(shapes=[7.2e-4], xs=[0.07, 0.5, 1.0, 3.0, 5.9], rows=25,
+             one=False, upper=True)
+    # Stirling-form shapes re-anchor every few rows, where a point's value
+    # depends on the others': sharing the ladder there moved bits
+    @example(shapes=[50.71, 39.37, 20.08],
+             xs=[98.52, 41.47, 19.16, 93.94, 84.44, 63.38, 41.0, 111.99],
+             rows=65, one=False, upper=True)
+    def test_series_and_window_share_one_ladder(self, shapes, xs, rows, one,
+                                                upper):
+        a, x = self.points(shapes, xs)
+        if one:  # one law: a float shape
+            a = float(a[0])
+        # the window's ladder, whose leading rows the series may read
+        d = distributions._gamma_prefactor(a, x)
+        ladder = distributions._prefactor_ladder(a, x, rows, d)
+        shared = distributions._live_ratio(a, x, upper, float(x.max()), d,
+                                           ladder)
+        alone = distributions._live_ratio(a, x, upper, float(x.max()), d)
+        assert np.array_equal(shared, alone)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(**POINTS, picks=st.lists(st.booleans(), min_size=1))
+    def test_quadrature_of_needed_points_is_the_full_pass(self, shapes, xs,
+                                                          picks):
+        a, x = self.points(shapes, xs)
+        needed = np.resize(np.array(picks), x.size)
+        d = distributions._gamma_prefactor(a, x)
+        full = distributions._upper_quadrature(a, x, d)
+        some = distributions._upper_quadrature(a, x, d, needed)
+        assert np.array_equal(some[needed], full[needed])
+        assert not some[~needed].any()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(shapes=st.lists(st.floats(1e-4, 0.99), min_size=1, max_size=3),
+           xs=st.lists(st.floats(1e-3, 1500.0), min_size=1, max_size=40))
+    def test_small_shape_prefactor_is_the_two_branch_form(self, shapes, xs):
+        a = np.resize(np.array(shapes), len(xs))
+        x = np.array(xs)
+        assert np.array_equal(distributions._gamma_prefactor(a, x),
+                              direct_prefactor(a, x))
+        # one Stirling-form point among them leaves the others as they were
+        mixed = distributions._gamma_prefactor(np.append(a, 5.0),
+                                               np.append(x, 1.0))
+        assert np.array_equal(mixed[:-1], direct_prefactor(a, x))
+
+
+def looped_poisson_window(alpha_nc):
+    """``distributions._poisson_window`` as it was written before it kept
+    each side's next weight: both next weights and the remaining-weight
+    bounds recomputed at every step."""
+    if alpha_nc == 0.0:
+        return 0, [1.0], 1.0
+    a2 = 0.5 * alpha_nc
+    j_lo = j_hi = int(a2)
+    lo_w, hi_w = [], [1.0]
+    w_lo = w_hi = total = 1.0
+    q_up = a2 / (j_hi + 1)
+    if q_up >= 1.0:
+        raise ConvergenceFailure(
+            "Poisson window for the non-central chi-square cannot close: "
+            f"non-centrality alpha={alpha_nc} is beyond double precision")
+    q_down = j_lo / a2
+    rest_up = w_hi * q_up / (1.0 - q_up)
+    rest_down = w_lo * q_down / (1.0 - q_down) if q_down < 1.0 else math.inf
+    for _ in range(distributions._MAX_SERIES_TERMS):
+        if rest_up + rest_down <= distributions._SERIES_TOL * total:
+            return j_lo, lo_w[::-1] + hi_w, total
+        w_up, w_down = w_hi * q_up, w_lo * q_down
+        if w_up >= w_down:
+            j_hi += 1
+            w_hi = w_up
+            hi_w.append(w_hi)
+            total += w_hi
+            q_up = a2 / (j_hi + 1)
+            rest_up = w_hi * q_up / (1.0 - q_up)
+        else:
+            j_lo -= 1
+            w_lo = w_down
+            lo_w.append(w_lo)
+            total += w_lo
+            q_down = j_lo / a2
+            rest_down = w_lo * q_down / (1.0 - q_down)
+    raise ConvergenceFailure("Poisson window for the non-central chi-square "
+                             f"did not converge (alpha={alpha_nc})")
+
+
+class TestPoissonWindow:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(alpha=st.one_of(st.floats(0.0, 20.0), st.floats(0.0, 5000.0),
+                           st.floats(5e-324, 1e-3),
+                           st.integers(0, 4000).map(float)))
+    @example(alpha=0.0)
+    @example(alpha=5e-324)  # alpha / 2 rounds to 0
+    @example(alpha=2.0 ** 54)  # past 2**53: the window cannot close
+    @example(alpha=2.0 ** 53 - 2.0)  # 2**52 - 1: 200k terms do not close it
+    def test_bit_for_bit_the_looped_form(self, alpha):
+        if 0.5 * alpha == 0.0 < alpha:
+            # the looped form divided by alpha / 2 = 0 here
+            assert distributions._poisson_window(alpha) == (0, [1.0], 1.0)
+            return
+        try:
+            want = looped_poisson_window(alpha)
+        except ConvergenceFailure as exc:
+            with pytest.raises(ConvergenceFailure) as got:
+                distributions._poisson_window(alpha)
+            assert str(got.value) == str(exc)
+        else:
+            assert distributions._poisson_window(alpha) == want
+
+
 class TestNcChi2:
+    def test_empty_batch_of_laws(self):
+        # no point: nothing to evaluate, for one law or several
+        for f in (ncchi2_sf, ncchi2_cdf):
+            for nu, alpha in ((1.0, 0.1), ([1.0, 2.0], [0.1, 0.2])):
+                out = f(np.empty((0, np.size(nu))), nu, alpha)
+                assert out.shape == (0, np.size(nu))
+
     def test_against_quadrature_oracle(self):
         for nu, alpha, x, expected in QUADRATURE_ORACLE:
             assert ncchi2_cdf(x, nu, alpha) == pytest.approx(expected,

@@ -86,3 +86,25 @@ def test_cli_output_matches_recording(tmp_path, monkeypatch, capsys,
     if command == "surface":
         assert (tmp_path / "surface.csv").read_bytes() == \
             (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def test_record_check_reports_a_moved_line_and_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    # ``tests/record_golden.py --check`` summarises a case as the recorder
+    # does, but leaves its recordings as they were
+    import record_golden
+    from affine_libor.cli import load_tenor_csv
+
+    for name in ("cir.calibrate.out", "cir.us.txt"):
+        (tmp_path / name).write_bytes((GOLDEN / name).read_bytes())
+    monkeypatch.setattr(record_golden, "GOLDEN", tmp_path)
+    tenor = load_tenor_csv(str(CURVE))
+    assert not record_golden.record("cir", "calibrate", None, tenor,
+                                    write=False)
+    recording = tmp_path / "cir.us.txt"
+    moved = recording.read_text().replace("0.108338433952", "0.108338433953")
+    recording.write_text(moved)
+    capsys.readouterr()
+    assert record_golden.record("cir", "calibrate", None, tenor, write=False)
+    assert "cir.us.txt: 1 of 10 lines moved" in capsys.readouterr().out
+    assert recording.read_text() == moved

@@ -92,6 +92,17 @@ class TestTenorStructure:
         with pytest.raises(InvalidParameter):
             TenorStructure.from_curve([0.5, 1.0], [0.99, 0.98], math.nan)
 
+    def test_rejects_negative_first_date(self):
+        # a curve starting at maturity 0 puts T_0 at -delta and its first
+        # fixing at time 0
+        with pytest.raises(InvalidParameter, match=r"T_0 = -0\.5 is negative"):
+            TenorStructure.from_curve([0.0, 0.5, 1.0], [1.0, 0.98, 0.96])
+        with pytest.raises(InvalidParameter, match=r"T_0 = -0\.25 is"):
+            TenorStructure(np.array([-0.25, 0.25, 0.75]), 0.5,
+                           np.array([0.99, 0.98]))
+        assert TenorStructure.from_curve([0.5, 1.0],
+                                         [0.99, 0.98]).date(0) == 0.0
+
 
 class TestMartingaleValue:
     def test_u_zero_is_one(self, cir_model):

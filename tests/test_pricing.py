@@ -24,7 +24,7 @@ from affine_libor.pricing import (CapletSpec, SwaptionSpec,
                                   floorlet_cir_closed, floorlet_fourier,
                                   swaption_cir_closed, swaption_fourier,
                                   swaption_root, vol_surface)
-from affine_libor.processes import CirParams, RiccatiProcess
+from affine_libor.processes import CirParams, GammaOuParams, RiccatiProcess
 from affine_libor.quadrature import semi_infinite_oscillatory
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -278,6 +278,160 @@ class TestDampingStrip:
             + ["DampingOutOfStrip"] * 2
         assert all(c.price == 0.0 and c.implied_vol == 0.0
                    for c in cells[:16])
+
+
+def direct_integrands(m, t, phi, psi, log_bold):
+    """K'^{-z} E[(e^Z)^z] / (z (z - 1)) cell by cell, on the contours
+    z = R - iv as ``pricing._integrands`` takes them, in the order of
+    operations of the direct form that the factored one replaced; and
+    1 + |log E[(e^Z)^z]| + |z| max |log K'|, the size of the exponent
+    whose rounding bounds both forms' relative error in units of eps."""
+    log_mgf = forward_log_mgf(m, t, phi, psi)
+
+    def integrands(v, dampings):
+        z = dampings - 1j * v
+        exponent = log_mgf(z)
+        out = np.multiply.outer(z, -log_bold.astype(complex))
+        out += exponent[..., None]
+        np.exp(out, out=out)
+        scale = 1.0 + np.abs(exponent) + np.abs(z) * np.abs(log_bold).max()
+        return (np.divide(out, (z * (z - 1.0))[..., None], out=out),
+                scale[..., None])
+
+    return integrands
+
+
+# Nodes spanning the head and the doubled segments of a contour integral.
+NODES = np.concatenate([[0.0], np.geomspace(1e-3, 3e4, 40)])
+
+
+def surface_contours(m, log_bold):
+    """(t, phi, psi, dampings) of every expiry whose contour exists, one
+    entry per expiry, as ``pricing._fourier_cells`` stacks them."""
+    contours = pricing._contours(m, list(range(1, m.n_periods)), log_bold)
+    return [np.array(x) for x in zip(*(c for c in contours.values()
+                                         if isinstance(c, tuple)))]
+
+
+def listed_factor_laws(factors, x0, t, thetas):
+    """``pricing._factor_laws`` as it was written before it evaluated
+    a(t) and b(t) once per factor over all times: one list entry per
+    time and factor."""
+    times = [t] * len(thetas) if np.ndim(t) == 0 else t
+    eb = np.array([[f.eta ** 2 * f.b(s) for f in factors] for s in times])
+    nu = np.array([f.lam * f.theta / f.eta ** 2 for f in factors])
+    alpha = np.array([[x * f.a(s) for f, x in zip(factors, x0)]
+                      for s in times]) / eb
+    zeta = 1.0 - 2.0 * eb * thetas
+    return eb / zeta, nu, alpha / zeta
+
+
+class TestFactorLaws:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(params=st.lists(st.tuples(*(DRIVER_ARGS[key] for key in
+                                        ("a", "b", "c", "x0"))),
+                           min_size=1, max_size=2),
+           times=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=6),
+           one_time=st.booleans(), tilt=st.floats(-2.0, 0.0))
+    def test_bit_for_bit_the_listed_form(self, params, times, one_time,
+                                         tilt):
+        factors = [CirParams(lam, theta, eta, x) for lam, theta, eta, x
+                   in params]
+        x0 = np.array([p[3] for p in params])
+        thetas = np.full((len(times), len(factors)), tilt)
+        t = times[0] if one_time else np.array(times)
+        with np.errstate(divide="ignore", invalid="ignore"):  # t = 0
+            pairs = zip(pricing._factor_laws(factors, x0, t, thetas),
+                        listed_factor_laws(factors, x0, t, thetas))
+        for got, want in pairs:
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestFactoredIntegrand:
+    """The strike enters the caplet integrand only through K'^{-z}, which
+    ``pricing._integrands`` factors against a reference strike."""
+
+    @staticmethod
+    def assert_close(factored, direct, scale):
+        # a few eps of the exponent's size, wherever the direct form is a
+        # normal nonzero double
+        live = np.isfinite(direct) & (np.abs(direct) > 1e-290)
+        assert np.isfinite(factored[live]).all()
+        gap = np.abs(factored - direct)[live]
+        assert (gap <= 8.0 * np.finfo(float).eps
+                * np.broadcast_to(scale, direct.shape)[live]
+                * np.abs(direct[live])).all()
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(**DRIVER_ARGS)
+    def test_matches_the_direct_form(self, tenor, family, a, b, c, x0,
+                                     second):
+        m = fit_term_structure(tenor, admissible_driver(family, a, b, c, x0,
+                                                        second))
+        for grid in (CIR_GRID, GOU_GRID):
+            log_bold = np.log(1.0 + m.delta * grid)
+            t, phi, psi, dampings = surface_contours(m, log_bold)
+            args = (m, t, phi, psi, log_bold)
+            with np.errstate(over="ignore", invalid="ignore"):
+                # the surface: a column per expiry
+                self.assert_close(
+                    pricing._integrands(*args)(NODES[:, None], dampings),
+                    *direct_integrands(*args)(NODES[:, None], dampings))
+                # the damping probe of one expiry: v = 0, a lane per
+                # candidate
+                one = (m, t[0], phi[0], psi[0], log_bold)
+                candidates = 1.0 + (dampings[0] - 1.0) * np.array(
+                    [0.1, 0.25, 0.5, 1.0])  # inside the strip
+                self.assert_close(
+                    pricing._integrands(*one)(0.0, candidates),
+                    *direct_integrands(*one)(0.0, candidates))
+                # a lone expiry's surface row: one damping, no expiry axis
+                self.assert_close(
+                    pricing._integrands(*one)(NODES, dampings[0]),
+                    *direct_integrands(*one)(NODES, dampings[0]))
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(**DRIVER_ARGS, strike=st.floats(0.0, 0.1))
+    def test_one_strike_is_the_direct_form_bit_for_bit(
+            self, tenor, family, a, b, c, x0, second, strike):
+        # a single caplet's strike is its own reference: no quote moves
+        m = fit_term_structure(tenor, admissible_driver(family, a, b, c, x0,
+                                                        second))
+        log_bold = np.log(1.0 + m.delta * np.array([strike]))
+        t, phi, psi, dampings = surface_contours(m, log_bold)
+        one = (m, t[0], phi[0], psi[0], log_bold)
+        candidates = 1.0 + (dampings[0] - 1.0) * np.array([0.25, 0.5, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for factored, direct in [
+                    (pricing._integrands(*one)(NODES, dampings[0]),
+                     direct_integrands(*one)(NODES, dampings[0])[0]),
+                    (pricing._integrands(*one)(0.0, candidates),
+                     direct_integrands(*one)(0.0, candidates)[0]),
+                    (pricing._integrands(m, t, phi, psi, log_bold)(
+                        NODES[:, None], dampings),
+                     direct_integrands(m, t, phi, psi, log_bold)(
+                        NODES[:, None], dampings)[0])]:
+                assert np.array_equal(factored, direct, equal_nan=True)
+
+    @pytest.mark.parametrize("driver", [
+        CirParams(0.001, 0.5, 1e-3, 1.25), CirParams(0.001, 0.5, 1e-5, 1.25),
+        CirParams(50.0, 0.5, 0.59, 1.25), GammaOuParams(0.01, 2.0, 0.01, 1.25),
+        CirParams(0.001, 0.5, 0.59, 1.25),
+        GammaOuParams(0.01, 2.0, 1.0, 1.25)])
+    def test_dampings_are_the_direct_forms(self, tenor, monkeypatch, driver):
+        # each expiry's damping minimises the worst |integrand(0)| over its
+        # strikes; the factored integrand must pick what the direct one did
+        m = fit_term_structure(tenor, driver)
+        ks = list(range(1, m.n_periods))
+        for grid in (CIR_GRID, GOU_GRID, [0.0, 0.2]):
+            log_bold = np.log(1.0 + m.delta * np.asarray(grid))
+            factored = pricing._contours(m, ks, log_bold)
+            with monkeypatch.context() as patch:
+                patch.setattr(pricing, "_integrands", lambda *args: (
+                    lambda v, r: direct_integrands(*args)(v, r)[0]))
+                direct = pricing._contours(m, ks, log_bold)
+            assert [c[3] for c in factored.values()] == \
+                [c[3] for c in direct.values()]
 
 
 class TestFloorlet:
@@ -659,6 +813,39 @@ class TestBlack76:
     def test_lanes_are_the_scalar_loop(self, lanes):
         # the arithmetic is the scalar loop's, so every lane's vol is its
         # result bit for bit, whatever lanes share the inversion
+        self.assert_lanes_are_the_scalar_loop(lanes)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(lanes=st.lists(st.tuples(
+        st.floats(0.001, 0.1), st.floats(0.001, 0.1), st.floats(0.05, 10.0),
+        st.floats(0.01, 3.0), st.floats(0.1, 1.0)), min_size=30,
+        max_size=50))
+    def test_many_lanes_are_the_scalar_loop(self, lanes):
+        # past pricing._SCALAR_LANES lanes the first passes are numpy
+        # passes over the lanes, and the last lanes finish one by one;
+        # eight copies of the drawn lanes at vols 1% apart make 240-400
+        self.assert_lanes_are_the_scalar_loop([
+            (f, k, t, v * (1.0 + 0.01 * j), a)
+            for j in range(8) for f, k, t, v, a in lanes])
+
+    @pytest.mark.parametrize("count", [1, 2 * pricing._SCALAR_LANES])
+    def test_bracket_failure_on_floats_and_on_numpy_lanes(self, count):
+        # a price just above annuity * forward but inside the bounds'
+        # slack: Black's value never reaches it, however far the bracket
+        # doubles
+        good_lane = [0.006, 0.04, 0.03, 2.0, 0.48]
+        lanes = np.tile([good_lane], (count, 1))
+        lanes[count // 2, 0] = 0.48 * 0.04 + 5e-11
+        vols, errors = pricing._implied_vols(*lanes.T.copy())
+        assert list(errors) == [count // 2]
+        assert str(errors[count // 2]) == \
+            "implied vol bracket expansion failed"
+        assert np.isnan(vols[count // 2])
+        good = np.delete(vols, count // 2)
+        assert (good == black76_implied_vol(*good_lane)).all()
+
+    @staticmethod
+    def assert_lanes_are_the_scalar_loop(lanes):
         fwd, strike, expiry, vol, annuity = np.array(lanes).T.copy()
         price = np.array([black_price(*map(float, args)) for args in
                           zip(fwd, strike, expiry, vol, annuity)])
