@@ -19,16 +19,18 @@ Three layers:
   (1.5e-15 where x lies within 5 sqrt(a) of a) and the relative error
   below 1e-12.  For shapes below about 1e-3 a small Q from the series is
   good to about 1e-16 absolute, not relative;
-* non-central chi-square CDF/SF as a Poisson-weighted series of central
+* the non-central chi-square SF as a Poisson-weighted series of central
   chi-square (regularized incomplete gamma) terms over a window around
   the modal Poisson index, closed when a geometric bound on the
   remaining Poisson weights certifies the truncation error.  One gamma
-  ratio per point at one end of the window gives every other shape by
-  the recurrence Q(a + 1, x) = Q(a, x) + D(a, x), run upward for Q and
-  downward for P so that only positive terms are added; consecutive D
-  follow by the ratio x / (a + 1), re-anchored on a direct D every few
-  rows so that no chain of roundings grows long.  Several laws are one
-  vector pass, each law's window padded with zero weights;
+  ratio per point at the window's lowest shape gives every other shape
+  by the recurrence Q(a + 1, x) = Q(a, x) + D(a, x), run upward so that
+  only positive terms are added; consecutive D follow by the ratio
+  x / (a + 1), re-anchored on a direct D every few rows so that no chain
+  of roundings grows long.  Several laws are one vector pass, each law's
+  window padded with zero weights.  The CDF is the complement 1 - SF:
+  the same absolute bound, and no relative accuracy in the far left
+  tail;
 * positive linear combinations sum_j sigma_j Y_j of independent
   non-central chi-squares (:class:`ChiSqMixSpec`).  With one component
   this is the scaled law, evaluated exactly by the series at x / sigma;
@@ -36,7 +38,8 @@ Three layers:
   (Imhof's integral) with a certified truncation bound on the tail of
   the integrand modulus; all evaluation points of one mixture share one
   vector-valued integral.  A :class:`ChiSqMixSpec` with two-dimensional
-  fields is a batch of such laws, one per row.
+  fields is a batch of such laws, one per row.  Here too the CDF is the
+  complement of the SF.
 """
 
 from __future__ import annotations
@@ -444,22 +447,20 @@ def _poisson_window(alpha_nc: float):
                              f"did not converge (alpha={alpha_nc})")
 
 
-def _poisson_gamma_series(x, nu, alpha_nc, upper: bool, law=None):
-    """sum_j Poisson(j; alpha/2) * R(nu/2 + j, x/2) with R = Q if ``upper``
-    else P, truncated so the residual Poisson mass is below _SERIES_TOL
-    (R is bounded by one).
+def _poisson_gamma_series(x, nu, alpha_nc, law=None):
+    """sum_j Poisson(j; alpha/2) * Q(nu/2 + j, x/2), truncated so the
+    residual Poisson mass is below _SERIES_TOL (Q is bounded by one).
 
     ``nu`` and ``alpha_nc`` hold one value per law (floats for one law),
     and ``law`` the index of each point's law (None: every point has the
     first).  All laws run as one vector pass, each law's window of Poisson
     weights padded with zero weights to the longest one.  One gamma ratio
-    at each law's lowest shape a_0 (Q, from the D(a_0, x/2) that also
-    starts the ladder; or ``gammainc`` at the highest) serves the whole
-    window: with D_i = D(a_0 + i, x/2) from
-    :func:`_prefactor_ladder`, Q(a_0 + k) = Q(a_0) + sum_{i<k} D_i and
-    P(a_0 + k) = P(a_end) + sum_{k<=i<end} D_i, so the weighted sum is the
-    end value times the total weight plus one vector of partial weight
-    sums against D.  ``x`` is positive and finite.
+    Q(a_0, x/2) at each law's lowest shape a_0, from the D(a_0, x/2) that
+    also starts the ladder, serves the whole window: with
+    D_i = D(a_0 + i, x/2) from :func:`_prefactor_ladder`,
+    Q(a_0 + k) = Q(a_0) + sum_{i<k} D_i, so the weighted sum is Q(a_0)
+    times the total weight plus one vector of partial weight sums against
+    D.  ``x`` is positive and finite.
     """
     nu, alpha_nc = np.atleast_1d(nu), np.atleast_1d(alpha_nc)
     j0, ws, totals = zip(*(_poisson_window(a) for a in alpha_nc.tolist()))
@@ -473,23 +474,17 @@ def _poisson_gamma_series(x, nu, alpha_nc, upper: bool, law=None):
     else:
         a = a0[law]
     half_x = 0.5 * x
-    d0 = _gamma_prefactor(a, half_x) if upper or size > 1 else None
+    d0 = _gamma_prefactor(a, half_x)
+    # D_i, i < size - 1, whose first rows may also serve Q(a_0)'s series
+    d = _prefactor_ladder(a, half_x, size - 1, d0) if size > 1 else None
+    end = _live_ratio(a, half_x, True, float(np.maximum.reduce(half_x)), d0,
+                      d)
     # Partial sums of the weights run in extended precision where the
     # platform has it: summed in doubles, a few hundred of them drift by
     # several ulps.
-    # D_i, i < size - 1, whose first rows may also serve Q(a_0)'s series
-    d = _prefactor_ladder(a, half_x, size - 1, d0) if size > 1 else None
-    if upper:  # Q(a_0) from the D(a_0) that also starts the ladder
-        end = _live_ratio(a, half_x, True, float(np.maximum.reduce(half_x)),
-                          d0, d)
-        cum = np.add.accumulate(weights[:, ::-1], axis=1,
-                                dtype=np.longdouble)[:, ::-1].astype(float)
-        total, partial = cum[:, 0], cum[:, 1:]  # weight above each i
-    else:
-        end = gammainc(a + (size - 1), half_x)
-        cum = np.add.accumulate(weights, axis=1,
-                                dtype=np.longdouble).astype(float)
-        total, partial = cum[:, -1], cum[:, :-1]  # weight at or below each i
+    cum = np.add.accumulate(weights[:, ::-1], axis=1,
+                            dtype=np.longdouble)[:, ::-1].astype(float)
+    total, partial = cum[:, 0], cum[:, 1:]  # weight above each i
     if size == 1:
         return total[law] * end
     if one:
@@ -509,12 +504,13 @@ def _check_ncchi2_args(nu, alpha_nc):
                 f"non-centrality must be finite and non-negative, got {a}")
 
 
-def _ncchi2(x, nu, alpha_nc, upper: bool):
-    """Non-central chi-square CDF, or SF with ``upper``, absolute error
-    <= _SERIES_TOL.  x, nu and alpha broadcast against each other; each
-    entry of broadcast(nu, alpha) is one law, and all laws are one series
-    pass (:func:`_poisson_gamma_series`).  A scalar x with scalar
-    parameters gives a float."""
+def ncchi2_sf(x, nu, alpha_nc):
+    """Survival function of the non-central chi-square law, absolute
+    error <= _SERIES_TOL, computed directly for tail accuracy.  x, nu and
+    alpha broadcast as in scipy's ``ncx2.sf``; each entry of
+    broadcast(nu, alpha) is one law, and all laws are one series pass
+    (:func:`_poisson_gamma_series`).  A scalar x with scalar parameters
+    gives a float."""
     scalar = np.isscalar(x) and np.ndim(nu) == 0 and np.ndim(alpha_nc) == 0
     nu = np.asarray(nu, dtype=float)
     alpha_nc = np.asarray(alpha_nc, dtype=float)
@@ -527,36 +523,31 @@ def _ncchi2(x, nu, alpha_nc, upper: bool):
     pos = (x > 0.0) & (x < math.inf)
     if nu.size > 1 and x.size and pos.all():  # every law, every point
         return _poisson_gamma_series(
-            x.ravel(), nu.ravel(), alpha_nc.ravel(), upper,
+            x.ravel(), nu.ravel(), alpha_nc.ravel(),
             np.broadcast_to(np.arange(nu.size).reshape(nu.shape),
                             x.shape).ravel()).reshape(x.shape)
-    out = np.full(x.shape, 1.0 if upper else 0.0)
-    out[x == math.inf] = 0.0 if upper else 1.0
+    out = np.ones(x.shape)
+    out[x == math.inf] = 0.0
     if np.count_nonzero(pos):
         if nu.size == 1:
             out[pos] = _poisson_gamma_series(x[pos], nu.ravel(),
-                                             alpha_nc.ravel(), upper)
+                                             alpha_nc.ravel())
         else:
             law = np.broadcast_to(np.arange(nu.size).reshape(nu.shape),
                                   x.shape)[pos]
             # only the laws of points inside the support open a window
             used = np.bincount(law, minlength=nu.size) > 0
             out[pos] = _poisson_gamma_series(
-                x[pos], nu.ravel()[used], alpha_nc.ravel()[used], upper,
+                x[pos], nu.ravel()[used], alpha_nc.ravel()[used],
                 (np.cumsum(used) - 1)[law])
     return float(out[0]) if scalar else out
 
 
 def ncchi2_cdf(x, nu, alpha_nc):
-    """CDF of the non-central chi-square law, absolute error <= 1e-13;
-    x, nu and alpha broadcast as in scipy's ``ncx2.cdf``."""
-    return _ncchi2(x, nu, alpha_nc, False)
-
-
-def ncchi2_sf(x, nu, alpha_nc):
-    """Survival function 1 - CDF, computed directly for tail accuracy;
-    x, nu and alpha broadcast as in scipy's ``ncx2.sf``."""
-    return _ncchi2(x, nu, alpha_nc, True)
+    """CDF of the non-central chi-square law as 1 - :func:`ncchi2_sf`:
+    the same absolute error bound, 1e-13, and no relative accuracy in the
+    far left tail."""
+    return 1.0 - ncchi2_sf(x, nu, alpha_nc)
 
 
 @dataclass(frozen=True)
@@ -682,42 +673,37 @@ def _imhof_integral(ys: np.ndarray, m: ChiSqMixSpec):
     return integral / math.pi
 
 
-def _chisq_mix(x, m: ChiSqMixSpec, upper: bool):
-    """P(sum_j sigma_j Y_j <= x), or with ``upper`` the complement,
-    absolute error <= _MIX_TOL; a batch of laws takes one row of x per
-    law.
+def chisq_mix_sf(x, m: ChiSqMixSpec):
+    """P(sum_j sigma_j Y_j > x), absolute error <= 1e-10 (_MIX_TOL); a
+    batch of laws takes one row of x per law.
 
     A single component is the scaled law: the series at x / sigma,
-    through the public :func:`ncchi2_cdf` and :func:`ncchi2_sf`, one pass
-    over every law of a batch (the component axis of length one meets
-    the points of each row).  The general case inverts the
-    characteristic function, law by law.
+    through the public :func:`ncchi2_sf`, one pass over every law of a
+    batch (the component axis of length one meets the points of each
+    row).  The general case inverts the characteristic function, law by
+    law.
     """
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if m.sigmas.shape[-1] == 1:
-        out = (ncchi2_sf if upper else ncchi2_cdf)(
-            xs / m.sigmas, m.nus, m.alphas)
+        out = ncchi2_sf(xs / m.sigmas, m.nus, m.alphas)
     else:
-        out = np.full(xs.shape, 1.0 if upper else 0.0)
+        out = np.ones(xs.shape)
         rows = len(m.sigmas) if m.sigmas.ndim == 2 else 1
         for i, (x_row, out_row) in enumerate(zip(xs.reshape(rows, -1),
                                                  out.reshape(rows, -1))):
-            above = x_row > 0.0
+            out_row[x_row == math.inf] = 0.0
+            above = (x_row > 0.0) & (x_row < math.inf)
             if above.any():
                 law = m if m.sigmas.ndim == 1 else ChiSqMixSpec(
                     m.sigmas[i], m.nus[i], m.alphas[i])
                 integral = _imhof_integral(x_row[above], law)
-                out_row[above] = np.clip(
-                    0.5 + integral if upper else 0.5 - integral, 0.0, 1.0)
+                out_row[above] = np.clip(0.5 + integral, 0.0, 1.0)
     return float(out[0]) if scalar else out
 
 
 def chisq_mix_cdf(x, m: ChiSqMixSpec):
-    """P(sum_j sigma_j Y_j <= x), absolute error <= 1e-10."""
-    return _chisq_mix(x, m, False)
-
-
-def chisq_mix_sf(x, m: ChiSqMixSpec):
-    """P(sum_j sigma_j Y_j > x), absolute error <= 1e-10."""
-    return _chisq_mix(x, m, True)
+    """P(sum_j sigma_j Y_j <= x) as 1 - :func:`chisq_mix_sf`: the same
+    absolute error bound, 1e-10, and no relative accuracy in the far left
+    tail."""
+    return 1.0 - chisq_mix_sf(x, m)

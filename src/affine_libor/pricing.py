@@ -45,15 +45,14 @@ live factor a tail is the exact Poisson series; Imhof's integral runs
 only when two or more factors are live.
 
 Implied volatilities invert Black's futures formula, all cells of a
-surface at once: as numpy lanes while many cells iterate, one by one on
-Python floats when few do (:func:`_implied_vols`).
+surface in one call: the static checks run on arrays, and each cell left
+iterates on Python floats (:func:`_implied_vols`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -610,27 +609,6 @@ def swaption_cir_closed(m: CalibratedModel, s: SwaptionSpec) -> PriceResult:
     return PriceResult(max(price, 0.0), 0.0, None, root=root)
 
 
-# Python's math log, exp and erf over 1-d float arrays: numpy has no
-# erf, and its own log and exp can round differently from the C
-# library's in the last bit, which would move recorded vols.
-_LOG, _EXP, _ERF = (
-    lambda x, f=f: np.fromiter(map(f, x.tolist()), float, x.size)
-    for f in (math.log, math.exp, math.erf))
-
-
-def _norm_cdf(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + _ERF(x / _SQRT2))
-
-
-def _black_call(forward, strike, log_moneyness, total, annuity):
-    """Black's call value as numpy lanes at total vol ``total`` =
-    vol sqrt(T) > 0, with ``log_moneyness`` = log(forward / strike), and
-    its d1."""
-    d1 = (log_moneyness + 0.5 * total * total) / total
-    return annuity * (forward * _norm_cdf(d1)
-                      - strike * _norm_cdf(d1 - total)), d1
-
-
 # Slack of the static bounds that black76_implied_vol checks a price
 # against.
 _VOL_BOUND_SLACK = 1e-10
@@ -640,11 +618,9 @@ def _implied_vols(price, forward, strike, expiry, annuity):
     """Black-76 implied vols of numpy lanes (1-d arrays of one length):
     the vols, NaN where a lane failed, and {lane: its error}.
 
-    Every lane takes the steps of :func:`black76_implied_vol` with its
-    stop tests in the same order, on the same arithmetic.  While more
-    than ``_SCALAR_LANES`` lanes iterate they run as numpy arrays, which
-    shrink as lanes stop; the rest finish one by one on Python floats
-    (:func:`_settle`), and so do all lanes of a smaller batch.
+    The static checks run on the arrays; every lane left iterates on
+    Python floats (:func:`_settle`), taking the steps of
+    :func:`black76_implied_vol` whatever lanes share the batch.
     """
     vols = np.full(price.size, math.nan)
     errors = {}
@@ -678,116 +654,41 @@ def _implied_vols(price, forward, strike, expiry, annuity):
             x[lane] for x in (price, forward, strike, annuity, expiry))
     else:
         lane = np.arange(price.size)
-    sqrt_t, f_over_k = np.sqrt(expiry), forward / strike
-    if lane.size > _SCALAR_LANES:
-        rows, passes = _newton_lanes(price, forward, strike, annuity, sqrt_t,
-                                     _LOG(f_over_k), lane, vols, errors)
-    else:  # the bracket too runs on Python floats, from [0, 1]
-        rows, passes = zip(price.tolist(), forward.tolist(), strike.tolist(),
-                           annuity.tolist(), sqrt_t.tolist(),
-                           map(math.log, f_over_k.tolist()), repeat(0.0),
-                           repeat(1.0), repeat(None), lane.tolist()), 100
-    _settle(rows, passes, vols, errors)
+    _settle(zip(price.tolist(), forward.tolist(), strike.tolist(),
+                annuity.tolist(), np.sqrt(expiry).tolist(),
+                map(math.log, (forward / strike).tolist()), lane.tolist()),
+            vols, errors)
     return vols, errors
 
 
-# A batch of lanes runs as numpy arrays only while more than this many
-# lanes iterate.  A numpy pass has a fixed cost of some 40 operations,
-# which Python floats beat up to about 160 lanes: measured on one core
-# of an Intel Xeon, the bundled cir surface's 99 lanes invert in 360 us
-# on floats against 435 us with numpy passes down to 64 lanes, and 400
-# lanes in 1.18 ms with numpy passes down to 128 against 1.55 ms on
-# floats throughout.
-_SCALAR_LANES = 128
+def _settle(rows, vols, errors):
+    """Lanes of :func:`_implied_vols` one by one on Python floats: writes
+    each lane's vol into ``vols``, or its error into ``errors``.
 
-
-def _newton_lanes(p, f, k, a, sqrt_t, log_fk, lane, vols, errors):
-    """The bracket and Newton passes of :func:`_implied_vols` as numpy
-    lanes, until no more than ``_SCALAR_LANES`` lanes iterate: writes
-    the vols and errors of the lanes that stop, and returns the rest as
-    rows for :func:`_settle`, with the passes left to them."""
-    hi = np.ones(lane.size)
-    lo = np.zeros(lane.size)
-    short = np.ones(lane.size, dtype=bool)
-    for _ in range(200):
-        s = np.flatnonzero(short)  # a lane at or above its price stays
-        short[s] = ~(_black_call(f[s], k[s], log_fk[s], hi[s] * sqrt_t[s],
-                                 a[s])[0] >= p[s])
-        if not short.any():
-            break
-        lo = np.where(short, hi, lo)
-        hi = np.where(short, 2.0 * hi, hi)
-    else:
-        for i in lane[short]:
-            errors[i] = ConvergenceFailure("implied vol bracket expansion "
-                                           "failed")
-    # One column per lane still iterating, one row per quantity: the
-    # first ten are a row of _settle each.  The names bound to the rows
-    # are views: writing a row updates them.
-    state = np.array([p, f, k, a, sqrt_t, log_fk, lo, hi, 0.5 * (lo + hi),
-                      lane, 4.0 * np.spacing(p), a * f * sqrt_t])[:, ~short]
-    passes = 100
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while passes and state.shape[1] > _SCALAR_LANES:
-            passes -= 1
-            p, f, k, a, sqrt_t, log_fk, lo, hi, vol, lane, resolved, scale \
-                = state
-            diff, d1 = _black_call(f, k, log_fk, vol * sqrt_t, a)
-            diff -= p
-            stop = np.abs(diff) <= resolved
-            above = diff > 0.0
-            np.copyto(hi, vol, where=above)
-            np.copyto(lo, vol, where=~above)
-            vega = -0.5 * d1
-            vega *= d1
-            vega = _EXP(vega)
-            vega *= scale
-            vega /= _SQRT_2PI
-            step = np.where(vega > 1e-300, vol - diff / vega, math.nan)
-            inside = (lo < step) & (step < hi)
-            new = np.where(inside, step, 0.5 * (lo + hi))
-            done = stop | (inside & (np.abs(step - vol) <= 1e-12 * vol)) \
-                | (hi - lo <= 1e-12 * hi)
-            # a lane stopped by its residual keeps the vol it tried
-            np.copyto(vol, new, where=~stop)
-            if np.count_nonzero(done):
-                vols[lane[done].astype(int)] = vol[done]
-                state = state[:, ~done]
-    return state[:10].T.tolist(), passes
-
-
-def _settle(rows, passes: int, vols, errors):
-    """Lanes of :func:`_implied_vols` one by one on Python floats, each
-    step a pass of the numpy lanes operation for operation; writes each
-    lane's vol into ``vols``, or its error into ``errors``.
-
-    A row is (price, forward, strike, annuity, sqrt(T), log(F/K), lo, hi,
-    vol, lane).  With vol None the lane first doubles hi from the
-    bracket [lo, hi] = [0, 1] until Black's value there reaches the
-    price; then it takes up to ``passes`` Newton steps from vol (the
-    bracket's midpoint).
+    A row is (price, forward, strike, annuity, sqrt(T), log(F/K), lane).
+    The lane first doubles hi from the bracket [lo, hi] = [0, 1] until
+    Black's value there reaches the price; then it takes up to 100 Newton
+    steps from the bracket's midpoint.
     """
     erf, exp, ulp, root2, root2pi = (math.erf, math.exp, math.ulp, _SQRT2,
                                      _SQRT_2PI)
     settled, settled_vols = [], []
-    for p, f, k, a, sqrt_t, log_fk, lo, hi, vol, i in rows:
-        i = int(i)
-        if vol is None:
-            for _ in range(200):
-                total = hi * sqrt_t
-                d1 = (log_fk + 0.5 * total * total) / total
-                if a * (f * (0.5 * (1.0 + erf(d1 / root2)))
-                        - k * (0.5 * (1.0 + erf((d1 - total) / root2)))) \
-                        >= p:
-                    break
-                lo, hi = hi, 2.0 * hi
-            else:
-                errors[i] = ConvergenceFailure("implied vol bracket "
-                                               "expansion failed")
-                continue
-            vol = 0.5 * (lo + hi)
+    for p, f, k, a, sqrt_t, log_fk, i in rows:
+        lo, hi = 0.0, 1.0
+        for _ in range(200):
+            total = hi * sqrt_t
+            d1 = (log_fk + 0.5 * total * total) / total
+            if a * (f * (0.5 * (1.0 + erf(d1 / root2)))
+                    - k * (0.5 * (1.0 + erf((d1 - total) / root2)))) >= p:
+                break
+            lo, hi = hi, 2.0 * hi
+        else:
+            errors[i] = ConvergenceFailure("implied vol bracket expansion "
+                                           "failed")
+            continue
+        vol = 0.5 * (lo + hi)
         resolved, scale = 4.0 * ulp(p), a * f * sqrt_t
-        for _ in range(passes):
+        for _ in range(100):
             total = vol * sqrt_t
             d1 = (log_fk + 0.5 * total * total) / total
             diff = a * (f * (0.5 * (1.0 + erf(d1 / root2)))
@@ -892,11 +793,11 @@ def vol_surface(m: CalibratedModel, strikes, method: str = "fourier",
     (least worst-strike magnitude at the origin), so a cell's price
     depends on which cells share the surface, within their error
     estimates; the closed forms evaluate the tails of every (expiry,
-    forward measure) law in one pass.  All cells are then inverted at
-    once, as numpy lanes.  Invalid strikes fail alone, and a failure of
-    an expiry (transform, damping) fails that expiry's cells; failed
-    cells are emitted with NaN entries and the error category, never
-    silently clamped.
+    forward measure) law in one pass.  All cells are then inverted in
+    one call (:func:`_implied_vols`).  Invalid strikes fail alone, and a
+    failure of an expiry (transform, damping) fails that expiry's cells;
+    failed cells are emitted with NaN entries and the error category,
+    never silently clamped.
     """
     strikes = np.array(sorted(float(s) for s in np.atleast_1d(strikes)))
     ks = list(range(1, m.n_periods))

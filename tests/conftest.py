@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,20 @@ GOU_PARAMS = dict(lam=0.01, alpha=2.0, beta=1.0, x0=1.25)
 # with lam*theta/eta^2 well above one so the mixture-CDF truncation bound
 # certifies its tolerance.
 CIR2F_PARAMS = (0.5, 0.6, 0.25, 1.2, 0.4, 0.3, 1.0, 1.0)
+
+
+def pytest_runtest_setup(item):
+    """Start each acceptance gate from a collected heap.
+
+    The gates time single calls, and criterion 8 compares one closed
+    surface with one Fourier surface six times as long.  A collection
+    pass over the objects that pytest made for the test costs about a
+    third of the closed call, and where it falls depends on every earlier
+    allocation; collecting here keeps it out of the timed calls.  The
+    calls, their draws and the bounds stay the gates' own.
+    """
+    if item.module.__name__ == "test_acceptance":
+        gc.collect()
 
 
 @pytest.fixture(scope="session")

@@ -32,6 +32,9 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # The bundled surface grids (configs/cir.cfg, configs/gamma_ou.cfg).
 CIR_GRID = 0.01 + 0.005 * np.arange(11)
 GOU_GRID = 0.025 + 0.005 * np.arange(10)
+# A wide grid, 0.5% to 8% in steps of 0.25%: 279 cells on the bundled
+# tenor, every one of them inverted on the cir driver.
+WIDE_GRID = 0.005 + 0.0025 * np.arange(31)
 
 
 def contour_caplet(model, k, strike, damping):
@@ -821,15 +824,14 @@ class TestBlack76:
         st.floats(0.01, 3.0), st.floats(0.1, 1.0)), min_size=30,
         max_size=50))
     def test_many_lanes_are_the_scalar_loop(self, lanes):
-        # past pricing._SCALAR_LANES lanes the first passes are numpy
-        # passes over the lanes, and the last lanes finish one by one;
+        # a large batch takes each lane's own steps, as a small one does;
         # eight copies of the drawn lanes at vols 1% apart make 240-400
         self.assert_lanes_are_the_scalar_loop([
             (f, k, t, v * (1.0 + 0.01 * j), a)
             for j in range(8) for f, k, t, v, a in lanes])
 
-    @pytest.mark.parametrize("count", [1, 2 * pricing._SCALAR_LANES])
-    def test_bracket_failure_on_floats_and_on_numpy_lanes(self, count):
+    @pytest.mark.parametrize("count", [1, 256])
+    def test_bracket_failure_in_small_and_large_batches(self, count):
         # a price just above annuity * forward but inside the bounds'
         # slack: Black's value never reaches it, however far the bracket
         # doubles
@@ -1106,6 +1108,19 @@ class TestVolSurface:
                     c.price, fwd, c.strike, c.expiry, annuity)
             assert inverted
 
+    def test_wide_surface_vols_are_the_scalar_loop(self, cir_model):
+        # 279 lanes share one inversion call; each is the reference loop's
+        # vol bit for bit
+        cells = vol_surface(cir_model, WIDE_GRID, method="closed")
+        assert len(cells) == 279
+        for c in cells:
+            k = round(c.expiry / cir_model.delta)
+            fwd = cir_model.tenor.initial_libor(k)
+            annuity = cir_model.delta * cir_model.bond0(k + 1)
+            assert c.error is None and c.implied_vol > 0.0
+            assert c.implied_vol == scalar_implied_vol(
+                c.price, fwd, c.strike, c.expiry, annuity)
+
     def test_lanes_fail_alone_as_the_one_lane_case_does(self):
         # price, forward, strike, expiry, annuity per lane: a good lane,
         # a price above its bound, one below intrinsic, a zero expiry with
@@ -1193,6 +1208,26 @@ class TestAdmissibleCir:
                 + 1e-13 * (m.bond0(k) + bold * m.bond0(k + 1)) \
                 + bond_n * (r[k - 1] + bold * r[k])
             assert abs(f.price - cl.price) <= bound
+
+    @pytest.mark.parametrize("method", ["fourier", "closed"])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(**{key: DRIVER_ARGS[key] for key in ("a", "b", "c", "x0")})
+    def test_prices_fall_and_are_convex_in_the_strike(self, tenor, method,
+                                                       a, b, c, x0):
+        # Static no-arbitrage along each expiry's row of the wide grid:
+        # each cell may miss by its error estimate plus 1e-13, weighted
+        # by its coefficient in the first or second difference.
+        m = fit_term_structure(tenor, CirParams(a, b, c, x0))
+        cells = vol_surface(m, WIDE_GRID, method=method)
+        assert all(cell.error is None for cell in cells)
+        price = np.array([cell.price for cell in cells]).reshape(
+            -1, WIDE_GRID.size)
+        slack = np.array([cell.error_estimate for cell in cells]).reshape(
+            price.shape) + 1e-13
+        assert (np.diff(price) <= slack[:, 1:] + slack[:, :-1]).all()
+        second = price[:, 2:] - 2.0 * price[:, 1:-1] + price[:, :-2]
+        assert (second >= -(slack[:, 2:] + 2.0 * slack[:, 1:-1]
+                            + slack[:, :-2])).all()
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(lam=st.floats(0.001, 2.0), theta=st.floats(0.05, 1.0),

@@ -14,6 +14,7 @@ library runs on numpy alone: scipy is a test tool, never imported by
 import ast
 import dataclasses
 import inspect
+import math
 import os
 import re
 import subprocess
@@ -278,6 +279,40 @@ def test_validate_pool_is_the_standard_one():
                                   "_closed_row", "_surface_cell"])
 def test_surface_rows_are_one_batch(name):
     assert not hasattr(pricing, name)
+
+
+# The Black-76 inversion is one loop on Python floats: no numpy-lane pass,
+# its Black value and normal CDF helpers, or the lane count that chose
+# between the two is left.
+@pytest.mark.parametrize("name", ["_newton_lanes", "_black_call", "_norm_cdf",
+                                  "_LOG", "_EXP", "_ERF", "_SCALAR_LANES"])
+def test_implied_vols_have_one_loop(name):
+    assert not hasattr(pricing, name)
+
+
+def test_settle_takes_rows_only():
+    # every row brackets from [0, 1] and takes up to 100 Newton steps
+    params = inspect.signature(pricing._settle).parameters
+    assert list(params) == ["rows", "vols", "errors"]
+
+
+# The chi-square series and mixtures compute survival functions only; a
+# CDF is its complement.
+def test_series_computes_the_survival_function_only():
+    params = inspect.signature(distributions._poisson_gamma_series).parameters
+    assert "upper" not in params
+    assert not hasattr(distributions, "_ncchi2")
+    assert not hasattr(distributions, "_chisq_mix")
+
+
+@pytest.mark.parametrize("x", [-1.0, 0.0, 1e-3, 2.5, 7.0, 40.0, math.inf])
+def test_cdfs_are_complements_of_the_survival_functions(x):
+    nu, alpha = 3.0, 1.7
+    assert distributions.ncchi2_cdf(x, nu, alpha) == \
+        1.0 - distributions.ncchi2_sf(x, nu, alpha)
+    mix = distributions.ChiSqMixSpec([1.0, 0.4], [2.5, 3.0], [0.5, 2.0])
+    assert distributions.chisq_mix_cdf(x, mix) == \
+        1.0 - distributions.chisq_mix_sf(x, mix)
 
 
 def test_chi_square_laws_have_one_record():
