@@ -111,7 +111,7 @@ _LAGUERRE_WEIGHTS = np.array([
 
 def _stirling_remainder(a):
     """theta(a) = lgamma(a + 1) - (a + 1/2) log a + a - log(2 pi) / 2 for
-    shapes a >= 1 (a float or an array).
+    an array of shapes a >= 1.
 
     From 10 on it is the Stirling series.  Below, it steps up by
     theta(b) = theta(b + 1) + f(b) with f(b) = (b + 1/2) log(1 + 1/b) - 1
@@ -119,8 +119,7 @@ def _stirling_remainder(a):
     so theta keeps an absolute error of a few ulps where lgamma, or a
     Gamma function evaluated directly, would lose several more.
     """
-    scalar = isinstance(a, float)
-    steps = max(0, math.ceil(10.0 - (a if scalar else float(a.min()))))
+    steps = max(0, math.ceil(10.0 - float(a.min())))
     b = a + steps
     r = 1.0 / (b * b)
     series = 0.0
@@ -128,7 +127,7 @@ def _stirling_remainder(a):
         series = series * r + c
     theta = series / b
     if steps:
-        bs = np.arange(steps) + (a if scalar else a[:, None])
+        bs = np.arange(steps) + a[:, None]
         k = np.arange(1, 18)
         s2 = (1.0 / (2.0 * bs + 1.0)) ** 2
         theta = theta + (np.power.outer(s2, k) @ (1.0 / (2 * k + 1))).sum(
@@ -157,23 +156,14 @@ def _rlog(x, a):
     return out
 
 
-def _gamma_prefactor(a, x, x_max=None):
-    """D(a, x) = x^a e^-x / Gamma(a + 1) for x > 0; ``a`` is a float or
-    an array aligned with ``x``, ``x_max`` the largest x if known.
+def _gamma_prefactor(a, x):
+    """D(a, x) = x^a e^-x / Gamma(a + 1) for x > 0, with the shapes ``a``
+    an array aligned with ``x``.
 
     Below shape 1, while e^-x is a normal double, D is a product of pow
     and exp with one Gamma(a + 1) per distinct shape; from shape 1 on, it
     is exp(-a rlog(x / a) - theta(a)) / sqrt(2 pi a).
     """
-    if isinstance(a, float):
-        if a >= _DIRECT_SHAPE:
-            return (np.exp(-a * _rlog(x, a) - _stirling_remainder(a))
-                    / math.sqrt(2.0 * math.pi * a))
-        if x_max is None:
-            x_max = np.maximum.reduce(x)
-        if x_max < _EXP_ARG_MAX:
-            return np.power(x, a) * np.exp(-x) / math.gamma(a + 1.0)
-        a = np.full(x.shape, a)
     d = np.empty_like(x)
     direct = a < _DIRECT_SHAPE
     n_direct = np.count_nonzero(direct)
@@ -231,17 +221,16 @@ def _chain_rows(a) -> tuple:
     """(c, step) of :func:`_prefactor_ladder` for the shapes ``a``: its
     first c rows follow one chain of ratios from D(a, x), and from there
     D is evaluated afresh every ``step`` rows."""
-    a_min, a_max = (a, a) if isinstance(a, float) else (float(a.min()),
-                                                        float(a.max()))
-    direct = a_max < _DIRECT_SHAPE
+    a_min = float(a.min())
+    direct = float(a.max()) < _DIRECT_SHAPE
     step = int(min(_LADDER, max(2.0, math.sqrt(
         a_min + (_DIRECT_LADDER if direct else 0.0)))))
     return (_DIRECT_LADDER if direct else step), step
 
 
 def _prefactor_ladder(a, x, count: int, first):
-    """D(a + i, x) for i < count as a (count, len(x)) array, ``first``
-    being D(a, x).
+    """D(a + i, x) for i < count as a (count, len(x)) array, ``a`` being
+    aligned with ``x`` and ``first`` being D(a, x).
 
     Rows follow each other by D(a + i, x) = D(a + i - 1, x) x / (a + i),
     each ratio adding about one rounding.  A chain that starts from the
@@ -253,18 +242,16 @@ def _prefactor_ladder(a, x, count: int, first):
     Within the first chain (:func:`_chain_rows`) a point's rows depend
     only on its own a, x and first, and not on ``count``.
     """
-    a_row = a if isinstance(a, float) else a[None, :]
     chain, step = _chain_rows(a)
     head = min(chain, count)
     rows = head + -(-(count - head) // step) * step
     d = np.empty((rows, x.size))
     d[0] = first
     # a + i with i exact: an arange starting at a would step by a rounded 1
-    np.divide(x, np.arange(1.0, rows)[:, None] + a_row, out=d[1:])
+    np.divide(x, np.arange(1.0, rows)[:, None] + a, out=d[1:])
     if rows > head:
         starts = np.arange(head, rows, step)
-        shapes = np.broadcast_to(starts[:, None] + a_row,
-                                 (starts.size, x.size))
+        shapes = starts[:, None] + a
         d[starts] = _gamma_prefactor(shapes.ravel(),
                                      np.tile(x, starts.size)).reshape(
                                          shapes.shape)
@@ -284,8 +271,7 @@ def _lower_series(a, x, d, x_max: float, ladder=None):
     if i < len(_SHORT_SERIES_ARGS):
         n = _SHORT_SERIES_TERMS[i]
     else:
-        n = _series_length(a if isinstance(a, float) else float(a.min()),
-                           x_max)
+        n = _series_length(float(a.min()), x_max)
     if ladder is not None and n < min(len(ladder), _chain_rows(a)[0]):
         return np.add.reduce(ladder[:n + 1], axis=0)
     return np.add.reduce(_prefactor_ladder(a, x, n + 1, d), axis=0)
@@ -309,7 +295,7 @@ def _upper_quadrature(a, x, d, needed=None):
     t = np.multiply.outer(h[rows], _LAGUERRE_NODES)
     g = np.log1p(t)
     g -= t
-    g *= (a if isinstance(a, float) else a[rows, None]) - 1.0
+    g *= a[rows, None] - 1.0
     np.exp(g, out=g)
     if needed is not None:
         every = np.zeros((x.size, _LAGUERRE_NODES.size))
@@ -319,8 +305,8 @@ def _upper_quadrature(a, x, d, needed=None):
 
 
 def _live_ratio(a, x, upper: bool, x_max: float, d=None, ladder=None):
-    """P(a, x), or Q(a, x) with ``upper``, for a, x > 0 and finite, where
-    ``x_max`` is the largest x.
+    """P(a, x), or Q(a, x) with ``upper``, for aligned arrays a, x > 0
+    and finite, where ``x_max`` is the largest x.
 
     Points below x = a + 1 + 3 sqrt(a) take the series, the rest the
     quadrature.  When both kinds occur, both forms run on every point
@@ -331,15 +317,11 @@ def _live_ratio(a, x, upper: bool, x_max: float, d=None, ladder=None):
     read its terms from (:func:`_lower_series`): at the points below the
     bound, where the capped x is x itself, they are its own terms.
     """
-    scalar = isinstance(a, float)
     if d is None:
-        d = _gamma_prefactor(a, x, x_max)
-    bound = a + 1.0 + 3.0 * (math.sqrt(a) if scalar else np.sqrt(a))
-    if scalar and x_max < bound:  # every point below: no mask needed
-        n_lower = x.size
-    else:
-        lower = x < bound
-        n_lower = np.count_nonzero(lower)
+        d = _gamma_prefactor(a, x)
+    bound = a + 1.0 + 3.0 * np.sqrt(a)
+    lower = x < bound
+    n_lower = np.count_nonzero(lower)
     if n_lower == x.size:
         p = _lower_series(a, x, d, x_max, ladder)
         return 1.0 - p if upper else p
@@ -347,9 +329,7 @@ def _live_ratio(a, x, upper: bool, x_max: float, d=None, ladder=None):
     if not n_lower:
         return q if upper else 1.0 - q
     x_low = np.minimum(x, bound)
-    p = _lower_series(a, x_low, d,
-                      min(x_max, bound) if scalar else float(x_low.max()),
-                      ladder)
+    p = _lower_series(a, x_low, d, float(x_low.max()), ladder)
     if upper:
         return np.where(lower, 1.0 - p, q)
     return np.where(lower, p, 1.0 - q)
@@ -361,15 +341,8 @@ def _gamma_ratio(a, x, upper: bool):
     NaN where a <= 0 or x < 0 (or either is NaN); P(a, 0) = 0 and
     P(a, inf) = 1.
     """
-    x = np.asarray(x, dtype=float)
-    if isinstance(a, float) or np.ndim(a) == 0:
-        a = float(a)
-        # one shape over a vector of ordinary points: no masks needed
-        if 0.0 < a < math.inf and x.ndim == 1 and x.size:
-            x_max = float(np.maximum.reduce(x))
-            if np.minimum.reduce(x) > 0.0 and x_max < math.inf:
-                return _live_ratio(a, x, upper, x_max)
-    a, x = np.broadcast_arrays(np.asarray(a, dtype=float), x)
+    a, x = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(x, dtype=float))
     shape = x.shape
     a, x = a.ravel(), x.ravel()
     valid_a = (a > 0.0) & (a < math.inf)
@@ -447,32 +420,27 @@ def _poisson_window(alpha_nc: float):
                              f"did not converge (alpha={alpha_nc})")
 
 
-def _poisson_gamma_series(x, nu, alpha_nc, law=None):
+def _poisson_gamma_series(x, nu, alpha_nc, law):
     """sum_j Poisson(j; alpha/2) * Q(nu/2 + j, x/2), truncated so the
     residual Poisson mass is below _SERIES_TOL (Q is bounded by one).
 
-    ``nu`` and ``alpha_nc`` hold one value per law (floats for one law),
-    and ``law`` the index of each point's law (None: every point has the
-    first).  All laws run as one vector pass, each law's window of Poisson
-    weights padded with zero weights to the longest one.  One gamma ratio
-    Q(a_0, x/2) at each law's lowest shape a_0, from the D(a_0, x/2) that
-    also starts the ladder, serves the whole window: with
+    ``nu`` and ``alpha_nc`` hold one value per law, and ``law`` the index
+    of each point's law.  All laws run as one vector pass, each law's
+    window of Poisson weights padded with zero weights to the longest
+    one, and every shape is an array aligned with the points.  One gamma
+    ratio Q(a_0, x/2) at each law's lowest shape a_0, from the D(a_0, x/2)
+    that also starts the ladder, serves the whole window: with
     D_i = D(a_0 + i, x/2) from :func:`_prefactor_ladder`,
     Q(a_0 + k) = Q(a_0) + sum_{i<k} D_i, so the weighted sum is Q(a_0)
     times the total weight plus one vector of partial weight sums against
     D.  ``x`` is positive and finite.
     """
-    nu, alpha_nc = np.atleast_1d(nu), np.atleast_1d(alpha_nc)
     j0, ws, totals = zip(*(_poisson_window(a) for a in alpha_nc.tolist()))
     size = max(map(len, ws))
     weights = np.array([w + [0.0] * (size - len(w)) for w in ws]) \
         / np.array(totals)[:, None]
     a0 = 0.5 * nu + np.array(j0, dtype=float)
-    one = a0.size == 1
-    if one:  # a float shape: the gamma ratios take their unmasked paths
-        a, law = float(a0[0]), 0
-    else:
-        a = a0[law]
+    a = a0[law]
     half_x = 0.5 * x
     d0 = _gamma_prefactor(a, half_x)
     # D_i, i < size - 1, whose first rows may also serve Q(a_0)'s series
@@ -487,8 +455,6 @@ def _poisson_gamma_series(x, nu, alpha_nc, law=None):
     total, partial = cum[:, 0], cum[:, 1:]  # weight above each i
     if size == 1:
         return total[law] * end
-    if one:
-        return total[0] * end + partial[0] @ d
     return total[law] * end + np.einsum("pi,ip->p", partial[law], d)
 
 
@@ -509,8 +475,8 @@ def ncchi2_sf(x, nu, alpha_nc):
     error <= _SERIES_TOL, computed directly for tail accuracy.  x, nu and
     alpha broadcast as in scipy's ``ncx2.sf``; each entry of
     broadcast(nu, alpha) is one law, and all laws are one series pass
-    (:func:`_poisson_gamma_series`).  A scalar x with scalar parameters
-    gives a float."""
+    (:func:`_poisson_gamma_series`).  A NaN point gives NaN, and a scalar
+    x with scalar parameters gives a float."""
     scalar = np.isscalar(x) and np.ndim(nu) == 0 and np.ndim(alpha_nc) == 0
     nu = np.asarray(nu, dtype=float)
     alpha_nc = np.asarray(alpha_nc, dtype=float)
@@ -521,20 +487,15 @@ def ncchi2_sf(x, nu, alpha_nc):
     if x.shape != nu.shape or not x.ndim:
         x = np.broadcast_to(x, np.broadcast_shapes(x.shape, nu.shape) or (1,))
     pos = (x > 0.0) & (x < math.inf)
-    if nu.size > 1 and x.size and pos.all():  # every law, every point
-        return _poisson_gamma_series(
-            x.ravel(), nu.ravel(), alpha_nc.ravel(),
-            np.broadcast_to(np.arange(nu.size).reshape(nu.shape),
-                            x.shape).ravel()).reshape(x.shape)
-    out = np.ones(x.shape)
-    out[x == math.inf] = 0.0
-    if np.count_nonzero(pos):
-        if nu.size == 1:
-            out[pos] = _poisson_gamma_series(x[pos], nu.ravel(),
-                                             alpha_nc.ravel())
-        else:
-            law = np.broadcast_to(np.arange(nu.size).reshape(nu.shape),
-                                  x.shape)[pos]
+    law = np.broadcast_to(np.arange(nu.size).reshape(nu.shape), x.shape)
+    if x.size and pos.all():  # every law, every point
+        out = _poisson_gamma_series(x.ravel(), nu.ravel(), alpha_nc.ravel(),
+                                    law.ravel()).reshape(x.shape)
+    else:
+        out = np.where(np.isnan(x), math.nan, 1.0)
+        out[x == math.inf] = 0.0
+        if np.count_nonzero(pos):
+            law = law[pos]
             # only the laws of points inside the support open a window
             used = np.bincount(law, minlength=nu.size) > 0
             out[pos] = _poisson_gamma_series(
@@ -681,14 +642,14 @@ def chisq_mix_sf(x, m: ChiSqMixSpec):
     through the public :func:`ncchi2_sf`, one pass over every law of a
     batch (the component axis of length one meets the points of each
     row).  The general case inverts the characteristic function, law by
-    law.
+    law.  A NaN point gives NaN.
     """
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if m.sigmas.shape[-1] == 1:
         out = ncchi2_sf(xs / m.sigmas, m.nus, m.alphas)
     else:
-        out = np.ones(xs.shape)
+        out = np.where(np.isnan(xs), math.nan, 1.0)
         rows = len(m.sigmas) if m.sigmas.ndim == 2 else 1
         for i, (x_row, out_row) in enumerate(zip(xs.reshape(rows, -1),
                                                  out.reshape(rows, -1))):

@@ -40,7 +40,7 @@ route's one call of ``chisq_mix_sf``).  A closed-form caplet takes two
 such tails, one per adjacent forward measure, and a surface takes the
 tilts of all its expiries in one call and their laws as one batch
 (:func:`_closed_cells`); the one-factor swaption takes one tail per date
-T_i .. T_m, each alone, with b = 1 and y the exercise root.  With one
+T_i .. T_m, all one batch, with b = 1 and y the exercise root.  With one
 live factor a tail is the exact Poisson series; Imhof's integral runs
 only when two or more factors are live.
 
@@ -381,8 +381,7 @@ def _factor_laws(factors, x0, t, thetas):
     return eb / zeta, nu, alpha / zeta
 
 
-def _tilted_tails(factors, x0, times, thetas, b, y,
-                  alone: bool = False) -> np.ndarray:
+def _tilted_tails(factors, x0, times, thetas, b, y) -> np.ndarray:
     """P(sum_j b_lj X_j > y_l) for the square-root factors X_j at
     ``times[l]``, started at x0_j, under the measure that tilts X_t by
     ``thetas[l]``: one row per law l, one column per point of ``y[l]``.
@@ -390,9 +389,7 @@ def _tilted_tails(factors, x0, times, thetas, b, y,
     Each live factor contributes its tilted law (:func:`_factor_laws`)
     scaled by b_lj; a factor with b_lj = 0, or one pinned at zero, is a
     point mass and drops out.  Laws with the same live factors are one
-    batch of ``chisq_mix_sf``, or with ``alone`` one call each: a single
-    quote's few laws are faster that way, since one law's series keeps
-    float shapes and needs no masks.
+    batch of ``chisq_mix_sf``.
     """
     live = (b != 0.0) & [f.lam * f.theta > 0.0 or x > 0.0
                          for f, x in zip(factors, x0)]
@@ -411,13 +408,8 @@ def _tilted_tails(factors, x0, times, thetas, b, y,
             [factors[j] for j in cols], x0[cols], times[pick],
             thetas[pick][:, cols])
         sigma *= b[pick][:, cols]
-        if alone:
-            for i, law in enumerate(laws):
-                tails[law:law + 1] = chisq_mix_sf(y[law:law + 1], ChiSqMixSpec(
-                    sigma[i:i + 1], nu[None, :], alpha[i:i + 1]))
-        else:
-            tails[pick] = chisq_mix_sf(y[pick], ChiSqMixSpec(
-                sigma, np.broadcast_to(nu, sigma.shape), alpha))
+        tails[pick] = chisq_mix_sf(y[pick], ChiSqMixSpec(
+            sigma, np.broadcast_to(nu, sigma.shape), alpha))
     return tails
 
 
@@ -429,8 +421,7 @@ def _closed_cells(m: CalibratedModel, ks, bold: np.ndarray):
     The caplet pays when sum_j B_kj X_j exceeds y = log K' - A_k, a tail
     (:func:`_tilted_tails`) under each adjacent forward measure.  One tilt
     call serves every expiry, and one tail evaluation the two laws of
-    every expiry (a lone expiry, a single quote, evaluates its two laws
-    one by one).
+    every expiry, a single quote's two laws included.
     """
     factors = _square_root_factors(m.process)
     ks = np.array(ks)
@@ -440,8 +431,8 @@ def _closed_cells(m: CalibratedModel, ks, bold: np.ndarray):
     b = (psi[0] - psi[1]).repeat(2, axis=0)
     y = (np.log(bold) - (phi[0] - phi[1])[:, None]).repeat(2, axis=0)
     tails = _tilted_tails(factors, m.x0, dates.repeat(2),
-                          psi.swapaxes(0, 1).reshape(b.shape), b, y,
-                          alone=len(ks) == 1).reshape(len(ks), 2, -1)
+                          psi.swapaxes(0, 1).reshape(b.shape), b,
+                          y).reshape(len(ks), 2, -1)
     bonds = m.tenor.discounts[:, None]  # B(0, T_k) in row k - 1
     return np.maximum(bonds[ks - 1] * tails[:, 0]
                       - bold * bonds[ks] * tails[:, 1], 0.0)
@@ -598,11 +589,11 @@ def swaption_cir_closed(m: CalibratedModel, s: SwaptionSpec) -> PriceResult:
     (p,) = _square_root_factors(m.process, 1)
     _require_positive_dof(p, 0)
     t_ex, psi, _, _, coup, root = _exercise(m, s)
-    # one law per forward measure, each tail the series of that law alone
+    # one law per forward measure, all laws one series pass
     n = psi.size
     tails = _tilted_tails((p,), m.x0, np.full(n, t_ex), psi[:, None],
-                          np.ones((n, 1)), np.full((n, 1), root),
-                          alone=True)[:, 0].tolist()
+                          np.ones((n, 1)),
+                          np.full((n, 1), root))[:, 0].tolist()
     price = m.bond0(s.start_index) * tails[0]
     for pos, k in enumerate(range(s.start_index + 1, s.end_index + 1)):
         price -= coup[pos] * m.bond0(k) * tails[pos + 1]

@@ -127,7 +127,8 @@ class TestGammaRatios:
         shapes = 0.5 * nu + j0 + np.arange(ws.size)
         per_shape = ws @ distributions.gammaincc(shapes[:, None],
                                                  0.5 * x[None, :])
-        by_recurrence = distributions._poisson_gamma_series(x, nu, alpha)
+        by_recurrence = distributions._poisson_gamma_series(
+            x, np.array([nu]), np.array([alpha]), np.zeros(x.size, int))
         assert np.max(np.abs(by_recurrence - per_shape)) <= 2e-15
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -204,20 +205,17 @@ class TestSharedSeriesWork:
         return np.resize(np.array(shapes), x.size), x
 
     @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(**POINTS, rows=st.integers(1, 80), one=st.booleans(),
-           upper=st.booleans())
+    @given(**POINTS, rows=st.integers(1, 80), upper=st.booleans())
     @example(shapes=[7.2e-4], xs=[0.07, 0.5, 1.0, 3.0, 5.9], rows=25,
-             one=False, upper=True)
+             upper=True)
     # Stirling-form shapes re-anchor every few rows, where a point's value
     # depends on the others': sharing the ladder there moved bits
     @example(shapes=[50.71, 39.37, 20.08],
              xs=[98.52, 41.47, 19.16, 93.94, 84.44, 63.38, 41.0, 111.99],
-             rows=65, one=False, upper=True)
-    def test_series_and_window_share_one_ladder(self, shapes, xs, rows, one,
+             rows=65, upper=True)
+    def test_series_and_window_share_one_ladder(self, shapes, xs, rows,
                                                 upper):
         a, x = self.points(shapes, xs)
-        if one:  # one law: a float shape
-            a = float(a[0])
         # the window's ladder, whose leading rows the series may read
         d = distributions._gamma_prefactor(a, x)
         ladder = distributions._prefactor_ladder(a, x, rows, d)
@@ -338,6 +336,18 @@ class TestNcChi2:
         assert ncchi2_cdf(0.0, 2.0, 1.0) == 0.0
         assert ncchi2_cdf(-3.0, 2.0, 1.0) == 0.0
         assert ncchi2_cdf(1e4, 2.0, 1.0) == pytest.approx(1.0, abs=1e-13)
+
+    def test_nan_point_gives_nan(self):
+        # as gammaincc and scipy's ncx2.sf do: a NaN point is not a point
+        # outside the support (SF 1, CDF 0)
+        assert math.isnan(ncchi2_sf(math.nan, 2.0, 1.0))
+        assert math.isnan(ncchi2_cdf(math.nan, 2.0, 1.0))
+        xs = np.array([0.5, 3.0, 7.0, 20.0])
+        for nu, alpha in ((2.0, 1.0), ([[2.0], [3.5]], [[1.0], [40.0]])):
+            clean = ncchi2_sf(xs, nu, alpha)
+            with_nan = ncchi2_sf(np.insert(xs, 2, math.nan), nu, alpha)
+            assert np.isnan(with_nan[..., 2]).all()
+            assert np.array_equal(np.delete(with_nan, 2, axis=-1), clean)
 
     def test_monotone_in_x(self):
         xs = np.linspace(0.0, 40.0, 200)
@@ -552,6 +562,16 @@ class TestChiSqMix:
         assert chisq_mix_cdf(0.0, mix) == 0.0
         assert chisq_mix_cdf(-0.1, mix) == 0.0
         assert chisq_mix_sf(-0.1, mix) == 1.0
+
+    def test_nan_point_gives_nan(self):
+        for mix in (ChiSqMixSpec([0.7], [2.0], [1.3]),
+                    ChiSqMixSpec([1.0, 2.0], [2.0, 3.0], [0.5, 1.0])):
+            assert math.isnan(chisq_mix_sf(math.nan, mix))
+            assert math.isnan(chisq_mix_cdf(math.nan, mix))
+            out = chisq_mix_sf(np.array([1.0, math.nan, 5.0]), mix)
+            assert math.isnan(out[1])
+            assert np.array_equal(out[[0, 2]],
+                                  chisq_mix_sf(np.array([1.0, 5.0]), mix))
 
     def test_no_mass_at_infinity(self):
         # all the mass lies below x = inf, outside Imhof's integral

@@ -321,3 +321,28 @@ def test_chi_square_laws_have_one_record():
                if dataclasses.is_dataclass(value)
                and value.__module__ == distributions.__name__]
     assert records == ["ChiSqMixSpec"]
+
+
+# A closed quote is one batch of laws, as a surface is: shapes are arrays
+# aligned with the points, and no one-law path keeps float shapes.
+@pytest.mark.parametrize("fn, name", [(pricing._tilted_tails, "alone"),
+                                      (distributions._gamma_prefactor,
+                                       "x_max")])
+def test_one_law_is_a_batch_of_one(fn, name):
+    assert name not in inspect.signature(fn).parameters
+
+
+def test_every_series_point_names_its_law():
+    law = inspect.signature(distributions._poisson_gamma_series).parameters[
+        "law"]
+    assert law.default is inspect.Parameter.empty
+
+
+def test_gamma_ratios_have_no_float_shape_branch():
+    tree = ast.parse((SRC / "distributions.py").read_text())
+    float_checks = [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance"
+                    and ast.unparse(node.args[1]) == "float"]
+    assert float_checks == []
